@@ -1,44 +1,42 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything CI runs, runnable locally with `ci/check.sh`.
 #
-# 1. release build + full test suite (the equivalence and conservation
-#    tests are the correctness contract for the streaming fast path);
+# 1. release build + the test suite of every workspace crate (the
+#    equivalence and conservation tests are the correctness contract for
+#    the streaming fast path);
 # 2. clippy with warnings denied;
-# 3. `report -- bench-json` smoke (regenerates BENCH_streaming.json and
-#    checks it parses; speedup numbers are machine-dependent and NOT
-#    gated — see DESIGN.md §4);
-# 4. `report -- graph` smoke: regenerates BENCH_graph.json and the chrome
-#    trace, and asserts the measured graph-mode sync count equals the
-#    schedule's (`sync_match`) — that one IS gated, it is a correctness
-#    property of the wave scheduler, not a performance number.
-# 5. `report -- layout-sweep` smoke: regenerates BENCH_layout.json and
-#    asserts every layout group computed bit-identical physics
-#    (`digests_match`) — also gated: the memory layout may only move
-#    values around, never change them.
-# 6. `report -- thread-sweep` smoke: regenerates BENCH_parallel.json and
-#    asserts the state digest is bit-identical at every pool width
-#    (`digests_match`) — gated: the staged Accumulate's ordered merge is
-#    a determinism contract (DESIGN.md §10). Speedups are NOT gated
-#    (CI runners are often single-core; see EXPERIMENTS.md).
-# 7. `report -- checkpoint` smoke: regenerates BENCH_checkpoint.json and
-#    asserts every interrupted-and-resumed run is bit-identical to its
-#    uninterrupted twin (`resume_digest == uninterrupted_digest`), per
-#    case and across the save-layout/restore-layout cross case — gated:
-#    crash-safe restart is a correctness contract (DESIGN.md §11).
-#    Snapshot sizes and save/load throughput are reported, not gated.
+# 3. the gates of the committed BENCH_*.json artifacts, checked as
+#    committed, with no re-run (`check_artifacts` below):
+#    - BENCH_streaming.json parses (speedups are machine-dependent and NOT
+#      gated — see DESIGN.md §4);
+#    - BENCH_graph.json: the measured graph-mode sync and wave counts equal
+#      the schedule's (`sync_match`, `wave_match`) — a correctness property
+#      of the wave scheduler, not a performance number — and the chrome
+#      trace has spans;
+#    - BENCH_layout.json: every layout group computed bit-identical physics
+#      (`digests_match`) — the memory layout may only move values around,
+#      never change them;
+#    - BENCH_parallel.json: the state digest is bit-identical at every pool
+#      width (`digests_match`) — the staged Accumulate's ordered merge is a
+#      determinism contract (DESIGN.md §10). Speedups are NOT gated (CI
+#      runners are often single-core; see EXPERIMENTS.md);
+#    - BENCH_checkpoint.json: every interrupted-and-resumed run is
+#      bit-identical to its uninterrupted twin, per case and across the
+#      save-layout/restore-layout cross case — crash-safe restart is a
+#      correctness contract (DESIGN.md §11). Snapshot sizes and save/load
+#      throughput are reported, not gated.
+# 4. with CI_BENCH=1: regenerate every artifact above through its `report`
+#    subcommand, then run the same gates on the fresh files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
-cargo test -q
-cargo clippy --workspace -- -D warnings
-
-if [[ "${CI_BENCH:-0}" == "1" ]]; then
-    cargo run --release -q -p lbm-bench --bin report -- bench-json
-    python3 -c 'import json; d = json.load(open("BENCH_streaming.json")); print("bench-json ok:", d["stream_kernel"]["speedup_dir_major_vs_general"], "x vs general")'
-    cargo run --release -q -p lbm-bench --bin report -- graph
+check_artifacts() {
     python3 - <<'EOF'
 import json
+
+d = json.load(open("BENCH_streaming.json"))
+print("streaming ok:", d["stream_kernel"]["speedup_dir_major_vs_general"], "x vs general")
+
 d = json.load(open("BENCH_graph.json"))
 for c in d["cases"]:
     assert c["sync_match"], f"graph-mode sync count != schedule sync count: {c}"
@@ -46,20 +44,14 @@ for c in d["cases"]:
 t = json.load(open("BENCH_graph_trace.json"))
 assert t["traceEvents"], "chrome trace has no spans"
 print("graph ok:", len(d["cases"]), "cases sync-matched,", len(t["traceEvents"]), "trace spans")
-EOF
-    cargo run --release -q -p lbm-bench --bin report -- layout-sweep
-    python3 - <<'EOF'
-import json
+
 d = json.load(open("BENCH_layout.json"))
 assert d["all_digests_match"], "layout sweep: physics digests differ across layouts"
 for g in d["groups"]:
     assert g["digests_match"], f"layout digests differ in group: {g['velocity_set']} B={g['block_size']}"
     assert len(g["layouts"]) == 3, f"expected 3 layouts per group, got {len(g['layouts'])}"
 print("layout-sweep ok:", len(d["groups"]), "groups bit-identical across layouts")
-EOF
-    cargo run --release -q -p lbm-bench --bin report -- thread-sweep
-    python3 - <<'EOF'
-import json
+
 d = json.load(open("BENCH_parallel.json"))
 assert d["digests_match"], "thread sweep: physics digests differ across thread counts"
 assert len(d["cases"]) >= 4, f"expected >= 4 thread counts, got {len(d['cases'])}"
@@ -72,10 +64,7 @@ for c in d["cases"]:
         assert len(c["per_thread_blocks"]) <= c["threads"], f"more counters than threads: {c}"
 print("thread-sweep ok:", len(d["cases"]), "pool widths bit-identical, digest",
       d["cases"][0]["digest"])
-EOF
-    cargo run --release -q -p lbm-bench --bin report -- checkpoint
-    python3 - <<'EOF'
-import json
+
 d = json.load(open("BENCH_checkpoint.json"))
 assert d["all_match"], "checkpoint: some resumed run diverged from its uninterrupted twin"
 assert d["cross_layout_match"], "checkpoint: cross-layout restore diverged"
@@ -88,6 +77,18 @@ for c in d["cases"]:
 print("checkpoint ok:", len(d["cases"]), "restart cases bit-identical,",
       d["cases"][0]["snapshot_bytes"], "bytes/snapshot")
 EOF
+}
+
+cargo build --release
+cargo test --workspace -q
+cargo clippy --workspace -- -D warnings
+check_artifacts
+
+if [[ "${CI_BENCH:-0}" == "1" ]]; then
+    for report in bench-json graph layout-sweep thread-sweep checkpoint; do
+        cargo run --release -q -p lbm-bench --bin report -- "$report"
+    done
+    check_artifacts
 fi
 
 echo "ci/check.sh: all checks passed"

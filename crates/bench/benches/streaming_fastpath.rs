@@ -1,8 +1,8 @@
 //! Interior streaming fast-path microbenchmark: direction-major
-//! offset-table gather vs the legacy cell-major pull vs the fully general
-//! link-resolving loop, on interior-dominated and refined cavities.
+//! offset-table gather vs the fully general link-resolving loop, on
+//! interior-dominated and refined cavities.
 //!
-//! The three paths are bit-identical (see
+//! The two paths are bit-identical (see
 //! `crates/core/tests/fastpath_equivalence.rs`); this bench isolates their
 //! cost. `BENCH_streaming.json` regenerates from the same cases via
 //! `cargo run --release -p lbm-bench --bin report -- bench-json`.
@@ -11,11 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use lbm_core::InteriorPath;
 
-const PATHS: [InteriorPath; 3] = [
-    InteriorPath::DirMajor,
-    InteriorPath::CellMajor,
-    InteriorPath::General,
-];
+const PATHS: [InteriorPath; 2] = [InteriorPath::DirMajor, InteriorPath::General];
 
 fn streaming_fastpath(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_fastpath");

@@ -181,7 +181,7 @@ pub fn streaming_case(
 /// path diluted by the boundary shell per Amdahl), undiluted only by the
 /// path-independent collision/interface kernels.
 ///
-/// The three paths are measured **interleaved**, `rounds` timed rounds
+/// The two paths are measured **interleaved**, `rounds` timed rounds
 /// each after one untimed warmup round, and the best round per path is
 /// kept — this machine's wall-clock drifts ±40 % between runs, and
 /// best-of-interleaved-rounds is the only comparison that survives it.
@@ -191,11 +191,7 @@ pub fn stream_kernel_compare(n: usize, rounds: usize, iters: usize) -> Vec<(Inte
     use lbm_core::kernels::{self, StreamInputs, StreamOptions};
     use lbm_core::{AllWalls, GridSpec, MultiGrid};
     use lbm_sparse::Box3;
-    let paths = [
-        InteriorPath::DirMajor,
-        InteriorPath::CellMajor,
-        InteriorPath::General,
-    ];
+    let paths = [InteriorPath::DirMajor, InteriorPath::General];
     let spec = GridSpec::uniform(Box3::from_dims(n, n, n)).with_block_size(8);
     let mut grid = MultiGrid::<f64, lbm_lattice::D3Q19>::build(spec, &AllWalls, 1.6);
     grid.init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.01, 0.0]);
@@ -207,7 +203,7 @@ pub fn stream_kernel_compare(n: usize, rounds: usize, iters: usize) -> Vec<(Inte
         explosion: false,
         coalesce: false,
     };
-    let mut best = [0.0f64; 3];
+    let mut best = [0.0f64; 2];
     for round in 0..rounds + 1 {
         for (pi, &path) in paths.iter().enumerate() {
             let inp = StreamInputs {
@@ -218,8 +214,6 @@ pub fn stream_kernel_compare(n: usize, rounds: usize, iters: usize) -> Vec<(Inte
                 src,
                 acc: &level.acc,
                 coarse_src: None,
-                coarse_prev: None,
-                explosion_blend: 0.0,
                 runs: &level.runs,
                 interior_path: path,
             };

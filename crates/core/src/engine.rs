@@ -100,7 +100,6 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     coarse_steps: u64,
     explosion_cells: Vec<u64>,
     coalesce_cells: Vec<u64>,
-    time_interp: bool,
     interior_path: InteriorPath,
     exec_mode: ExecMode,
     /// Whether the Accumulate scatter runs through the deterministic
@@ -108,10 +107,10 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     /// `exec.thread_count() > 1` — the serial atomic scatter is only
     /// order-deterministic on one thread.
     staged: bool,
-    /// Cached wave schedule, keyed by the (variant, time_interp) it was
-    /// built for. The wave partition is invariant under buffer parity, so
-    /// one schedule serves every step.
-    plan: Option<(Variant, bool, Schedule)>,
+    /// Cached wave schedule, keyed by the variant it was built for. The
+    /// wave partition is invariant under buffer parity, so one schedule
+    /// serves every step.
+    plan: Option<(Variant, Schedule)>,
     /// Periodic health checks ([`EngineBuilder::health`]); `None` = off.
     health: Option<HealthGuard>,
     /// Last healthy snapshot, cut by the rollback policy's healthy checks.
@@ -125,15 +124,16 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     halted: bool,
 }
 
-/// Fluent builder for [`Engine`] (start with [`Engine::builder`]); supply
-/// the collision operator with [`EngineBuilder::collision`] to proceed to
-/// [`EngineBuilderWithOp::build`].
+/// Fluent builder for [`Engine`] (start with [`Engine::builder`]). The
+/// setters may be called in any order; [`EngineBuilder::collision`]
+/// supplies the collision operator, and only a builder holding one can
+/// [`EngineBuilder::build`].
 #[must_use = "finish the builder with .collision(op).build(exec)"]
-pub struct EngineBuilder<T: Real, V: VelocitySet> {
+pub struct EngineBuilder<T: Real, V: VelocitySet, C = ()> {
     grid: MultiGrid<T, V>,
+    op: C,
     variant: Variant,
     interior_path: InteriorPath,
-    time_interp: bool,
     exec_mode: ExecMode,
     layout: Layout,
     threads: Option<usize>,
@@ -141,26 +141,18 @@ pub struct EngineBuilder<T: Real, V: VelocitySet> {
     health: Option<HealthGuard>,
 }
 
-/// [`EngineBuilder`] with the collision operator chosen; finish with
-/// [`EngineBuilderWithOp::build`].
-#[must_use = "finish the builder with .build(exec)"]
-pub struct EngineBuilderWithOp<T: Real, V: VelocitySet, C> {
-    base: EngineBuilder<T, V>,
-    op: C,
-}
-
 impl<T: Real, V: VelocitySet> Engine<T, V, ()> {
     /// Starts building an engine over `grid`. Defaults: the paper's most
     /// optimized variant ([`Variant::FusedAll`]), the default interior fast
-    /// path, no temporal interpolation, eager execution, the grid's current
-    /// memory layout (BlockSoA unless converted).
+    /// path, eager execution, the grid's current memory layout (BlockSoA
+    /// unless converted).
     pub fn builder(grid: MultiGrid<T, V>) -> EngineBuilder<T, V> {
         let layout = grid.layout();
         EngineBuilder {
             grid,
+            op: (),
             variant: Variant::FusedAll,
             interior_path: InteriorPath::default(),
-            time_interp: false,
             exec_mode: ExecMode::Eager,
             layout,
             threads: None,
@@ -170,7 +162,7 @@ impl<T: Real, V: VelocitySet> Engine<T, V, ()> {
     }
 }
 
-impl<T: Real, V: VelocitySet> EngineBuilder<T, V> {
+impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
     /// Sets the execution variant (fusion configuration).
     pub fn variant(mut self, v: Variant) -> Self {
         self.variant = v;
@@ -178,19 +170,11 @@ impl<T: Real, V: VelocitySet> EngineBuilder<T, V> {
     }
 
     /// Selects the implementation eligible interior blocks use in the
-    /// streaming-family kernels (all paths are bit-identical; the
-    /// non-default paths exist for benchmarking and equivalence testing).
+    /// streaming-family kernels (both paths are bit-identical;
+    /// [`InteriorPath::General`] exists for equivalence testing and
+    /// benchmarking).
     pub fn interior_path(mut self, p: InteriorPath) -> Self {
         self.interior_path = p;
-        self
-    }
-
-    /// Enables the linear-time-interpolation extension (beyond paper): the
-    /// Explosion source is extrapolated to each fine substep's time using
-    /// the coarse level's previous state (already present in the idle half
-    /// of its double buffer), instead of the paper's zeroth-order hold.
-    pub fn time_interpolation(mut self, on: bool) -> Self {
-        self.time_interp = on;
         self
     }
 
@@ -233,108 +217,40 @@ impl<T: Real, V: VelocitySet> EngineBuilder<T, V> {
         self
     }
 
-    /// Chooses the collision model. Each level gets an instance rebuilt
-    /// with its own ω (paper Eq. 9 — the grid carries per-level rates from
-    /// `omega0`).
-    pub fn collision<C: Collision<T, V>>(self, op: C) -> EngineBuilderWithOp<T, V, C> {
-        EngineBuilderWithOp { base: self, op }
+    /// Chooses the collision model, keeping every other setting. Each level
+    /// gets an instance rebuilt with its own ω (paper Eq. 9 — the grid
+    /// carries per-level rates from `omega0`).
+    pub fn collision<D: Collision<T, V>>(self, op: D) -> EngineBuilder<T, V, D> {
+        EngineBuilder {
+            grid: self.grid,
+            op,
+            variant: self.variant,
+            interior_path: self.interior_path,
+            exec_mode: self.exec_mode,
+            layout: self.layout,
+            threads: self.threads,
+            staged: self.staged,
+            health: self.health,
+        }
     }
 }
 
-impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilderWithOp<T, V, C> {
-    /// Sets the execution variant (fusion configuration).
-    pub fn variant(mut self, v: Variant) -> Self {
-        self.base.variant = v;
-        self
-    }
-
-    /// Selects the interior fast path (see [`EngineBuilder::interior_path`]).
-    pub fn interior_path(mut self, p: InteriorPath) -> Self {
-        self.base.interior_path = p;
-        self
-    }
-
-    /// Enables temporal interpolation (see
-    /// [`EngineBuilder::time_interpolation`]).
-    pub fn time_interpolation(mut self, on: bool) -> Self {
-        self.base.time_interp = on;
-        self
-    }
-
-    /// Sets the execution mode (eager or wave-scheduled graph execution).
-    pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.base.exec_mode = mode;
-        self
-    }
-
-    /// Selects the population memory layout (see [`EngineBuilder::layout`]).
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.base.layout = layout;
-        self
-    }
-
-    /// Sets the kernel-execution thread count (see
-    /// [`EngineBuilder::threads`]).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.base.threads = Some(n);
-        self
-    }
-
-    /// Overrides the Accumulate path (see
-    /// [`EngineBuilder::staged_accumulate`]).
-    pub fn staged_accumulate(mut self, on: bool) -> Self {
-        self.base.staged = Some(on);
-        self
-    }
-
-    /// Installs periodic health checks (see [`EngineBuilder::health`]).
-    pub fn health(mut self, guard: HealthGuard) -> Self {
-        self.base.health = Some(guard);
-        self
-    }
-
+impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
     /// Assembles the engine on the given executor.
     pub fn build(self, exec: Executor) -> Engine<T, V, C> {
-        let mut b = self.base;
-        if b.layout != b.grid.layout() {
-            b.grid.set_layout(b.layout);
+        let mut grid = self.grid;
+        if self.layout != grid.layout() {
+            grid.set_layout(self.layout);
         }
-        let exec = match b.threads {
+        let exec = match self.threads {
             Some(n) => exec.with_thread_count(n),
             None => exec,
         };
-        let staged = b.staged.unwrap_or(exec.thread_count() > 1);
-        Engine::assemble(
-            b.grid,
-            self.op,
-            b.variant,
-            exec,
-            b.interior_path,
-            b.time_interp,
-            b.exec_mode,
-            staged,
-            b.health,
-        )
-    }
-}
-
-impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        grid: MultiGrid<T, V>,
-        base_op: C,
-        variant: Variant,
-        exec: Executor,
-        interior_path: InteriorPath,
-        time_interp: bool,
-        exec_mode: ExecMode,
-        staged: bool,
-        health: Option<HealthGuard>,
-    ) -> Self {
+        let staged = self.staged.unwrap_or(exec.thread_count() > 1);
         let ops = grid
             .levels
             .iter()
-            .map(|lv| base_op.with_omega(T::from_f64(lv.omega)))
+            .map(|lv| self.op.with_omega(T::from_f64(lv.omega)))
             .collect();
         let count_links = |pred: &dyn Fn(&LinkKind<T>) -> bool| -> Vec<u64> {
             grid.levels
@@ -350,27 +266,28 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         };
         let explosion_cells = count_links(&|k| matches!(k, LinkKind::Explosion { .. }));
         let coalesce_cells = count_links(&|k| matches!(k, LinkKind::Coalesce { .. }));
-        Self {
+        Engine {
             grid,
             exec,
-            variant,
+            variant: self.variant,
             ops,
             coarse_steps: 0,
             explosion_cells,
             coalesce_cells,
-            time_interp,
-            interior_path,
-            exec_mode,
+            interior_path: self.interior_path,
+            exec_mode: self.exec_mode,
             staged,
             plan: None,
-            health,
+            health: self.health,
             last_snapshot: None,
             health_events: Vec::new(),
             rollbacks: 0,
             halted: false,
         }
     }
+}
 
+impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
     /// Whether the deterministic staged Accumulate path is active.
     pub fn staged_accumulate(&self) -> bool {
         self.staged
@@ -389,11 +306,6 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
     /// The memory layout of the population buffers.
     pub fn layout(&self) -> Layout {
         self.grid.layout()
-    }
-
-    /// Whether temporal interpolation is enabled.
-    pub fn time_interpolation(&self) -> bool {
-        self.time_interp
     }
 
     /// The current execution mode.
@@ -462,7 +374,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
             .iter()
             .map(|lv| lv.f.parity() as u8)
             .collect();
-        let g = graphs::step_graph_for(&topo, self.variant, &halves, self.time_interp, self.staged);
+        let g = graphs::step_graph_for(&topo, self.variant, &halves, self.staged);
         let s = Schedule::from_graph(&g);
         (g, s)
     }
@@ -473,15 +385,11 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         if self.halted {
             return;
         }
-        if self.exec_mode == ExecMode::Graph {
-            let stale = match &self.plan {
-                Some((v, ti, _)) => *v != self.variant || *ti != self.time_interp,
-                None => true,
-            };
-            if stale {
-                let (_, s) = self.step_task_graph();
-                self.plan = Some((self.variant, self.time_interp, s));
-            }
+        if self.exec_mode == ExecMode::Graph
+            && self.plan.as_ref().is_none_or(|(v, _)| *v != self.variant)
+        {
+            let (_, s) = self.step_task_graph();
+            self.plan = Some((self.variant, s));
         }
         let ops = self.step_program();
 
@@ -519,7 +427,6 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
 
         let exec = &self.exec;
         let coll = &self.ops;
-        let ti = self.time_interp;
         let ip = self.interior_path;
         let st = self.staged;
         match self.exec_mode {
@@ -528,11 +435,11 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                     if i > 0 {
                         exec.sync();
                     }
-                    run_op::<T, V, C>(exec, &ctx, coll, op, ti, ip, st);
+                    run_op::<T, V, C>(exec, &ctx, coll, op, ip, st);
                 }
             }
             ExecMode::Graph => {
-                let schedule = &self.plan.as_ref().expect("plan cached above").2;
+                let schedule = &self.plan.as_ref().expect("plan cached above").1;
                 for (w, wave) in schedule.waves.iter().enumerate() {
                     if w > 0 {
                         exec.sync();
@@ -553,7 +460,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                                 scope.spawn(move || {
                                     for &ni in group {
                                         with_span_context(w as u32, stream as u32, || {
-                                            run_op::<T, V, C>(exec, ctx, coll, &ops[ni], ti, ip, st)
+                                            run_op::<T, V, C>(exec, ctx, coll, &ops[ni], ip, st)
                                         });
                                     }
                                 });
@@ -564,7 +471,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                         // program order (deterministic replay).
                         for (stream, &ni) in wave.iter().enumerate() {
                             with_span_context(w as u32, stream as u32, || {
-                                run_op::<T, V, C>(exec, &ctx, coll, &ops[ni], ti, ip, st)
+                                run_op::<T, V, C>(exec, &ctx, coll, &ops[ni], ip, st)
                             });
                         }
                     }
@@ -747,7 +654,6 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
     ctx: &[LevelCtx<'_, T>],
     coll: &[C],
     op: &StepOp,
-    time_interp: bool,
     interior_path: InteriorPath,
     staged: bool,
 ) {
@@ -760,10 +666,6 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
     // accesses — within a wave the schedule admits no conflicting pair,
     // and `src != dst` by construction; any violation panics in the guard.
     let src = lv.halves.read(sh);
-    // Temporal extrapolation weight: the second substep of the parent
-    // interval sits at t + Δt_c/2, half a coarse step past the coarse
-    // state — `0.5` extrapolates linearly from the previous state.
-    let blend = if time_interp && op.phase == 1 { 0.5 } else { 0.0 };
     let accum = coarse.and_then(|c| {
         if c.ghost > 0 {
             let sink = match (staged, lv.stage) {
@@ -801,11 +703,6 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
     } else {
         None
     };
-    let coarse_prev: Option<HalfReadGuard<'_, T>> = if resolves_explosion && time_interp {
-        coarse.map(|c| c.halves.read(1 - ch))
-    } else {
-        None
-    };
     let inputs = StreamInputs {
         grid: lv.grid,
         flags: lv.flags,
@@ -814,8 +711,6 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
         src: &src,
         acc: lv.acc,
         coarse_src: coarse_src.as_deref(),
-        coarse_prev: coarse_prev.as_deref(),
-        explosion_blend: blend,
         runs: lv.runs,
         interior_path,
     };
@@ -872,7 +767,6 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
                 names::C[l],
                 lv.grid,
                 lv.flags,
-                lv.block_flags,
                 &coll[l],
                 &mut dst,
                 lv.real,

@@ -100,7 +100,7 @@ pub fn alg1_graph(levels: u32) -> TaskGraph {
 pub fn step_graph(levels: u32, variant: Variant) -> TaskGraph {
     assert!(levels >= 1);
     let topo = program::generic_topology(levels);
-    step_graph_for(&topo, variant, &vec![0u8; levels as usize], false, false)
+    step_graph_for(&topo, variant, &vec![0u8; levels as usize], false)
 }
 
 /// Graph of one coarse step for an arbitrary level topology and starting
@@ -111,13 +111,12 @@ pub fn step_graph_for(
     topo: &[LevelTopo],
     variant: Variant,
     start_halves: &[u8],
-    time_interp: bool,
     staged: bool,
 ) -> TaskGraph {
     let ops = program::step_ops(topo, variant, start_halves, staged);
     let mut g = TaskGraph::new();
     for op in &ops {
-        g.push(program::kernel_node(op, topo, time_interp, staged));
+        g.push(program::kernel_node(op, topo, staged));
     }
     g
 }
@@ -188,8 +187,8 @@ mod tests {
     fn staged_graph_adds_merge_nodes_only() {
         let topo = program::generic_topology(2);
         let halves = [0u8, 0];
-        let serial = step_graph_for(&topo, Variant::FusedAll, &halves, false, false);
-        let staged = step_graph_for(&topo, Variant::FusedAll, &halves, false, true);
+        let serial = step_graph_for(&topo, Variant::FusedAll, &halves, false);
+        let staged = step_graph_for(&topo, Variant::FusedAll, &halves, true);
         // Two fine substeps each gain one M node; the canonical count is
         // untouched (pinned by `optimized_counts`).
         assert_eq!(staged.kernel_count(), serial.kernel_count() + 2);

@@ -16,7 +16,6 @@ use lbm_lattice::{Collision, Real, VelocitySet, MAX_Q};
 use lbm_sparse::{Field, LayoutRuns, Slots, SparseGrid, CENTER_SLOT};
 
 use crate::flags::{BlockFlags, CellFlags};
-use crate::level::Level;
 use crate::links::{decode_ref, BlockLinks, LinkKind, NO_TARGET};
 
 /// Value-size in bytes of the population scalar.
@@ -39,14 +38,12 @@ fn layout_coalescing<T: Copy>(f: &Field<T>) -> f64 {
 /// use in the streaming-family kernels. Frontier/interface blocks always
 /// take the general per-cell path regardless of this setting.
 ///
-/// All three paths are bit-identical by construction (they read the same
-/// source addresses); the equivalence proptest in
-/// `crates/core/tests/fastpath_equivalence.rs` pins that down. The
-/// non-default paths exist for honest benchmarking ([`CellMajor`] is the
-/// pre-offset-table fast path) and for equivalence testing ([`General`]
-/// forces the link-resolving path everywhere).
+/// Both paths are bit-identical by construction (they read the same source
+/// addresses); the equivalence proptest in
+/// `crates/core/tests/fastpath_equivalence.rs` pins that down. [`General`]
+/// forces the link-resolving path everywhere: it is the reference the fast
+/// path is tested and benchmarked against.
 ///
-/// [`CellMajor`]: InteriorPath::CellMajor
 /// [`General`]: InteriorPath::General
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum InteriorPath {
@@ -56,9 +53,6 @@ pub enum InteriorPath {
     /// path).
     #[default]
     DirMajor,
-    /// Cell-major per-cell pull with inline neighbor resolution (the
-    /// legacy fast path, kept for measured before/after comparisons).
-    CellMajor,
     /// No fast path: every block runs the general link-resolving loop.
     General,
 }
@@ -68,7 +62,6 @@ impl InteriorPath {
     pub fn name(self) -> &'static str {
         match self {
             InteriorPath::DirMajor => "dir_major",
-            InteriorPath::CellMajor => "cell_major",
             InteriorPath::General => "general",
         }
     }
@@ -92,45 +85,12 @@ pub struct StreamInputs<'a, T> {
     /// Next-coarser level's post-collision populations (Explosion source);
     /// `None` on level 0.
     pub coarse_src: Option<&'a Field<T>>,
-    /// The coarse level's *previous* post-collision populations (the idle
-    /// half of its double buffer). Used by the linear-time-interpolation
-    /// extension; `None` disables it.
-    pub coarse_prev: Option<&'a Field<T>>,
-    /// Temporal extrapolation weight for Explosion reads: the fine substep
-    /// at `t + Δt_c/2` uses `(1+b)·f(t) − b·f(t−Δt_c)` with `b = 0.5`;
-    /// `b = 0` reproduces the paper's zeroth-order hold.
-    pub explosion_blend: f64,
     /// Precomputed per-direction gather plans, lowered to element space for
     /// this level's block size *and* the fields' memory layout (shared per
     /// `(block_size, velocity set, layout)` triple).
     pub runs: &'a LayoutRuns,
     /// Fast-path selection for eligible interior blocks.
     pub interior_path: InteriorPath,
-}
-
-impl<'a, T: Real> StreamInputs<'a, T> {
-    /// Builds the view pair for level `l` of a level stack: the level's own
-    /// inputs plus the coarser level's populations (zeroth-order hold).
-    pub fn for_level(levels: &'a [Level<T>], l: usize) -> Self {
-        let level = &levels[l];
-        Self {
-            grid: &level.grid,
-            flags: &level.flags,
-            block_flags: &level.block_flags,
-            links: &level.links,
-            src: level.f.src(),
-            acc: &level.acc,
-            coarse_src: if l > 0 {
-                Some(levels[l - 1].f.src())
-            } else {
-                None
-            },
-            coarse_prev: None,
-            explosion_blend: 0.0,
-            runs: &level.runs,
-            interior_path: InteriorPath::default(),
-        }
-    }
 }
 
 /// Where the Accumulate scatter deposits a cell's crossing populations.
@@ -377,21 +337,10 @@ fn resolve_link<T: Real>(
         LinkKind::MovingWall { opp, term } => src.get(block, opp as usize, cell) + term,
         LinkKind::Outflow { weight } => weight,
         LinkKind::Periodic { src: s } => src.get(s.block, dir, s.cell),
-        LinkKind::Explosion { src: s } => {
-            let now = inp
-                .coarse_src
-                .expect("explosion link on level 0")
-                .get(s.block, dir, s.cell);
-            match inp.coarse_prev {
-                // Linear-time-interpolation extension: extrapolate the
-                // coarse source to the fine substep's time.
-                Some(prev) if inp.explosion_blend != 0.0 => {
-                    let b = T::from_f64(inp.explosion_blend);
-                    now + b * (now - prev.get(s.block, dir, s.cell))
-                }
-                _ => now,
-            }
-        }
+        LinkKind::Explosion { src: s } => inp
+            .coarse_src
+            .expect("explosion link on level 0")
+            .get(s.block, dir, s.cell),
         LinkKind::Coalesce { src: s, inv_count } => {
             T::from_f64(inp.acc.load(s.block, dir, s.cell)) * inv_count
         }
@@ -431,25 +380,7 @@ pub fn stream<T: Real, V: VelocitySet>(
         let bsz = grid.block_size() as i32;
         let cdir = dir_table::<V>();
         if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
-            match inp.interior_path {
-                InteriorPath::DirMajor => g.gather_dir_major(inp.runs, q, out),
-                _ => {
-                    // Legacy cell-major fast path: per-cell pull with
-                    // inline neighbor resolution.
-                    let mut cell = 0usize;
-                    for lz in 0..bsz {
-                        for ly in 0..bsz {
-                            for lx in 0..bsz {
-                                out[sl.of(0, cell)] = g.src_all[g.block_base + g.slots.of(0, cell)]; // rest
-                                for i in 1..q {
-                                    out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                                cell += 1;
-                            }
-                        }
-                    }
-                }
-            }
+            g.gather_dir_major(inp.runs, q, out);
             return;
         }
         let blk = grid.block(b);
@@ -595,16 +526,12 @@ pub fn coalesce<T: Real, V: VelocitySet>(
 }
 
 /// Collision kernel (paper "C"): in-place BGK/KBC on the post-streaming
-/// buffer. With `accumulate` set, fuses the optimized Accumulate step
-/// (Fig. 4c): interface cells atomically add their fresh post-collision
-/// populations into the parent coarse ghost cell straight from registers.
-#[allow(clippy::too_many_arguments)]
+/// buffer, real cells only.
 pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     exec: &Executor,
     name: &'static str,
     grid: &SparseGrid,
     flags: &Field<u8>,
-    block_flags: &[crate::flags::BlockFlags],
     op: &C,
     dst: &mut Field<T>,
     real_cells: u64,
@@ -621,7 +548,6 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .coalescing(layout_coalescing(dst))
         .build();
     let sl = dst.slots();
-    let _ = block_flags;
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
         let blk = grid.block(b);
         for cell in blk.active.iter_set() {
@@ -638,41 +564,6 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
             for i in 0..q {
                 out[sl.of(i, cell as usize)] = f[i];
             }
-        }
-    });
-}
-
-/// Standalone scatter Accumulate (paper "A", optimized but unfused form):
-/// adds post-collision populations of interface fine cells into the parent
-/// coarse ghost accumulators with atomics.
-pub fn accumulate_scatter<T: Real, V: VelocitySet>(
-    exec: &Executor,
-    name: &'static str,
-    grid: &SparseGrid,
-    flags: &Field<u8>,
-    tables: AccTables<'_>,
-    src: &Field<T>,
-    interface_cells: u64,
-) {
-    let q = V::Q;
-    let cost = LaunchCost::cells(interface_cells)
-        .loads(q as u64)
-        .atomics(q as u64)
-        .value_bytes(value_bytes::<T>())
-        .thread_block(grid.cells_per_block())
-        .coalescing(layout_coalescing(src))
-        .build();
-    exec.launch(name, grid.num_blocks(), cost, |b| {
-        if tables.targets[b as usize].is_none() {
-            return;
-        }
-        let blk = grid.block(b);
-        for cell in blk.active.iter_set() {
-            let cell = cell as u32;
-            if !CellFlags(flags.get(b, 0, cell)).accumulates() {
-                continue;
-            }
-            tables.scatter_from(src, b, cell);
         }
     });
 }
@@ -794,23 +685,7 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
             // Fully-interior blocks hold only real cells with no links and
             // no accumulating cells (their `acc_target` entry is `None`),
             // so the fused kernel reduces to gather + in-place collide.
-            match inp.interior_path {
-                InteriorPath::DirMajor => g.gather_dir_major(inp.runs, q, out),
-                _ => {
-                    let mut cell = 0usize;
-                    for lz in 0..bsz {
-                        for ly in 0..bsz {
-                            for lx in 0..bsz {
-                                out[sl.of(0, cell)] = g.src_all[g.block_base + g.slots.of(0, cell)]; // rest
-                                for i in 1..q {
-                                    out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                                cell += 1;
-                            }
-                        }
-                    }
-                }
-            }
+            g.gather_dir_major(inp.runs, q, out);
             for cell in 0..cpb {
                 let mut f = [T::ZERO; MAX_Q];
                 for i in 0..q {

@@ -20,13 +20,10 @@
 //! - [`graphs`]: Fig.-2 dependency-graph generators;
 //! - [`checkpoint`]: crash-safe snapshot format and runtime health guards
 //!   (checkpoint/restart, as in the waLBerla/Palabos production codes);
-//! - [`memory_report`]: ghost-layer and capacity accounting (§IV-A, §VI-B);
-//! - [`aa`]: the AA-pattern single-buffer uniform solver (paper ref. [7]),
-//!   the storage scheme behind the §VI-B uniform-grid capacity bound.
+//! - [`memory_report`]: ghost-layer and capacity accounting (§IV-A, §VI-B).
 
 #![warn(missing_docs)]
 
-pub mod aa;
 pub mod boundary;
 pub mod checkpoint;
 pub mod engine;
@@ -41,12 +38,11 @@ pub mod program;
 pub mod spec;
 pub mod variant;
 
-pub use aa::AaSolver;
 pub use boundary::{AllWalls, Boundary, BoundarySpec};
 pub use checkpoint::{
     CheckpointError, HealthAction, HealthCause, HealthEvent, HealthGuard, HealthPolicy,
 };
-pub use engine::{Engine, EngineBuilder, EngineBuilderWithOp, ExecMode};
+pub use engine::{Engine, EngineBuilder, ExecMode};
 pub use graphs::{alg1_graph, step_graph, step_graph_for};
 pub use kernels::InteriorPath;
 pub use level::Level;

@@ -894,4 +894,43 @@ mod tests {
         });
         let _ = MG::build(spec, &AllWalls, 1.5);
     }
+
+    fn uniform_with(u: [f64; 3]) -> MG {
+        let mut g = MG::build(GridSpec::uniform(Box3::from_dims(8, 8, 8)), &AllWalls, 1.0);
+        g.init_equilibrium(|_, _| 1.0, move |_, _| u);
+        g
+    }
+
+    #[test]
+    fn max_speed_reports_magnitude() {
+        let g = uniform_with([0.03, 0.04, 0.0]);
+        assert!((g.max_speed() - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn finiteness_detects_injected_nan() {
+        let mut g = uniform_with([0.0; 3]);
+        assert!(g.is_finite());
+        // Poison a single population slot; the detector must trip on it.
+        g.levels[0].f.src_mut().set(0, 3, 7, f64::NAN);
+        assert!(!g.is_finite());
+        g.levels[0].f.src_mut().set(0, 3, 7, 1.0);
+        assert!(g.is_finite());
+        g.levels[0].f.src_mut().set(0, 0, 0, f64::INFINITY);
+        assert!(!g.is_finite());
+    }
+
+    #[test]
+    fn finiteness_detects_nan_in_dst_half_only() {
+        // Regression: the detector used to scan only the src() half, so a
+        // NaN parked in the destination half (stale after a restore, or
+        // written by the last substep before a swap) escaped detection
+        // until the next swap made it live again.
+        let mut g = uniform_with([0.0; 3]);
+        g.levels[0].f.dst_mut().set(0, 5, 11, f64::NAN);
+        assert!(!g.is_finite(), "NaN in the dst half must be detected");
+        // And it is still caught after the swap brings it live.
+        g.levels[0].f.swap();
+        assert!(!g.is_finite());
+    }
 }

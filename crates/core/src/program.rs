@@ -88,9 +88,6 @@ pub struct StepOp {
     pub kind: OpKind,
     /// Grid level the kernel works on.
     pub level: usize,
-    /// Which substep of the enclosing coarse interval this is (0 or 1;
-    /// 0 for the coarsest level). Drives temporal interpolation.
-    pub phase: u8,
     /// Source half (0 = `a`, 1 = `b`) of this level's double buffer at the
     /// time the op runs; the destination is `1 - src_half`.
     pub src_half: u8,
@@ -120,7 +117,7 @@ pub fn step_ops(
     assert_eq!(topo.len(), start_halves.len());
     let mut flip: Vec<u8> = start_halves.to_vec();
     let mut ops = Vec::new();
-    rec(&mut ops, topo, variant, &mut flip, 0, 0, staged);
+    rec(&mut ops, topo, variant, &mut flip, 0, staged);
     ops
 }
 
@@ -130,13 +127,12 @@ fn rec(
     variant: Variant,
     flip: &mut [u8],
     l: usize,
-    phase: u8,
     staged: bool,
 ) {
     if l + 1 < topo.len() {
         // Δt_{L+1} = Δt_L / 2: two fine substeps before this level streams.
-        rec(ops, topo, variant, flip, l + 1, 0, staged);
-        rec(ops, topo, variant, flip, l + 1, 1, staged);
+        rec(ops, topo, variant, flip, l + 1, staged);
+        rec(ops, topo, variant, flip, l + 1, staged);
     }
     let cfg = variant.config();
     let t = topo[l];
@@ -145,7 +141,6 @@ fn rec(
     let mk = |kind| StepOp {
         kind,
         level: l,
-        phase,
         src_half: flip[l],
         coarse_half: if l > 0 { flip[l - 1] } else { 0 },
     };
@@ -205,24 +200,16 @@ pub fn stage_id(level: usize, n_levels: usize) -> FieldId {
 /// the labels match the paper's Fig.-2/Fig.-4 nomenclature (`S`/`SE`/`SO`/
 /// `SEO`, `E`, `O`, `C`, `A`, `CASE`, `R`).
 ///
-/// `time_interp` adds the coarser level's *previous* state to the reads of
-/// explosion-resolving kernels (the linear-interpolation extension).
 /// `staged` must match the flag given to [`step_ops`]: it reroutes the
 /// Accumulate scatter from an atomic update of the coarse accumulators to a
 /// plain write of the level's staging slab (consumed by the `M` merge node).
-pub fn kernel_node(
-    op: &StepOp,
-    topo: &[LevelTopo],
-    time_interp: bool,
-    staged: bool,
-) -> KernelNode {
+pub fn kernel_node(op: &StepOp, topo: &[LevelTopo], staged: bool) -> KernelNode {
     let n = topo.len();
     let l = op.level;
     let t = topo[l];
     let src = buf_id(l, op.src_half);
     let dst = buf_id(l, 1 - op.src_half);
     let coarse_src = || buf_id(l - 1, op.coarse_half);
-    let coarse_prev = || buf_id(l - 1, 1 - op.coarse_half);
     let coarse_acc = || acc_id(l - 1, n);
 
     let (label, reads, writes, atomics) = match op.kind {
@@ -242,9 +229,6 @@ pub fn kernel_node(
             if explosion && t.explodes {
                 label.push('E');
                 reads.push(coarse_src());
-                if time_interp {
-                    reads.push(coarse_prev());
-                }
             }
             if coalesce && t.coalesces {
                 label.push('O');
@@ -262,13 +246,7 @@ pub fn kernel_node(
             };
             (label, reads, writes, atomics)
         }
-        OpKind::Explosion => {
-            let mut reads = vec![coarse_src()];
-            if time_interp {
-                reads.push(coarse_prev());
-            }
-            (format!("E{l}"), reads, vec![dst], vec![])
-        }
+        OpKind::Explosion => (format!("E{l}"), vec![coarse_src()], vec![dst], vec![]),
         OpKind::Coalesce => (
             format!("O{l}"),
             vec![acc_id(l, n)],
@@ -280,9 +258,6 @@ pub fn kernel_node(
             let mut reads = vec![src];
             if t.explodes {
                 reads.push(coarse_src());
-                if time_interp {
-                    reads.push(coarse_prev());
-                }
             }
             if t.coalesces {
                 reads.push(acc_id(l, n));
@@ -344,13 +319,6 @@ mod tests {
             .iter()
             .filter(|o| o.level == 1)
             .all(|o| o.coarse_half == 1));
-        // Fine substeps alternate phase 0, 1.
-        let phases: Vec<u8> = ops
-            .iter()
-            .filter(|o| o.level == 1 && matches!(o.kind, OpKind::Stream { .. }))
-            .map(|o| o.phase)
-            .collect();
-        assert_eq!(phases, vec![0, 1]);
     }
 
     #[test]
@@ -391,7 +359,7 @@ mod tests {
         let ops = step_ops(&topo, Variant::FusedAll, &[0, 0], false);
         let labels: Vec<String> = ops
             .iter()
-            .map(|o| kernel_node(o, &topo, false, false).label)
+            .map(|o| kernel_node(o, &topo, false).label)
             .collect();
         // Level 0 has no explosion interface, so its inline stream is S+O.
         assert_eq!(labels, vec!["CASE1", "CASE1", "SO0", "C0", "R0"]);
@@ -418,24 +386,13 @@ mod tests {
         // Staged scatter writes the slab instead of atomically updating the
         // coarse accumulators; the merge node carries that dependency.
         let fused = staged.iter().find(|o| o.level == 1).unwrap();
-        let node = kernel_node(fused, &topo, false, true);
+        let node = kernel_node(fused, &topo, true);
         assert!(node.atomics.is_empty());
         assert!(node.writes.contains(&stage_id(1, 2)));
-        let merge = kernel_node(merges[0], &topo, false, true);
+        let merge = kernel_node(merges[0], &topo, true);
         assert_eq!(merge.label, "M1");
         assert!(merge.reads.contains(&stage_id(1, 2)));
         assert!(merge.reads.contains(&acc_id(0, 2)));
         assert_eq!(merge.writes, vec![acc_id(0, 2)]);
-    }
-
-    #[test]
-    fn time_interp_adds_prev_coarse_read() {
-        let topo = generic_topology(2);
-        let ops = step_ops(&topo, Variant::FusedAll, &[0, 0], false);
-        let fused = ops.iter().find(|o| o.level == 1).unwrap();
-        let plain = kernel_node(fused, &topo, false, false);
-        let interp = kernel_node(fused, &topo, true, false);
-        assert_eq!(interp.reads.len(), plain.reads.len() + 1);
-        assert!(interp.reads.contains(&buf_id(0, 1)));
     }
 }

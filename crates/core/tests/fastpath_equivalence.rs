@@ -1,8 +1,8 @@
 //! Fast-path ≡ general-path equivalence: the direction-major offset-table
-//! gather, the legacy cell-major fast path, and the fully general
-//! link-resolving loop must produce **bit-identical** population fields.
+//! gather and the fully general link-resolving loop must produce
+//! **bit-identical** population fields.
 //!
-//! The three paths read exactly the same source addresses (the offset
+//! The two paths read exactly the same source addresses (the offset
 //! tables are the closed form of the per-cell branch chains), so equality
 //! here is exact `to_bits` equality, not tolerance-based. Engines run on
 //! the sequential executor so the atomic Accumulate order — the one source
@@ -121,11 +121,7 @@ fn build<V: VelocitySet>(c: &Case, path: InteriorPath, layout: Layout) -> Engine
 /// Runs the case under every interior path and asserts the resulting
 /// population buffers are bit-identical on every level.
 fn assert_paths_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
-    let paths = [
-        InteriorPath::DirMajor,
-        InteriorPath::CellMajor,
-        InteriorPath::General,
-    ];
+    let paths = [InteriorPath::DirMajor, InteriorPath::General];
     let mut engines: Vec<_> = paths
         .iter()
         .map(|&p| build::<V>(c, p, Layout::default()))
@@ -170,7 +166,7 @@ fn assert_paths_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Randomized geometries, block sizes, variants: all three interior
+    /// Randomized geometries, block sizes, variants: both interior
     /// paths agree bitwise through multi-step refined runs (D3Q19).
     #[test]
     fn interior_paths_bit_identical_d3q19(c in random_case()) {
@@ -186,11 +182,7 @@ proptest! {
 /// slice order legitimately differs between layouts — is bit-identical
 /// across all pairs on every level.
 fn assert_paths_layouts_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
-    let paths = [
-        InteriorPath::DirMajor,
-        InteriorPath::CellMajor,
-        InteriorPath::General,
-    ];
+    let paths = [InteriorPath::DirMajor, InteriorPath::General];
     let layouts = [
         Layout::BlockSoA,
         Layout::CellAoS,
@@ -288,11 +280,7 @@ fn interior_paths_bit_identical_uniform() {
         } else {
             Variant::ModifiedBaseline
         };
-        let mut engines: Vec<_> = [
-            InteriorPath::DirMajor,
-            InteriorPath::CellMajor,
-            InteriorPath::General,
-        ]
+        let mut engines: Vec<_> = [InteriorPath::DirMajor, InteriorPath::General]
         .iter()
         .map(|&p| {
             let spec = GridSpec::uniform(Box3::from_dims(32, 32, 32)).with_block_size(8);

@@ -30,7 +30,7 @@ fn engine(cfg: impl FnOnce(BuilderOf) -> BuilderOf) -> Eng {
     eng
 }
 
-type BuilderOf = lbm_core::EngineBuilderWithOp<f64, D3Q19, Bgk<f64>>;
+type BuilderOf = lbm_core::EngineBuilder<f64, D3Q19, Bgk<f64>>;
 
 fn digest(eng: &Eng) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

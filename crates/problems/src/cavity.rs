@@ -136,8 +136,8 @@ impl Cavity {
         variant: Variant,
         exec: Executor,
         configure: impl FnOnce(
-            lbm_core::EngineBuilderWithOp<f64, D3Q19, Bgk<f64>>,
-        ) -> lbm_core::EngineBuilderWithOp<f64, D3Q19, Bgk<f64>>,
+            lbm_core::EngineBuilder<f64, D3Q19, Bgk<f64>>,
+        ) -> lbm_core::EngineBuilder<f64, D3Q19, Bgk<f64>>,
     ) -> CavityEngine {
         let bc = self.boundary();
         let grid = MultiGrid::<f64, D3Q19>::build(self.spec(), &bc, self.omega0);

@@ -29,23 +29,6 @@ pub fn kinetic_energy<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>) -> f64 {
     total
 }
 
-/// Maximum velocity magnitude over real cells (stability monitor: values
-/// approaching the lattice sound speed 0.577 mean the run is diverging).
-/// Delegates to [`MultiGrid::max_speed`] — the same probe the engine's
-/// health guards use.
-pub fn max_speed<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>) -> f64 {
-    grid.max_speed()
-}
-
-/// True when the field contains no NaN/inf populations, in **either** half
-/// of any level's double buffer. Delegates to [`MultiGrid::is_finite`]:
-/// scanning only the source half would let a NaN parked in the idle half
-/// (after a restore, or written by the last substep before a swap) escape
-/// and resurface on the next swap.
-pub fn is_finite<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>) -> bool {
-    grid.is_finite()
-}
-
 /// What [`run_to_steady`] observed when it stopped.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SteadyOutcome {
@@ -156,45 +139,6 @@ mod tests {
         assert!((kinetic_energy(&g) - expect).abs() < 1e-10);
     }
 
-    #[test]
-    fn max_speed_reports_magnitude() {
-        let g = grid_with([0.03, 0.04, 0.0]);
-        assert!((max_speed(&g) - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn finiteness_check() {
-        let g = grid_with([0.0; 3]);
-        assert!(is_finite(&g));
-    }
-
-    #[test]
-    fn finiteness_detects_injected_nan() {
-        let mut g = grid_with([0.0; 3]);
-        assert!(is_finite(&g));
-        // Poison a single population slot; the detector must trip on it.
-        g.levels[0].f.src_mut().set(0, 3, 7, f64::NAN);
-        assert!(!is_finite(&g));
-        g.levels[0].f.src_mut().set(0, 3, 7, 1.0);
-        assert!(is_finite(&g));
-        g.levels[0].f.src_mut().set(0, 0, 0, f64::INFINITY);
-        assert!(!is_finite(&g));
-    }
-
-    #[test]
-    fn finiteness_detects_nan_in_dst_half_only() {
-        // Regression: the detector used to scan only the src() half, so a
-        // NaN parked in the destination half (stale after a restore, or
-        // written by the last substep before a swap) escaped detection
-        // until the next swap made it live again.
-        let mut g = grid_with([0.0; 3]);
-        g.levels[0].f.dst_mut().set(0, 5, 11, f64::NAN);
-        assert!(!is_finite(&g), "NaN in the dst half must be detected");
-        // And it is still caught after the swap brings it live.
-        g.levels[0].f.swap();
-        assert!(!is_finite(&g));
-    }
-
     fn still_engine() -> lbm_core::Engine<f64, D3Q19, lbm_lattice::Bgk<f64>> {
         use lbm_gpu::{DeviceModel, Executor};
         let spec = GridSpec::uniform(Box3::from_dims(8, 8, 8));
@@ -216,7 +160,7 @@ mod tests {
         assert!(out.converged);
         assert!(!out.diverged);
         assert_eq!(eng.coarse_steps(), 3);
-        assert!(is_finite(&eng.grid));
+        assert!(eng.grid.is_finite());
     }
 
     #[test]

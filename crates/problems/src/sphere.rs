@@ -143,8 +143,8 @@ impl SphereFlow {
         variant: Variant,
         exec: Executor,
         configure: impl FnOnce(
-            lbm_core::EngineBuilderWithOp<f64, D3Q27, Kbc<f64>>,
-        ) -> lbm_core::EngineBuilderWithOp<f64, D3Q27, Kbc<f64>>,
+            lbm_core::EngineBuilder<f64, D3Q27, Kbc<f64>>,
+        ) -> lbm_core::EngineBuilder<f64, D3Q27, Kbc<f64>>,
     ) -> SphereEngine {
         let bc = tunnel_boundary(self.config.size, self.config.levels, self.config.u_inlet);
         let grid = MultiGrid::<f64, D3Q27>::build(self.spec(), &bc, self.omega0);

@@ -25,9 +25,6 @@ pub struct TgvConfig {
     pub omega_finest: f64,
     /// Memory block edge.
     pub block_size: usize,
-    /// Enable the linear-time-interpolation extension for Explosion
-    /// (beyond paper; reduces interface dissipation).
-    pub time_interp: bool,
 }
 
 impl Default for TgvConfig {
@@ -39,7 +36,6 @@ impl Default for TgvConfig {
             u0: 0.02,
             omega_finest: 1.4,
             block_size: 4,
-            time_interp: false,
         }
     }
 }
@@ -84,7 +80,6 @@ impl Tgv {
         let mut eng = Engine::builder(grid)
             .collision(Bgk::new(self.omega0))
             .variant(variant)
-            .time_interpolation(self.config.time_interp)
             .build(exec);
         let n = self.config.n as f64;
         let u0 = self.config.u0;
@@ -172,67 +167,19 @@ mod tests {
     }
 
     #[test]
-    fn time_interpolation_stays_within_accuracy_envelope() {
-        // Beyond-paper experiment: linearly extrapolating the Explosion
-        // source to each fine substep's time (the waLBerla-style
-        // refinement) — measured against the paper's zeroth-order hold.
-        //
-        // Finding (recorded in EXPERIMENTS.md): on the refined
-        // Taylor–Green decay the two are within each other's error bars —
-        // the interface error is dominated by the *spatial*
-        // piecewise-constant redistribution of Eq. 10, not by the time
-        // hold, which supports Rohde's argument that the volume-based
-        // scheme needs no temporal interpolation.
-        let run = |time_interp: bool| -> f64 {
-            let tgv = Tgv::new(TgvConfig {
-                n: 32,
-                levels: 2,
-                time_interp,
-                ..TgvConfig::default()
-            });
-            let mut eng =
-                tgv.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
-            let e0 = Tgv::kinetic_energy(&eng);
-            let coarse_steps = 50;
-            eng.run(coarse_steps);
-            let ratio = Tgv::kinetic_energy(&eng) / e0;
-            let exact = tgv.analytic_ke_ratio(2 * coarse_steps as u64);
-            ((ratio - exact) / exact).abs()
-        };
-        let hold = run(false);
-        let interp = run(true);
-        assert!(interp < 0.20, "interpolated decay error {interp} too large");
-        assert!(
-            (interp - hold).abs() < 0.1,
-            "schemes should be comparable: hold {hold}, interp {interp}"
-        );
-    }
-
-    #[test]
-    fn time_interpolation_trades_exact_conservation_for_time_accuracy() {
-        // A second finding: extrapolating the Explosion source breaks the
-        // exact flat-interface mass balance (substeps A and B no longer
-        // pull the same coarse value, so their sum no longer telescopes to
-        // exactly what the coarse slot surrendered). The drift is bounded
-        // by the unsteadiness of the coarse state — another reason the
-        // paper's zeroth-order hold is the right default.
-        let run = |time_interp: bool| -> f64 {
-            let tgv = Tgv::new(TgvConfig {
-                n: 32,
-                levels: 2,
-                time_interp,
-                ..TgvConfig::default()
-            });
-            let mut eng =
-                tgv.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
-            let m0 = eng.grid.total_mass();
-            eng.run(20);
-            ((eng.grid.total_mass() - m0) / m0).abs()
-        };
-        let hold = run(false);
-        let interp = run(true);
-        assert!(hold < 1e-12, "zeroth-order hold must stay exact: {hold:e}");
-        assert!(interp < 1e-4, "interpolated drift unbounded: {interp:e}");
-        assert!(interp > hold, "interp must show the conservation trade-off");
+    fn zeroth_order_hold_conserves_mass_exactly() {
+        // Both fine substeps pull the same held coarse value, so their sum
+        // telescopes to exactly what the coarse slot surrendered: the
+        // refined vortex conserves mass to round-off.
+        let tgv = Tgv::new(TgvConfig {
+            n: 32,
+            levels: 2,
+            ..TgvConfig::default()
+        });
+        let mut eng = tgv.engine(Variant::FusedAll, Executor::new(DeviceModel::a100_40gb()));
+        let m0 = eng.grid.total_mass();
+        eng.run(20);
+        let drift = ((eng.grid.total_mass() - m0) / m0).abs();
+        assert!(drift < 1e-12, "zeroth-order hold must stay exact: {drift:e}");
     }
 }

@@ -58,14 +58,14 @@ fn main() {
     for s in 0..snapshots {
         eng.run(chunk);
         let ke = diagnostics::kinetic_energy(&eng.grid);
-        let ms = diagnostics::max_speed(&eng.grid);
+        let ms = eng.grid.max_speed();
         let mut row = format!("  {:>5}  {ke:.4e}  {ms:.4} ", (s + 1) * chunk);
         for (_, p) in &probes {
             let ux = eng.grid.probe_finest(*p).map(|(_, u)| u[0]).unwrap_or(f64::NAN);
             row.push_str(&format!("  {ux:+.5}"));
         }
         println!("{row}");
-        assert!(diagnostics::is_finite(&eng.grid), "run diverged");
+        assert!(eng.grid.is_finite(), "run diverged");
     }
     let wall = t0.elapsed();
     let done = chunk * snapshots;

@@ -96,6 +96,6 @@ fn main() {
     );
     println!(
         "max speed:           {:.4} (lattice units; < 0.577 = stable)",
-        diagnostics::max_speed(&engine.grid)
+        engine.grid.max_speed()
     );
 }

@@ -65,7 +65,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     eng.run(steps);
     let wall = t0.elapsed();
-    assert!(diagnostics::is_finite(&eng.grid), "run diverged");
+    assert!(eng.grid.is_finite(), "run diverged");
     println!(
         "\n{steps} coarse steps in {:.1} s — measured {:.1} MLUPS, modeled A100 {:.1} MLUPS",
         wall.as_secs_f64(),
@@ -84,6 +84,6 @@ fn main() {
     println!(
         "kinetic energy {:.4e}, max |u| = {:.4}",
         diagnostics::kinetic_energy(&eng.grid),
-        diagnostics::max_speed(&eng.grid)
+        eng.grid.max_speed()
     );
 }

@@ -25,7 +25,7 @@ fn cavity_two_level_matches_ghia_loosely() {
     let out = diagnostics::run_to_steady(&mut eng, transit, 5e-6, 80 * transit);
     assert!(out.steps > 0);
     assert!(!out.diverged, "cavity run diverged at step {}", out.steps);
-    assert!(diagnostics::is_finite(&eng.grid));
+    assert!(eng.grid.is_finite());
     let (u_err, v_err) = cavity.validate(&eng);
     assert!(
         u_err.rms < 0.035,
