@@ -11,19 +11,16 @@
 //! `bench-json` writes the interior-fast-path comparison to
 //! `BENCH_streaming.json`; `graph` compares eager vs wave-scheduled
 //! execution and writes `BENCH_graph.json` plus a chrome://tracing file
-//! `BENCH_graph_trace.json`; `layout-sweep` compares the population
-//! memory layouts across block sizes and velocity sets and writes
-//! `BENCH_layout.json`; `checkpoint` measures snapshot save/load and the
+//! `BENCH_graph_trace.json`; `checkpoint` measures snapshot save/load and the
 //! interrupt/resume bit-identity gate and writes `BENCH_checkpoint.json`.
 
 use std::time::Instant;
 
-use lbm_bench::{cavity_case, checkpoint_case, graph_case, layout_case, sphere_case, stream_kernel_compare, streaming_case, table1_row, CaseResult, CheckpointCaseResult, ThreadSweepResult, thread_sweep_case};
+use lbm_bench::{cavity_case, checkpoint_case, graph_case, sphere_case, stream_kernel_compare, streaming_case, table1_row, CaseResult, CheckpointCaseResult, ThreadSweepResult, thread_sweep_case};
 use lbm_compare::PalabosLike;
 use lbm_core::{alg1_graph, memory_report, step_graph, ExecMode, InteriorPath, MultiGrid, Variant};
 use lbm_gpu::{max_uniform_cube, DeviceModel, Executor};
-use lbm_lattice::{D3Q19, D3Q27};
-use lbm_sparse::Layout;
+use lbm_lattice::D3Q19;
 use lbm_problems::airplane::{AirplaneConfig, AirplaneFlow};
 use lbm_problems::cavity::{Cavity, CavityConfig};
 use lbm_problems::diagnostics;
@@ -45,7 +42,6 @@ fn main() {
         "fig1" => fig1(paper_scale),
         "bench-json" => bench_json(),
         "graph" => graph_report(),
-        "layout-sweep" => layout_sweep(),
         "thread-sweep" => thread_sweep(),
         "checkpoint" => checkpoint_report(),
         "all" => {
@@ -60,7 +56,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: fig2 ghost fig7 compare uniform table1 fig9 fig1 bench-json graph layout-sweep thread-sweep checkpoint all");
+            eprintln!("choose from: fig2 ghost fig7 compare uniform table1 fig9 fig1 bench-json graph thread-sweep checkpoint all");
             std::process::exit(2);
         }
     }
@@ -550,102 +546,6 @@ fn graph_report() {
     println!("\nwrote BENCH_graph.json and BENCH_graph_trace.json");
 }
 
-/// One `(velocity set, block size)` group of the layout sweep: runs every
-/// layout on the identical workload, prints the comparison rows, and
-/// returns the JSON fragment plus whether the physics digests agreed.
-fn layout_group<V: lbm_lattice::VelocitySet>(
-    n: usize,
-    b: usize,
-    layouts: &[Layout],
-    warmup: usize,
-    steps: usize,
-) -> (String, bool) {
-    let runs: Vec<(Layout, CaseResult, String)> = layouts
-        .iter()
-        .map(|&l| {
-            let (case, digest) = layout_case::<V>(n, b, l, warmup, steps);
-            (l, case, digest)
-        })
-        .collect();
-    let digests_match = runs.windows(2).all(|w| w[0].2 == w[1].2);
-    println!("\n{} B={b} (lid-driven box n={n}, 2 levels, {steps} steps):", V::NAME);
-    println!(
-        "{:<14} {:>12} {:>14} {:>18}",
-        "layout", "MLUPS", "modeled MLUPS", "digest"
-    );
-    for (l, r, d) in &runs {
-        println!(
-            "{:<14} {:>12.2} {:>14.1} {:>18}",
-            l.label(),
-            r.measured_mlups,
-            r.modeled_mlups,
-            d
-        );
-    }
-    println!(
-        "digest gate: {}",
-        if digests_match { "OK (bit-identical)" } else { "MISMATCH" }
-    );
-    let layout_objs: Vec<String> = runs
-        .iter()
-        .map(|(l, r, d)| {
-            format!(
-                "        {{ \"layout\": \"{}\", \"measured_mlups\": {:.3}, \
-                 \"modeled_mlups\": {:.3}, \"wall_s\": {:.6}, \"digest\": \"{d}\" }}",
-                l.name(),
-                r.measured_mlups,
-                r.modeled_mlups,
-                r.wall.as_secs_f64()
-            )
-        })
-        .collect();
-    let json = format!(
-        "    {{\n      \"velocity_set\": \"{}\", \"block_size\": {b}, \
-         \"digests_match\": {digests_match},\n      \"layouts\": [\n{}\n      ]\n    }}",
-        V::NAME,
-        layout_objs.join(",\n")
-    );
-    (json, digests_match)
-}
-
-/// Memory-layout sweep → `BENCH_layout.json`.
-///
-/// Runs the three population layouts (block-SoA, cell-AoS, tiled AoSoA)
-/// on the same two-level lid-driven workload for every combination of
-/// block size B ∈ {4, 8} and velocity set ∈ {D3Q19, D3Q27}, and gates on
-/// the physics digests: the layout only moves values around in memory, so
-/// every group must be bit-identical across its three runs. The modeled
-/// MLUPS column carries the coalescing penalty of the non-SoA layouts
-/// (DESIGN.md §9); the digest gate is what the CI smoke asserts.
-fn layout_sweep() {
-    banner("Memory layout sweep — SoA / AoS / tiled (BENCH_layout.json)");
-    let (n, warmup, steps) = (32usize, 1usize, 4usize);
-    let layouts = [
-        Layout::BlockSoA,
-        Layout::CellAoS,
-        Layout::Tiled { width: 32 },
-    ];
-    let mut group_objs = Vec::new();
-    let mut all_match = true;
-    for b in [4usize, 8] {
-        for (json, ok) in [
-            layout_group::<D3Q19>(n, b, &layouts, warmup, steps),
-            layout_group::<D3Q27>(n, b, &layouts, warmup, steps),
-        ] {
-            group_objs.push(json);
-            all_match &= ok;
-        }
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"layout_sweep\",\n  \"device_model\": \"a100_40gb\",\n  \
-         \"n\": {n}, \"levels\": 2, \"steps\": {steps},\n  \
-         \"all_digests_match\": {all_match},\n  \"groups\": [\n{}\n  ]\n}}\n",
-        group_objs.join(",\n")
-    );
-    std::fs::write("BENCH_layout.json", &json).unwrap();
-    println!("\nwrote BENCH_layout.json (all digests match: {all_match})");
-}
-
 /// Block-parallel kernel execution sweep → `BENCH_parallel.json`.
 ///
 /// Runs the refined cavity at 1/2/4/8 pool threads and digests the final
@@ -726,41 +626,23 @@ fn thread_sweep() {
 /// Every case runs the refined cavity twice: uninterrupted to the step
 /// target, and interrupted-midway → snapshot to a real file → fresh engine
 /// → restore → finish. The two final-state digests must be bit-identical —
-/// that equality (per case, plus a save-under-one-layout /
-/// restore-under-another cross case) is what CI gates on. Snapshot sizes
-/// and save/load throughput are reported, not gated (machine-dependent).
+/// that equality, per case, is what CI gates on. Snapshot sizes and
+/// save/load throughput are reported, not gated (machine-dependent).
 fn checkpoint_report() {
     banner("Checkpoint/restart — interrupt/resume equivalence (BENCH_checkpoint.json)");
     let (n, levels, interrupt_at, total) = (32usize, 2u32, 3usize, 7usize);
-    let soa = Layout::BlockSoA;
-    // layouts × exec modes at 1 thread, both modes again at 8 threads,
-    // plus the cross-layout restore (canonical-format witness).
-    let plan: Vec<(Layout, Layout, ExecMode, usize)> = vec![
-        (soa, soa, ExecMode::Eager, 1),
-        (Layout::CellAoS, Layout::CellAoS, ExecMode::Eager, 1),
-        (Layout::Tiled { width: 32 }, Layout::Tiled { width: 32 }, ExecMode::Eager, 1),
-        (soa, soa, ExecMode::Graph, 1),
-        (Layout::CellAoS, Layout::CellAoS, ExecMode::Graph, 1),
-        (Layout::Tiled { width: 32 }, Layout::Tiled { width: 32 }, ExecMode::Graph, 1),
-        (soa, soa, ExecMode::Eager, 8),
-        (soa, soa, ExecMode::Graph, 8),
-        (soa, Layout::Tiled { width: 32 }, ExecMode::Eager, 1),
+    // Both exec modes at 1 and at 8 pool threads.
+    let plan = [
+        (ExecMode::Eager, 1usize),
+        (ExecMode::Graph, 1),
+        (ExecMode::Eager, 8),
+        (ExecMode::Graph, 8),
     ];
-    let results: Vec<(CheckpointCaseResult, bool)> = plan
+    let results: Vec<CheckpointCaseResult> = plan
         .iter()
-        .map(|&(save, restore, mode, threads)| {
-            let cross = save != restore;
-            (
-                checkpoint_case(n, levels, save, restore, mode, threads, interrupt_at, total),
-                cross,
-            )
-        })
+        .map(|&(mode, threads)| checkpoint_case(n, levels, mode, threads, interrupt_at, total))
         .collect();
-    let all_match = results.iter().all(|(r, _)| r.digests_match());
-    let cross_layout_match = results
-        .iter()
-        .filter(|(_, cross)| *cross)
-        .all(|(r, _)| r.digests_match());
+    let all_match = results.iter().all(CheckpointCaseResult::digests_match);
     println!(
         "\ncavity n={n} L={levels}, interrupt at {interrupt_at}/{total} coarse steps"
     );
@@ -768,7 +650,7 @@ fn checkpoint_report() {
         "{:>34} {:>12} {:>11} {:>11} {:>6}",
         "case", "snapshot B", "save MiB/s", "load MiB/s", "match"
     );
-    for (r, _) in &results {
+    for r in &results {
         println!(
             "{:>34} {:>12} {:>11.1} {:>11.1} {:>6}",
             r.label,
@@ -784,15 +666,14 @@ fn checkpoint_report() {
     );
     let case_objs: Vec<String> = results
         .iter()
-        .map(|(r, cross)| {
+        .map(|r| {
             format!(
-                "    {{ \"case\": \"{}\", \"cross_layout\": {}, \"snapshot_bytes\": {}, \
+                "    {{ \"case\": \"{}\", \"snapshot_bytes\": {}, \
                  \"save_s\": {:.6}, \"load_s\": {:.6}, \
                  \"save_mib_s\": {:.2}, \"load_mib_s\": {:.2}, \
                  \"uninterrupted_digest\": \"{}\", \"resume_digest\": \"{}\", \
                  \"digests_match\": {} }}",
                 r.label,
-                cross,
                 r.snapshot_bytes,
                 r.save_s,
                 r.load_s,
@@ -808,7 +689,6 @@ fn checkpoint_report() {
         "{{\n  \"bench\": \"checkpoint\",\n  \"device_model\": \"a100_40gb\",\n  \
          \"n\": {n}, \"levels\": {levels}, \"interrupt_at\": {interrupt_at}, \
          \"total_steps\": {total},\n  \"all_match\": {all_match},\n  \
-         \"cross_layout_match\": {cross_layout_match},\n  \
          \"cases\": [\n{}\n  ]\n}}\n",
         case_objs.join(",\n")
     );

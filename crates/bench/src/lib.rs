@@ -18,7 +18,6 @@ use std::time::Duration;
 
 use lbm_core::{ExecMode, InteriorPath, Variant};
 use lbm_gpu::{DeviceModel, Executor, KernelSpan, KernelStats};
-use lbm_sparse::Layout;
 use lbm_problems::cavity::{Cavity, CavityConfig};
 use lbm_problems::sphere::{SphereConfig, SphereFlow};
 
@@ -214,7 +213,7 @@ pub fn stream_kernel_compare(n: usize, rounds: usize, iters: usize) -> Vec<(Inte
                 src,
                 acc: &level.acc,
                 coarse_src: None,
-                runs: &level.runs,
+                offsets: &level.offsets,
                 interior_path: path,
             };
             let t0 = std::time::Instant::now();
@@ -230,11 +229,9 @@ pub fn stream_kernel_compare(n: usize, rounds: usize, iters: usize) -> Vec<(Inte
     paths.iter().copied().zip(best).collect()
 }
 
-/// FNV-1a digest of every population of every level, folded in canonical
-/// `(level, block, component, cell)` order through the accessor API. The
-/// traversal order is layout-blind, so two runs that computed the same
-/// physics produce the same digest no matter how the values are placed in
-/// memory — this is the bit-identity gate of the layout sweep.
+/// FNV-1a digest of every active population of every level, folded in
+/// `(level, block, component, cell)` order through the accessor API — the
+/// bit-identity pin of the thread sweep and the checkpoint report.
 pub fn grid_digest<T, V>(grid: &lbm_core::MultiGrid<T, V>) -> String
 where
     T: lbm_lattice::Real,
@@ -253,55 +250,6 @@ where
         }
     }
     format!("{h:016x}")
-}
-
-/// Runs a two-level lid-driven box under one population [`Layout`] and
-/// returns the timing record plus the [`grid_digest`] of the final state.
-///
-/// The workload is a shrunken cavity (near-wall refinement band, moving
-/// lid, BGK) but generic over the velocity set so the sweep can pit
-/// D3Q19 against D3Q27: the layout trade-off depends directly on `q`
-/// (CellAoS strides by `q`; tiles pack `q·w` values). The digest must be
-/// identical across layouts for fixed `(n, B, V)` — the report and the CI
-/// smoke both gate on that.
-pub fn layout_case<V: lbm_lattice::VelocitySet>(
-    n: usize,
-    block_size: usize,
-    layout: Layout,
-    warmup: usize,
-    steps: usize,
-) -> (CaseResult, String) {
-    use lbm_core::{presets, Boundary, Engine, GridSpec, MultiGrid};
-    use lbm_lattice::Bgk;
-    use lbm_sparse::Box3;
-    let domain = Box3::from_dims(n, n, n);
-    let refine = presets::near_walls(domain, 2, 4, [true, true, true]);
-    let spec = GridSpec::new(2, domain, refine).with_block_size(block_size);
-    let top_fine = n as i32;
-    let bc = move |level: u32, src: lbm_sparse::Coord, _dir: usize| {
-        if src.y >= top_fine >> (1 - level) {
-            Boundary::MovingWall {
-                velocity: [0.05, 0.0, 0.0],
-            }
-        } else {
-            Boundary::BounceBack
-        }
-    };
-    let omega = 1.7;
-    let grid = MultiGrid::<f64, V>::build(spec, &bc, omega);
-    let mut eng = Engine::builder(grid)
-        .collision(Bgk::new(omega))
-        .variant(Variant::FusedAll)
-        .layout(layout)
-        .build(Executor::new(DeviceModel::a100_40gb()));
-    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.0; 3]);
-    let case = time_engine(
-        format!("lid n={n} B={block_size} {} {}", V::NAME, layout.label()),
-        &mut eng,
-        warmup,
-        steps,
-    );
-    (case, grid_digest(&eng.grid))
 }
 
 /// One thread count's record of the determinism thread sweep
@@ -342,10 +290,9 @@ pub fn thread_sweep_case(
         depth: 8,
         ..CavityConfig::default()
     });
-    let mut eng = cavity.engine_with(
+    let mut eng = cavity.engine(
         Variant::FusedAll,
-        Executor::new(DeviceModel::a100_40gb()),
-        |b| b.threads(threads),
+        Executor::with_threads(DeviceModel::a100_40gb(), threads),
     );
     let case = time_engine(
         format!("cavity n={n} L={levels} threads={threads}"),
@@ -365,7 +312,7 @@ pub fn thread_sweep_case(
 /// One restart-equivalence case of `report -- checkpoint`.
 #[derive(Clone, Debug)]
 pub struct CheckpointCaseResult {
-    /// Case label (layouts, execution mode, pool width).
+    /// Case label (execution mode, pool width).
     pub label: String,
     /// Snapshot size on disk, bytes.
     pub snapshot_bytes: usize,
@@ -400,23 +347,18 @@ impl CheckpointCaseResult {
 /// Runs the refined-cavity restart-equivalence experiment: one engine runs
 /// `total_steps` uninterrupted; a second identical engine is interrupted at
 /// `interrupt_at` steps, snapshotted to a real temp file, and a **fresh**
-/// engine (built with `restore_layout`, possibly different from the layout
-/// the snapshot was written under — the format is canonical, DESIGN.md §11)
-/// restores from disk and finishes the remaining steps. Both final states
+/// engine restores from disk and finishes the remaining steps. Both final states
 /// are digested; crash-safe restart means the digests are bit-identical.
-#[allow(clippy::too_many_arguments)] // a full experiment spec, not an API surface
 pub fn checkpoint_case(
     n: usize,
     levels: u32,
-    save_layout: Layout,
-    restore_layout: Layout,
     mode: ExecMode,
     threads: usize,
     interrupt_at: usize,
     total_steps: usize,
 ) -> CheckpointCaseResult {
     assert!(interrupt_at > 0 && interrupt_at < total_steps);
-    let mk = |layout: Layout| {
+    let mk = || {
         let cavity = Cavity::new(CavityConfig {
             n_finest: n,
             levels,
@@ -427,20 +369,14 @@ pub fn checkpoint_case(
         });
         cavity.engine_with(
             Variant::FusedAll,
-            Executor::new(DeviceModel::a100_40gb()),
-            |b| b.layout(layout).exec_mode(mode).threads(threads),
+            Executor::with_threads(DeviceModel::a100_40gb(), threads),
+            |b| b.exec_mode(mode),
         )
     };
-    let label = format!(
-        "{}->{} {:?} threads={}",
-        save_layout.label(),
-        restore_layout.label(),
-        mode,
-        threads
-    );
+    let label = format!("{mode:?} threads={threads}");
 
     // The reference: same initial state, never interrupted.
-    let mut reference = mk(restore_layout);
+    let mut reference = mk();
     reference.run(total_steps);
     let uninterrupted_digest = grid_digest(&reference.grid);
 
@@ -450,7 +386,7 @@ pub fn checkpoint_case(
         std::process::id(),
         label.replace(['-', '>', ' ', '='], "_")
     ));
-    let mut interrupted = mk(save_layout);
+    let mut interrupted = mk();
     interrupted.run(interrupt_at);
     let t0 = std::time::Instant::now();
     let blob = interrupted.checkpoint();
@@ -460,7 +396,7 @@ pub fn checkpoint_case(
     drop(interrupted); // the process is "gone"
 
     // The restarted run: a fresh engine restores from disk and finishes.
-    let mut resumed = mk(restore_layout);
+    let mut resumed = mk();
     let t0 = std::time::Instant::now();
     let bytes = std::fs::read(&path).expect("snapshot read");
     resumed.restore(&bytes).expect("snapshot restore");

@@ -11,26 +11,24 @@
 //! value_bits     u32   bit width of the population scalar (32 or 64)
 //! q              u32   velocity-set size
 //! name_len/name  u32 + bytes   velocity-set tag ("D3Q19", "D3Q27")
-//! layout_tag     u8    0 BlockSoA · 1 CellAoS · 2 Tiled (informational)
-//! tile_width     u32   tile width for Tiled, else 0
+//! layout_tag     u8    always 0 (reserved; ignored on read)
+//! tile_width     u32   always 0 (reserved; ignored on read)
 //! coarse_steps   u64   coarsest-level steps taken when the snapshot was cut
 //! num_levels     u32
 //! per level:
 //!   num_blocks   u64   ┐ structural echo, validated against the target
 //!   cells/block  u32   ┘ grid on restore
 //!   parity       u8    which double-buffer half is the source
-//!   flags        num_blocks·B³ bytes (canonical order)
-//!   half 0       num_blocks·q·B³ × u64 value bit patterns (canonical order)
+//!   flags        num_blocks·B³ bytes (memory order)
+//!   half 0       num_blocks·q·B³ × u64 value bit patterns (memory order)
 //!   half 1       likewise
 //!   acc_len/acc  u64 + acc_len × u64 accumulator f64 bit patterns
 //! checksum       u64   FNV-1a over every preceding byte
 //! ```
 //!
-//! Field payloads are serialized in *canonical order* — `(block, comp,
-//! cell)` ascending, via [`lbm_sparse::Field::canonical_values`] — so the
-//! bytes are independent of the intra-block [`Layout`]: a snapshot cut from
-//! a `BlockSoA` engine restores bit-exactly into a `Tiled` one and vice
-//! versa. Values travel as raw IEEE-754 bit patterns
+//! Field payloads are the fields' backing slices in memory order, which is
+//! `(block, comp, cell)` ascending ([`lbm_sparse::Field::index`]). Values
+//! travel as raw IEEE-754 bit patterns
 //! ([`lbm_lattice::Real::to_bits64`]), never through a float conversion, so
 //! restore is a bit-level identity even for non-finite values.
 //!
@@ -45,7 +43,6 @@
 use std::fmt;
 
 use lbm_lattice::{Real, VelocitySet};
-use lbm_sparse::Layout;
 
 use crate::multigrid::MultiGrid;
 
@@ -99,14 +96,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-fn layout_tag(layout: Layout) -> (u8, u32) {
-    match layout {
-        Layout::BlockSoA => (0, 0),
-        Layout::CellAoS => (1, 0),
-        Layout::Tiled { width } => (2, width),
-    }
 }
 
 struct Writer {
@@ -167,18 +156,17 @@ pub fn save<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) 
     w.u32(V::Q as u32);
     w.u32(V::NAME.len() as u32);
     w.bytes(V::NAME.as_bytes());
-    let (tag, width) = layout_tag(grid.layout());
-    w.u8(tag);
-    w.u32(width);
+    w.u8(0); // layout tag (reserved)
+    w.u32(0); // tile width (reserved)
     w.u64(coarse_steps);
     w.u32(grid.levels.len() as u32);
     for lv in &grid.levels {
         w.u64(lv.grid.num_blocks() as u64);
         w.u32(lv.grid.cells_per_block() as u32);
         w.u8(lv.f.parity() as u8);
-        w.bytes(&lv.flags.canonical_values());
+        w.bytes(lv.flags.as_slice());
         for h in 0..2 {
-            for v in lv.f.half(h).canonical_values() {
+            for v in lv.f.half(h).as_slice() {
                 w.u64(v.to_bits64());
             }
         }
@@ -202,9 +190,7 @@ struct LevelImage<T> {
 
 /// Restores a snapshot produced by [`save`] into `grid`, returning the
 /// recorded `coarse_steps`. The target must be structurally identical to
-/// the snapshot's source (same spec / build inputs); its current memory
-/// [`Layout`] may differ — payloads are canonical-order and re-pack into
-/// whatever layout the target uses.
+/// the snapshot's source (same spec / build inputs).
 ///
 /// All validation and decoding happens before the first write: on any
 /// `Err`, `grid` is untouched.
@@ -315,10 +301,10 @@ pub fn restore<T: Real, V: VelocitySet>(
 
     // Everything decoded and validated — apply.
     for (lv, img) in grid.levels.iter_mut().zip(images) {
-        lv.flags.load_canonical(&img.flags);
+        lv.flags.as_mut_slice().copy_from_slice(&img.flags);
         let [h0, h1] = img.halves;
-        lv.f.half_mut(0).load_canonical(&h0);
-        lv.f.half_mut(1).load_canonical(&h1);
+        lv.f.half_mut(0).as_mut_slice().copy_from_slice(&h0);
+        lv.f.half_mut(1).as_mut_slice().copy_from_slice(&h1);
         lv.f.set_parity(img.parity as usize);
         for (i, v) in img.acc.into_iter().enumerate() {
             lv.acc.store_flat(i, v);
@@ -482,7 +468,7 @@ mod tests {
             assert_eq!(a.f.parity(), b.f.parity());
             for h in 0..2 {
                 let (fa, fb) = (a.f.half(h), b.f.half(h));
-                for (x, y) in fa.canonical_values().iter().zip(fb.canonical_values()) {
+                for (x, y) in fa.as_slice().iter().zip(fb.as_slice()) {
                     assert_eq!(x.to_bits(), y.to_bits());
                 }
             }
@@ -553,39 +539,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_bytes_are_layout_independent() {
-        let soa = two_level_grid();
-        let mut tiled = two_level_grid();
-        tiled.set_layout(Layout::Tiled { width: 16 });
-        // The payload is canonical-order: the two blobs may differ ONLY in
-        // the 5-byte layout provenance tag (u8 tag + u32 tile width, right
-        // after the velocity-set name) and, consequently, the 8-byte
-        // checksum trailer.
-        let a = save(&soa, 5);
-        let b = save(&tiled, 5);
-        assert_eq!(a.len(), b.len());
+    fn snapshot_bytes_round_trip_with_a_zero_reserved_tag() {
+        let src = two_level_grid();
+        let a = save(&src, 5);
+        // The 5 reserved header bytes (u8 layout tag + u32 tile width, right
+        // after the velocity-set name) are written as zero.
         let tag_at = MAGIC.len() + 4 + 4 + 4 + 4 + lbm_lattice::D3Q19::NAME.len();
-        assert_eq!(a[..tag_at], b[..tag_at], "header before the tag");
-        assert_eq!(
-            a[tag_at + 5..a.len() - 8],
-            b[tag_at + 5..b.len() - 8],
-            "payload after the tag"
-        );
-        // And a SoA snapshot restores into an AoS grid bit-exactly.
-        let blob = save(&soa, 5);
-        let mut aos = two_level_grid();
-        aos.set_layout(Layout::CellAoS);
-        aos.init_equilibrium(|_, _| 2.0, |_, _| [0.0; 3]);
-        restore(&mut aos, &blob).expect("cross-layout restore");
-        for (a, b) in soa.levels.iter().zip(&aos.levels) {
-            for h in 0..2 {
-                for (x, y) in a.f.half(h).canonical_values().iter()
-                    .zip(b.f.half(h).canonical_values())
-                {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
+        assert_eq!(a[tag_at..tag_at + 5], [0u8; 5]);
+        // Restoring into a perturbed grid and saving again reproduces the
+        // snapshot byte for byte.
+        let mut dst = two_level_grid();
+        dst.init_equilibrium(|_, _| 2.0, |_, _| [0.0; 3]);
+        restore(&mut dst, &a).expect("restore");
+        assert_eq!(save(&dst, 5), a);
     }
 
     #[test]

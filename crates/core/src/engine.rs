@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use lbm_gpu::{with_span_context, AtomicF64Field, Executor};
 use lbm_lattice::{omega_at_level, Collision, Real, VelocitySet};
 use lbm_runtime::{Schedule, TaskGraph};
-use lbm_sparse::{Field, HalfReadGuard, Layout, LayoutRuns, SparseGrid, SplitHalves};
+use lbm_sparse::{Field, HalfReadGuard, SparseGrid, SplitHalves, StreamOffsets};
 
 use crate::checkpoint::{
     self, CheckpointError, HealthAction, HealthCause, HealthEvent, HealthGuard, HealthPolicy,
@@ -135,8 +135,6 @@ pub struct EngineBuilder<T: Real, V: VelocitySet, C = ()> {
     variant: Variant,
     interior_path: InteriorPath,
     exec_mode: ExecMode,
-    layout: Layout,
-    threads: Option<usize>,
     staged: Option<bool>,
     health: Option<HealthGuard>,
 }
@@ -144,18 +142,14 @@ pub struct EngineBuilder<T: Real, V: VelocitySet, C = ()> {
 impl<T: Real, V: VelocitySet> Engine<T, V, ()> {
     /// Starts building an engine over `grid`. Defaults: the paper's most
     /// optimized variant ([`Variant::FusedAll`]), the default interior fast
-    /// path, eager execution, the grid's current memory layout (BlockSoA
-    /// unless converted).
+    /// path, eager execution.
     pub fn builder(grid: MultiGrid<T, V>) -> EngineBuilder<T, V> {
-        let layout = grid.layout();
         EngineBuilder {
             grid,
             op: (),
             variant: Variant::FusedAll,
             interior_path: InteriorPath::default(),
             exec_mode: ExecMode::Eager,
-            layout,
-            threads: None,
             staged: None,
             health: None,
         }
@@ -181,23 +175,6 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
     /// Sets the execution mode (eager or wave-scheduled graph execution).
     pub fn exec_mode(mut self, mode: ExecMode) -> Self {
         self.exec_mode = mode;
-        self
-    }
-
-    /// Selects the intra-block memory layout of the population buffers
-    /// (paper layout [`Layout::BlockSoA`] by default). The grid is
-    /// converted at build time; all layouts are bit-identical in physics
-    /// and differ only in memory traffic shape.
-    pub fn layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Sets the kernel-execution thread count: at build time the executor
-    /// is re-targeted to a pool of `n` threads (sharing its profiler).
-    /// Without this the executor's own width is kept.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
         self
     }
 
@@ -227,8 +204,6 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
             variant: self.variant,
             interior_path: self.interior_path,
             exec_mode: self.exec_mode,
-            layout: self.layout,
-            threads: self.threads,
             staged: self.staged,
             health: self.health,
         }
@@ -236,16 +211,10 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
 }
 
 impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
-    /// Assembles the engine on the given executor.
+    /// Assembles the engine on the given executor (its pool width is the
+    /// engine's kernel thread count).
     pub fn build(self, exec: Executor) -> Engine<T, V, C> {
-        let mut grid = self.grid;
-        if self.layout != grid.layout() {
-            grid.set_layout(self.layout);
-        }
-        let exec = match self.threads {
-            Some(n) => exec.with_thread_count(n),
-            None => exec,
-        };
+        let grid = self.grid;
         let staged = self.staged.unwrap_or(exec.thread_count() > 1);
         let ops = grid
             .levels
@@ -303,22 +272,9 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         self.interior_path
     }
 
-    /// The memory layout of the population buffers.
-    pub fn layout(&self) -> Layout {
-        self.grid.layout()
-    }
-
     /// The current execution mode.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
-    }
-
-    /// Switches the execution mode. Both modes run the same kernels on the
-    /// same buffers (bit-identical fields); they differ in dispatch order
-    /// and synchronization accounting, so this is safe to flip mid-run —
-    /// e.g. to A/B the two modes on a warmed-up state.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
     }
 
     /// Coarsest-level steps taken so far.
@@ -412,7 +368,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                 block_flags: &lv.block_flags,
                 links: &lv.links,
                 acc: &lv.acc,
-                runs: &lv.runs,
+                offsets: &lv.offsets,
                 gather: &lv.gather,
                 acc_target: &lv.acc_target,
                 acc_dirs: &lv.acc_dirs,
@@ -574,11 +530,10 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         checkpoint::save(&self.grid, self.coarse_steps)
     }
 
-    /// Restores a snapshot produced by [`Engine::checkpoint`] (possibly by
-    /// an engine using a different memory layout), resetting the step count
-    /// to the snapshot's and clearing any health halt. On `Err` the engine
-    /// is untouched. The cached wave schedule survives: the wave partition
-    /// is parity-invariant.
+    /// Restores a snapshot produced by [`Engine::checkpoint`], resetting the
+    /// step count to the snapshot's and clearing any health halt. On `Err`
+    /// the engine is untouched. The cached wave schedule survives: the wave
+    /// partition is parity-invariant.
     pub fn restore(&mut self, snapshot: &[u8]) -> Result<(), CheckpointError> {
         let steps = checkpoint::restore(&mut self.grid, snapshot)?;
         self.coarse_steps = steps;
@@ -635,7 +590,7 @@ struct LevelCtx<'a, T> {
     block_flags: &'a [BlockFlags],
     links: &'a [BlockLinks<T>],
     acc: &'a AtomicF64Field,
-    runs: &'a LayoutRuns,
+    offsets: &'a StreamOffsets,
     gather: &'a [Vec<GatherEntry>],
     acc_target: &'a [Option<Box<[u64]>>],
     acc_dirs: &'a [Option<Box<[u32]>>],
@@ -711,7 +666,7 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
         src: &src,
         acc: lv.acc,
         coarse_src: coarse_src.as_deref(),
-        runs: lv.runs,
+        offsets: lv.offsets,
         interior_path,
     };
 

@@ -11,9 +11,9 @@
 //! Kernel launches go through the virtual GPU [`Executor`]; each declares
 //! its honest per-cell traffic so the device model can price it.
 
-use lbm_gpu::{coalescing_efficiency, AtomicF64Field, Executor, LaunchCost};
+use lbm_gpu::{AtomicF64Field, Executor, LaunchCost};
 use lbm_lattice::{Collision, Real, VelocitySet, MAX_Q};
-use lbm_sparse::{Field, LayoutRuns, Slots, SparseGrid, CENTER_SLOT};
+use lbm_sparse::{Field, SparseGrid, StreamOffsets, CENTER_SLOT};
 
 use crate::flags::{BlockFlags, CellFlags};
 use crate::links::{decode_ref, BlockLinks, LinkKind, NO_TARGET};
@@ -21,17 +21,6 @@ use crate::links::{decode_ref, BlockLinks, LinkKind, NO_TARGET};
 /// Value-size in bytes of the population scalar.
 fn value_bytes<T>() -> u64 {
     std::mem::size_of::<T>() as u64
-}
-
-/// Coalescing efficiency of warp accesses to `f` under its layout: the
-/// layout's contiguous run length fed into the transaction model of
-/// [`coalescing_efficiency`]. BlockSoA yields 1.0; AoS / narrow tiles
-/// charge their excess as uncoalesced bytes on the device model.
-fn layout_coalescing<T: Copy>(f: &Field<T>) -> f64 {
-    coalescing_efficiency(
-        f.layout().contiguous_run(f.cells_per_block()) as u64,
-        value_bytes::<T>(),
-    )
 }
 
 /// Which implementation eligible (fully-interior, stencil-complete) blocks
@@ -47,10 +36,8 @@ fn layout_coalescing<T: Copy>(f: &Field<T>) -> f64 {
 /// [`General`]: InteriorPath::General
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum InteriorPath {
-    /// Direction-major traversal over precomputed
-    /// [`StreamOffsets`](lbm_sparse::StreamOffsets) regions, lowered to the
-    /// level's layout: branch-free contiguous-run copies (the optimized
-    /// path).
+    /// Direction-major traversal over precomputed [`StreamOffsets`] copy
+    /// runs: branch-free contiguous-run copies (the optimized path).
     #[default]
     DirMajor,
     /// No fast path: every block runs the general link-resolving loop.
@@ -85,10 +72,9 @@ pub struct StreamInputs<'a, T> {
     /// Next-coarser level's post-collision populations (Explosion source);
     /// `None` on level 0.
     pub coarse_src: Option<&'a Field<T>>,
-    /// Precomputed per-direction gather plans, lowered to element space for
-    /// this level's block size *and* the fields' memory layout (shared per
-    /// `(block_size, velocity set, layout)` triple).
-    pub runs: &'a LayoutRuns,
+    /// Precomputed per-direction gather plans for this level's block size
+    /// (shared per `(block_size, velocity set)` pair).
+    pub offsets: &'a StreamOffsets,
     /// Fast-path selection for eligible interior blocks.
     pub interior_path: InteriorPath,
 }
@@ -193,14 +179,13 @@ pub struct StreamOptions {
 
 /// Per-block gather context: resolves same-level pull sources with pure
 /// integer adds and compares (no divisions, no `Coord` arithmetic),
-/// reading through the raw per-block slice with the field's [`Slots`]
-/// resolver hoisted once. This is the hot path of every streaming-family
-/// kernel.
+/// reading through the raw per-block slice (`comp·B³ + cell` within a
+/// block). This is the hot path of every streaming-family kernel.
 struct BlockGather<'a, T> {
     src_all: &'a [T],
     block_base: usize,
     stride: usize,
-    slots: Slots,
+    cpb: usize,
     bsz: i32,
     neighbors: &'a [lbm_sparse::BlockIdx; lbm_sparse::grid::NEIGHBOR_SLOTS],
 }
@@ -213,7 +198,7 @@ impl<'a, T: Real> BlockGather<'a, T> {
             src_all: src.as_slice(),
             block_base: b as usize * stride,
             stride,
-            slots: src.slots(),
+            cpb: src.cells_per_block(),
             bsz: grid.block_size() as i32,
             neighbors: &grid.block(b).neighbors,
         }
@@ -259,25 +244,23 @@ impl<'a, T: Real> BlockGather<'a, T> {
             debug_assert_ne!(nb, lbm_sparse::INVALID_BLOCK, "gather into missing block");
             nb as usize * self.stride
         };
-        self.src_all[base + self.slots.of(i, scell)]
+        self.src_all[base + i * self.cpb + scell]
     }
 
-    /// Direction-major interior gather: for every direction, executes the
-    /// precomputed element-space [`MemRun`](lbm_sparse::MemRun) plans of the
-    /// level's layout into `out`. Reads exactly the addresses the per-cell
-    /// [`BlockGather::pull`] would read (the tables are the closed form of
-    /// its branch chains, lowered through the same [`Slots`] bijection), so
-    /// the result is bit-identical for *every* layout — but the inner loop
-    /// is a straight `copy_from_slice` with no per-cell branching. Under
-    /// BlockSoA the rest direction is a single `B³` memcpy; tiled layouts
-    /// copy tile-bounded segments; AoS degenerates to strided scalar moves.
-    /// Callers must only use this on blocks whose needed neighbor slots all
-    /// exist ([`BlockFlags::STENCIL_COMPLETE`]).
+    /// Direction-major interior gather: for every direction `i`, executes
+    /// the precomputed cell-space [`CopyRun`](lbm_sparse::CopyRun) plan into
+    /// `out`, offset by the component base `i·B³`. Reads exactly the
+    /// addresses the per-cell [`BlockGather::pull`] would read (the tables
+    /// are the closed form of its branch chains), so the result is
+    /// bit-identical — but the inner loop is a straight `copy_from_slice`
+    /// with no per-cell branching; the rest direction is a single `B³`
+    /// memcpy. Callers must only use this on blocks whose needed neighbor
+    /// slots all exist ([`BlockFlags::STENCIL_COMPLETE`]).
     #[inline(always)]
-    fn gather_dir_major(&self, runs: &LayoutRuns, q: usize, out: &mut [T]) {
-        debug_assert_eq!(runs.layout(), self.slots.layout(), "plan/field layout mismatch");
+    fn gather_dir_major(&self, offsets: &StreamOffsets, q: usize, out: &mut [T]) {
         for i in 0..q {
-            for e in runs.dir(i) {
+            let comp = i * self.cpb;
+            for e in &offsets.dir(i).runs {
                 let src_block = if e.slot == CENTER_SLOT {
                     self.block_base
                 } else {
@@ -289,13 +272,14 @@ impl<'a, T: Real> BlockGather<'a, T> {
                     );
                     nb as usize * self.stride
                 };
-                let (mut dst, mut src) =
-                    (e.dst_off as usize, src_block + e.src_off as usize);
+                let (mut dst, mut src) = (
+                    comp + e.dst_base as usize,
+                    src_block + comp + e.src_base as usize,
+                );
                 let (len, stride) = (e.len as usize, e.stride as usize);
                 if len == 1 {
-                    // One-cell spill columns (e.g. the x-face of the block)
-                    // and AoS-lowered runs: a strided scalar loop beats
-                    // per-element memcpy calls.
+                    // One-cell spill columns (e.g. the x-face of the block):
+                    // a strided scalar loop beats per-element memcpy calls.
                     for _ in 0..e.count {
                         out[dst] = self.src_all[src];
                         dst += stride;
@@ -364,15 +348,12 @@ pub fn stream<T: Real, V: VelocitySet>(
     let q = V::Q;
     let cpb = inp.grid.cells_per_block();
     let stride = dst.block_stride();
-    let sl = dst.slots();
-    // Traffic: q loads (neighbors) + q stores per real cell, discounted by
-    // the layout's coalescing efficiency.
+    // Traffic: q loads (neighbors) + q stores per real cell.
     let cost = LaunchCost::cells(real_cells)
         .loads(q as u64)
         .stores(q as u64)
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
-        .coalescing(layout_coalescing(dst))
         .build();
     let grid = inp.grid;
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
@@ -380,7 +361,7 @@ pub fn stream<T: Real, V: VelocitySet>(
         let bsz = grid.block_size() as i32;
         let cdir = dir_table::<V>();
         if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
-            g.gather_dir_major(inp.runs, q, out);
+            g.gather_dir_major(inp.offsets, q, out);
             return;
         }
         let blk = grid.block(b);
@@ -401,11 +382,11 @@ pub fn stream<T: Real, V: VelocitySet>(
                             t.scatter_from(inp.src, b, cell as u32);
                         }
                     }
-                    out[sl.of(0, cell)] = g.src_all[g.block_base + g.slots.of(0, cell)]; // rest
+                    out[cell] = g.src_all[g.block_base + cell]; // rest
                     match links.of(cell as u32) {
                         None => {
                             for i in 1..q {
-                                out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
+                                out[i * cpb + cell] = g.pull(lx, ly, lz, i, cdir[i]);
                             }
                         }
                         Some(set) => {
@@ -422,11 +403,11 @@ pub fn stream<T: Real, V: VelocitySet>(
                                         _ => true, // boundaries always resolve in S
                                     };
                                     if handled {
-                                        out[sl.of(i, cell)] =
+                                        out[i * cpb + cell] =
                                             resolve_link(kind, &inp, b, cell as u32, i);
                                     }
                                 } else {
-                                    out[sl.of(i, cell)] = g.pull(lx, ly, lz, i, cdir[i]);
+                                    out[i * cpb + cell] = g.pull(lx, ly, lz, i, cdir[i]);
                                 }
                             }
                         }
@@ -472,9 +453,7 @@ pub fn explosion<T: Real, V: VelocitySet>(
         .stores(q as u64)
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
-        .coalescing(layout_coalescing(dst))
         .build();
-    let sl = dst.slots();
     // Unlike stream/fused_stream_collide there is no `V::C` table to hoist
     // here: the kernel walks precomputed link sets and never consults
     // direction components.
@@ -483,7 +462,7 @@ pub fn explosion<T: Real, V: VelocitySet>(
         for set in &links.cells {
             for l in &set.links {
                 if matches!(l.kind, LinkKind::Explosion { .. }) {
-                    out[sl.of(l.dir as usize, set.cell as usize)] =
+                    out[l.dir as usize * cpb + set.cell as usize] =
                         resolve_link(&l.kind, &inp, b, set.cell, l.dir as usize);
                 }
             }
@@ -509,15 +488,13 @@ pub fn coalesce<T: Real, V: VelocitySet>(
         .stores(q as u64)
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
-        .coalescing(layout_coalescing(dst))
         .build();
-    let sl = dst.slots();
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
         let links = &inp.links[b as usize];
         for set in &links.cells {
             for l in &set.links {
                 if let LinkKind::Coalesce { src, inv_count } = l.kind {
-                    out[sl.of(l.dir as usize, set.cell as usize)] =
+                    out[l.dir as usize * cpb + set.cell as usize] =
                         T::from_f64(inp.acc.load(src.block, l.dir as usize, src.cell)) * inv_count;
                 }
             }
@@ -545,9 +522,7 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .stores(q as u64)
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
-        .coalescing(layout_coalescing(dst))
         .build();
-    let sl = dst.slots();
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
         let blk = grid.block(b);
         for cell in blk.active.iter_set() {
@@ -558,11 +533,11 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
             }
             let mut f = [T::ZERO; MAX_Q];
             for i in 0..q {
-                f[i] = out[sl.of(i, cell as usize)];
+                f[i] = out[i * cpb + cell as usize];
             }
             op.collide(&mut f);
             for i in 0..q {
-                out[sl.of(i, cell as usize)] = f[i];
+                out[i * cpb + cell as usize] = f[i];
             }
         }
     });
@@ -628,7 +603,6 @@ pub fn accumulate_gather<T: Real, V: VelocitySet>(
         .stores(q as u64)
         .value_bytes(value_bytes::<T>())
         .thread_block(coarse_grid.cells_per_block())
-        .coalescing(layout_coalescing(fine_src))
         .build();
     exec.launch(name, coarse_grid.num_blocks(), cost, |b| {
         for e in &gather[b as usize] {
@@ -667,13 +641,11 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     let q = V::Q;
     let cpb = inp.grid.cells_per_block();
     let stride = dst.block_stride();
-    let sl = dst.slots();
     let cost = LaunchCost::cells(real_cells)
         .loads(q as u64)
         .stores(q as u64)
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
-        .coalescing(layout_coalescing(dst))
         .build();
     let grid = inp.grid;
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
@@ -685,15 +657,15 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
             // Fully-interior blocks hold only real cells with no links and
             // no accumulating cells (their `acc_target` entry is `None`),
             // so the fused kernel reduces to gather + in-place collide.
-            g.gather_dir_major(inp.runs, q, out);
+            g.gather_dir_major(inp.offsets, q, out);
             for cell in 0..cpb {
                 let mut f = [T::ZERO; MAX_Q];
                 for i in 0..q {
-                    f[i] = out[sl.of(i, cell)];
+                    f[i] = out[i * cpb + cell];
                 }
                 op.collide(&mut f);
                 for i in 0..q {
-                    out[sl.of(i, cell)] = f[i];
+                    out[i * cpb + cell] = f[i];
                 }
             }
             return;
@@ -716,7 +688,7 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
                         }
                     }
                     let mut f = [T::ZERO; MAX_Q];
-                    f[0] = g.src_all[g.block_base + g.slots.of(0, cell)];
+                    f[0] = g.src_all[g.block_base + cell];
                     match links.of(cell as u32) {
                         None => {
                             for i in 1..q {
@@ -738,7 +710,7 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
                     }
                     op.collide(&mut f);
                     for i in 0..q {
-                        out[sl.of(i, cell)] = f[i];
+                        out[i * cpb + cell] = f[i];
                     }
                     cell += 1;
                 }

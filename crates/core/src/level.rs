@@ -9,7 +9,7 @@ use std::sync::Arc;
 use lbm_gpu::AtomicF64Field;
 use lbm_lattice::Real;
 use lbm_sparse::{
-    BlockIdx, CellRef, Coord, DoubleBuffer, Field, LayoutRuns, OwnerMap, SparseGrid, StreamOffsets,
+    BlockIdx, CellRef, Coord, DoubleBuffer, Field, OwnerMap, SparseGrid, StreamOffsets,
 };
 
 use crate::flags::{BlockFlags, CellFlags};
@@ -121,10 +121,6 @@ pub struct Level<T> {
     /// Precomputed streaming offset tables for this level's block size and
     /// velocity set (process-wide shared per `(B, velocity set)` pair).
     pub offsets: Arc<StreamOffsets>,
-    /// The offset tables lowered to element space for the populations'
-    /// memory layout (process-wide shared per `(B, velocity set, layout)`
-    /// triple). Refreshed by [`crate::MultiGrid::set_layout`].
-    pub runs: Arc<LayoutRuns>,
     /// Double-buffered populations, **post-collision convention**: `src()`
     /// holds post-collision values of the level's current time.
     pub f: DoubleBuffer<T>,

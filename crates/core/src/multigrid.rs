@@ -22,7 +22,7 @@ use std::marker::PhantomData;
 use lbm_gpu::AtomicF64Field;
 use lbm_lattice::{equilibrium, moments, omega_at_level, Real, VelocitySet, MAX_Q};
 use lbm_sparse::{
-    Coord, DoubleBuffer, Field, GridBuilder, Layout, OwnerMap, SparseGrid, StreamOffsets,
+    Coord, DoubleBuffer, Field, GridBuilder, OwnerMap, SparseGrid, StreamOffsets,
 };
 
 use crate::boundary::{Boundary, BoundarySpec};
@@ -289,8 +289,6 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             // process-wide per (block size, velocity set) pair; here they
             // also supply the slot set for stencil-completeness tagging.
             let offsets = StreamOffsets::cached(grid.block_size() as u32, V::C);
-            let runs =
-                StreamOffsets::lowered_cached(grid.block_size() as u32, V::C, Layout::default());
             let mut block_flags = Vec::with_capacity(grid.num_blocks());
             let mut real_cells = 0usize;
             let mut ghost_cells = 0usize;
@@ -343,7 +341,6 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 acc_dirs,
                 gather,
                 offsets,
-                runs,
                 f,
                 acc,
                 stage,
@@ -442,27 +439,6 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             slots,
             contrib,
         })
-    }
-
-    /// The intra-block memory layout of the population buffers (uniform
-    /// across levels).
-    pub fn layout(&self) -> Layout {
-        self.levels
-            .first()
-            .map_or(Layout::default(), |l| l.f.layout())
-    }
-
-    /// Converts every level's population buffers to `layout` (values are
-    /// preserved) and refreshes the lowered streaming plans to match. Flags
-    /// and accumulators are unaffected: flags are single-component fields
-    /// (every layout coincides at `q = 1`) and the accumulators keep their
-    /// own fixed indexing behind accessors.
-    pub fn set_layout(&mut self, layout: Layout) {
-        for level in &mut self.levels {
-            level.f.convert_layout(layout);
-            level.runs =
-                StreamOffsets::lowered_cached(level.grid.block_size() as u32, V::C, layout);
-        }
     }
 
     /// Bitmask of directions along which the level-`lf` cell `cc` sends

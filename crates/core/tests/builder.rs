@@ -8,7 +8,7 @@ use lbm_core::{
 };
 use lbm_gpu::{DeviceModel, Executor};
 use lbm_lattice::{Bgk, D3Q19};
-use lbm_sparse::{Box3, Layout};
+use lbm_sparse::Box3;
 
 type Eng = Engine<f64, D3Q19, Bgk<f64>>;
 
@@ -18,8 +18,6 @@ struct Settings {
     variant: Variant,
     path: InteriorPath,
     mode: ExecMode,
-    layout: Layout,
-    threads: Option<usize>,
     staged: Option<bool>,
     health: Option<HealthGuard>,
 }
@@ -28,11 +26,7 @@ fn apply<C>(s: Settings, b: EngineBuilder<f64, D3Q19, C>) -> EngineBuilder<f64, 
     let mut b = b
         .variant(s.variant)
         .interior_path(s.path)
-        .exec_mode(s.mode)
-        .layout(s.layout);
-    if let Some(n) = s.threads {
-        b = b.threads(n);
-    }
+        .exec_mode(s.mode);
     if let Some(on) = s.staged {
         b = b.staged_accumulate(on);
     }
@@ -66,12 +60,10 @@ fn run(mut eng: Eng) -> Eng {
     eng
 }
 
-fn assert_carried(s: Settings, eng: &Eng, what: &str) {
+fn assert_carried(s: Settings, threads: usize, eng: &Eng, what: &str) {
     assert_eq!(eng.variant, s.variant, "{what}: variant");
     assert_eq!(eng.interior_path(), s.path, "{what}: interior path");
     assert_eq!(eng.exec_mode(), s.mode, "{what}: exec mode");
-    assert_eq!(eng.layout(), s.layout, "{what}: layout");
-    let threads = s.threads.unwrap_or(1);
     assert_eq!(eng.thread_count(), threads, "{what}: threads");
     assert_eq!(
         eng.staged_accumulate(),
@@ -89,36 +81,39 @@ fn setters_before_and_after_collision_build_the_same_engine() {
     let guard = HealthGuard::new(2)
         .max_speed(1e-12)
         .policy(HealthPolicy::Report);
+    // (settings, executor pool width)
     let cases = [
-        Settings {
-            variant: Variant::ModifiedBaseline,
-            path: InteriorPath::General,
-            mode: ExecMode::Graph,
-            layout: Layout::Tiled { width: 32 },
-            threads: Some(2),
-            staged: None,
-            health: Some(guard),
-        },
-        Settings {
-            variant: Variant::FullyFused,
-            path: InteriorPath::DirMajor,
-            mode: ExecMode::Eager,
-            layout: Layout::CellAoS,
-            threads: None,
-            staged: Some(true),
-            health: None,
-        },
+        (
+            Settings {
+                variant: Variant::ModifiedBaseline,
+                path: InteriorPath::General,
+                mode: ExecMode::Graph,
+                staged: None,
+                health: Some(guard),
+            },
+            2,
+        ),
+        (
+            Settings {
+                variant: Variant::FullyFused,
+                path: InteriorPath::DirMajor,
+                mode: ExecMode::Eager,
+                staged: Some(true),
+                health: None,
+            },
+            1,
+        ),
     ];
-    for s in cases {
-        let exec = || Executor::sequential(DeviceModel::a100_40gb());
+    for (s, threads) in cases {
+        let exec = || Executor::with_threads(DeviceModel::a100_40gb(), threads);
         let before = run(apply(s, Engine::builder(grid()))
             .collision(Bgk::new(1.6))
             .build(exec()));
         let after = run(apply(s, Engine::builder(grid()).collision(Bgk::new(1.6))).build(exec()));
-        assert_carried(s, &before, "set before .collision");
-        assert_carried(s, &after, "set after .collision");
-        // The snapshot is layout-independent and carries a checksum of the
-        // whole state, so equal snapshots mean bit-identical engines.
+        assert_carried(s, threads, &before, "set before .collision");
+        assert_carried(s, threads, &after, "set after .collision");
+        // The snapshot carries a checksum of the whole state, so equal
+        // snapshots mean bit-identical engines.
         assert!(
             before.checkpoint() == after.checkpoint(),
             "{s:?}: states differ"

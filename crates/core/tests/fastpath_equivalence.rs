@@ -11,7 +11,7 @@
 use lbm_core::{AllWalls, Engine, GridSpec, InteriorPath, MultiGrid, Variant};
 use lbm_gpu::{DeviceModel, Executor};
 use lbm_lattice::{Bgk, D3Q19, D3Q27, VelocitySet};
-use lbm_sparse::{Box3, Layout};
+use lbm_sparse::Box3;
 use proptest::prelude::*;
 
 /// A randomized 2-level refinement case: nested box geometry, block size,
@@ -64,12 +64,9 @@ fn random_case() -> impl Strategy<Value = Case> {
         })
 }
 
-/// Builds one engine for the case with the given interior path and memory
-/// layout, seeded with a deterministic off-equilibrium state. The
-/// perturbation walks cells in canonical `(block, direction, cell)` order
-/// through the accessor API, so the seeded *logical* state is identical
-/// across layouts, not just across paths.
-fn build<V: VelocitySet>(c: &Case, path: InteriorPath, layout: Layout) -> Engine<f64, V, Bgk<f64>> {
+/// Builds one engine for the case with the given interior path, seeded
+/// with a deterministic off-equilibrium state.
+fn build<V: VelocitySet>(c: &Case, path: InteriorPath) -> Engine<f64, V, Bgk<f64>> {
     let (lo, hi) = (c.lo, c.hi);
     // `finest_domain` is in finest-level coordinates: 10·B per axis makes
     // the coarse level exactly 5 blocks per axis.
@@ -91,7 +88,6 @@ fn build<V: VelocitySet>(c: &Case, path: InteriorPath, layout: Layout) -> Engine
         .collision(Bgk::new(c.omega0))
         .variant(variant)
         .interior_path(path)
-        .layout(layout)
         .build(Executor::sequential(DeviceModel::a100_40gb()));
     let u = c.u;
     eng.grid.init_equilibrium(|_, _| 1.0, move |_, _| u);
@@ -124,7 +120,7 @@ fn assert_paths_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
     let paths = [InteriorPath::DirMajor, InteriorPath::General];
     let mut engines: Vec<_> = paths
         .iter()
-        .map(|&p| build::<V>(c, p, Layout::default()))
+        .map(|&p| build::<V>(c, p))
         .collect();
     // Every level must actually exercise the fast path, or the test would
     // pass vacuously through the general path alone.
@@ -176,55 +172,10 @@ proptest! {
     }
 }
 
-/// Runs the case under every `(interior path, memory layout)` pair and
-/// asserts the *logical* population state — read back per
-/// `(block, direction, cell)` through the accessor API, since the raw
-/// slice order legitimately differs between layouts — is bit-identical
-/// across all pairs on every level.
-fn assert_paths_layouts_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
-    let paths = [InteriorPath::DirMajor, InteriorPath::General];
-    let layouts = [
-        Layout::BlockSoA,
-        Layout::CellAoS,
-        Layout::Tiled { width: 32 },
-    ];
-    let mut engines = Vec::new();
-    for &p in &paths {
-        for &l in &layouts {
-            engines.push(((p, l), build::<V>(c, p, l)));
-        }
-    }
-    for (_, eng) in &mut engines {
-        eng.run(c.steps);
-    }
-    let ((k0, a), rest) = engines.split_first().unwrap();
-    for (k, b) in rest {
-        for (l, (la, lb)) in a.grid.levels.iter().zip(&b.grid.levels).enumerate() {
-            let (fa, fb) = (la.f.src(), lb.f.src());
-            let cpb = fa.cells_per_block() as u32;
-            for blk in 0..la.grid.num_blocks() as u32 {
-                for i in 0..V::Q {
-                    for cell in 0..cpb {
-                        let (x, y) = (fa.get(blk, i, cell), fb.get(blk, i, cell));
-                        if x.to_bits() != y.to_bits() {
-                            return Err(format!(
-                                "{k0:?} and {k:?} diverge at level {l} block {blk} \
-                                 dir {i} cell {cell}: {x:e} vs {y:e}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Every interior path × every memory layout computes the same bits on a
-/// refined D3Q19 case (both block sizes): the layout only permutes where
-/// values live inside a block, never which values are computed.
+/// Both interior paths compute the same bits on a fixed refined D3Q19
+/// case at both block sizes.
 #[test]
-fn paths_and_layouts_bit_identical_d3q19() {
+fn interior_paths_bit_identical_d3q19_both_block_sizes() {
     for block_size in [4usize, 8] {
         let c = Case {
             lo: [2, 2, 3],
@@ -235,39 +186,37 @@ fn paths_and_layouts_bit_identical_d3q19() {
             u: [0.02, -0.015, 0.01],
             steps: 2,
         };
-        assert_paths_layouts_bit_identical::<D3Q19>(&c).unwrap();
+        assert_paths_bit_identical::<D3Q19>(&c).unwrap();
     }
 }
 
-/// Same crossing on the full 27-direction stencil, unfused variant.
-#[test]
-fn paths_and_layouts_bit_identical_d3q27() {
-    let c = Case {
-        lo: [3, 2, 2],
-        hi: [10, 9, 10],
-        block_size: 4,
-        fused: false,
-        omega0: 1.2,
-        u: [-0.01, 0.02, 0.015],
-        steps: 2,
-    };
-    assert_paths_layouts_bit_identical::<D3Q27>(&c).unwrap();
-}
-
 /// The 27-direction stencil uses all 8 regions per corner direction; pin
-/// one deterministic refined case on D3Q27 as well.
+/// deterministic refined D3Q27 cases, fused and unfused.
 #[test]
 fn interior_paths_bit_identical_d3q27() {
-    let c = Case {
-        lo: [2, 3, 2],
-        hi: [10, 11, 9],
-        block_size: 4,
-        fused: true,
-        omega0: 1.3,
-        u: [0.02, -0.01, 0.01],
-        steps: 2,
-    };
-    assert_paths_bit_identical::<D3Q27>(&c).unwrap();
+    let cases = [
+        Case {
+            lo: [2, 3, 2],
+            hi: [10, 11, 9],
+            block_size: 4,
+            fused: true,
+            omega0: 1.3,
+            u: [0.02, -0.01, 0.01],
+            steps: 2,
+        },
+        Case {
+            lo: [3, 2, 2],
+            hi: [10, 9, 10],
+            block_size: 4,
+            fused: false,
+            omega0: 1.2,
+            u: [-0.01, 0.02, 0.015],
+            steps: 2,
+        },
+    ];
+    for c in &cases {
+        assert_paths_bit_identical::<D3Q27>(c).unwrap();
+    }
 }
 
 /// Uniform (single-level) grids: pure streaming with no interface kernels,

@@ -20,11 +20,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A flat array of atomically-addressable `f64` accumulators with fixed
-/// component-major (BlockSoA) indexing `block · q·B³ + comp · B³ + cell` —
-/// regardless of which [`lbm_sparse::Layout`] the population fields use,
-/// since every access goes through the accessors below and the scatter
-/// kernels never alias it with a population buffer.
+/// A flat array of atomically-addressable `f64` accumulators with the
+/// population fields' component-major indexing
+/// `block · q·B³ + comp · B³ + cell`.
 #[derive(Debug)]
 pub struct AtomicF64Field {
     q: usize,

@@ -32,11 +32,6 @@ pub struct LaunchCost {
     /// thread blocks smaller than a warp leave lanes idle (the paper's
     /// §V-B argument against 2³ blocks). 1.0 = full warps.
     pub occupancy: f64,
-    /// Coalescing efficiency of the launch's memory accesses: the useful
-    /// fraction of every fetched transaction (see
-    /// [`coalescing_efficiency`]). 1.0 = fully coalesced; lower values
-    /// charge the excess as [`KernelStats::uncoalesced_bytes`].
-    pub coalescing: f64,
 }
 
 impl Default for LaunchCost {
@@ -47,7 +42,6 @@ impl Default for LaunchCost {
             bytes_written: 0,
             atomic_bytes: 0,
             occupancy: 1.0,
-            coalescing: 1.0,
         }
     }
 }
@@ -74,7 +68,6 @@ impl LaunchCost {
             atomics: 0,
             value_bytes: 8,
             occupancy: 1.0,
-            coalescing: 1.0,
         }
     }
 
@@ -90,8 +83,8 @@ impl LaunchCost {
         self
     }
 
-    /// Component-wise sum (occupancy/coalescing: traffic-weighted handling
-    /// happens at record time, so the merge keeps the minimum).
+    /// Component-wise sum (occupancy: traffic-weighted handling happens at
+    /// record time, so the merge keeps the minimum).
     pub fn merge(self, o: LaunchCost) -> Self {
         Self {
             cells: self.cells + o.cells,
@@ -99,30 +92,8 @@ impl LaunchCost {
             bytes_written: self.bytes_written + o.bytes_written,
             atomic_bytes: self.atomic_bytes + o.atomic_bytes,
             occupancy: self.occupancy.min(o.occupancy),
-            coalescing: self.coalescing.min(o.coalescing),
         }
     }
-}
-
-/// Coalescing efficiency of a warp-wide access to values laid out in
-/// contiguous runs of `run_values` values of `value_bytes` each: the useful
-/// fraction of the 32-byte transactions the warp's 32 lanes touch.
-///
-/// A fully contiguous layout (`run ≥ 32`) reads `32·value_bytes` useful
-/// bytes from equally many fetched bytes — efficiency 1. A stride-`q` AoS
-/// layout (`run = 1`) lands every lane in its own transaction, fetching 32
-/// bytes for `value_bytes` useful ones. A tiled layout sits in between: a
-/// run of `w` values spans `⌈w·vb/32⌉` transactions, so short or unaligned
-/// tiles waste the tail of each transaction. This is the standard
-/// transaction model of the CUDA coalescing rules, reduced to the
-/// run-length the layout strategies of `lbm-sparse` expose.
-pub fn coalescing_efficiency(run_values: u64, value_bytes: u64) -> f64 {
-    const WARP: u64 = 32;
-    const TXN_BYTES: u64 = 32;
-    let run = run_values.clamp(1, WARP);
-    let useful = run * value_bytes;
-    let fetched = useful.div_ceil(TXN_BYTES) * TXN_BYTES;
-    useful as f64 / fetched as f64
 }
 
 /// Named builder for per-cell [`LaunchCost`]s (see [`LaunchCost::cells`]).
@@ -137,7 +108,6 @@ pub struct LaunchCostBuilder {
     atomics: u64,
     value_bytes: u64,
     occupancy: f64,
-    coalescing: f64,
 }
 
 impl LaunchCostBuilder {
@@ -172,14 +142,6 @@ impl LaunchCostBuilder {
         self
     }
 
-    /// Sets the coalescing efficiency of the launch's accesses (see
-    /// [`coalescing_efficiency`]). Default 1.0 — fully coalesced.
-    pub fn coalescing(mut self, efficiency: f64) -> Self {
-        debug_assert!(efficiency > 0.0 && efficiency <= 1.0);
-        self.coalescing = efficiency;
-        self
-    }
-
     /// Finishes the builder into a [`LaunchCost`].
     pub fn build(self) -> LaunchCost {
         LaunchCost {
@@ -188,7 +150,6 @@ impl LaunchCostBuilder {
             bytes_written: self.cells * self.stores * self.value_bytes,
             atomic_bytes: self.cells * self.atomics * self.value_bytes,
             occupancy: self.occupancy,
-            coalescing: self.coalescing,
         }
     }
 }
@@ -215,10 +176,6 @@ pub struct KernelStats {
     /// Extra effective bytes charged for under-occupied warps
     /// (`traffic × (1/occupancy − 1)`).
     pub stall_bytes: u64,
-    /// Extra effective bytes charged for uncoalesced transactions
-    /// (`traffic × (1/coalescing − 1)` — the wasted portion of every
-    /// fetched 32-byte transaction under the launch's layout).
-    pub uncoalesced_bytes: u64,
     /// Measured wall-clock time, microseconds.
     pub wall_us: f64,
 }
@@ -231,7 +188,6 @@ impl KernelStats {
         self.bytes_written += cost.bytes_written;
         self.atomic_bytes += cost.atomic_bytes;
         self.stall_bytes += stall_bytes(&cost);
-        self.uncoalesced_bytes += uncoalesced_bytes(&cost);
         self.wall_us += wall_us;
     }
 
@@ -241,7 +197,7 @@ impl KernelStats {
         device.total_time_us(
             self.launches,
             0,
-            self.bytes_read + self.stall_bytes + self.uncoalesced_bytes,
+            self.bytes_read + self.stall_bytes,
             self.bytes_written,
             self.atomic_bytes,
         )
@@ -255,15 +211,6 @@ fn stall_bytes(cost: &LaunchCost) -> u64 {
     }
     let traffic = (cost.bytes_read + cost.bytes_written + cost.atomic_bytes) as f64;
     (traffic * (1.0 / cost.occupancy.max(1e-3) - 1.0)) as u64
-}
-
-/// Effective extra bytes a launch wastes on partially used transactions.
-fn uncoalesced_bytes(cost: &LaunchCost) -> u64 {
-    if cost.coalescing >= 1.0 {
-        return 0;
-    }
-    let traffic = (cost.bytes_read + cost.bytes_written + cost.atomic_bytes) as f64;
-    (traffic * (1.0 / cost.coalescing.max(1e-3) - 1.0)) as u64
 }
 
 /// One kernel execution interval captured while span tracing is enabled:
@@ -316,7 +263,6 @@ pub struct Profiler {
     bytes_written: AtomicU64,
     atomic_bytes: AtomicU64,
     stall_bytes: AtomicU64,
-    uncoalesced_bytes: AtomicU64,
     wall_ns: AtomicU64,
     per_kernel: Mutex<BTreeMap<&'static str, KernelStats>>,
     thread_blocks: Mutex<Vec<u64>>,
@@ -336,7 +282,6 @@ impl Default for Profiler {
             bytes_written: AtomicU64::new(0),
             atomic_bytes: AtomicU64::new(0),
             stall_bytes: AtomicU64::new(0),
-            uncoalesced_bytes: AtomicU64::new(0),
             wall_ns: AtomicU64::new(0),
             per_kernel: Mutex::new(BTreeMap::new()),
             thread_blocks: Mutex::new(Vec::new()),
@@ -364,8 +309,6 @@ impl Profiler {
             .fetch_add(cost.atomic_bytes, Ordering::Relaxed);
         self.stall_bytes
             .fetch_add(stall_bytes(&cost), Ordering::Relaxed);
-        self.uncoalesced_bytes
-            .fetch_add(uncoalesced_bytes(&cost), Ordering::Relaxed);
         self.wall_ns
             .fetch_add((wall_us * 1e3) as u64, Ordering::Relaxed);
         self.per_kernel.lock().entry(name).or_default().add(cost, wall_us);
@@ -463,7 +406,6 @@ impl Profiler {
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             atomic_bytes: self.atomic_bytes.load(Ordering::Relaxed),
             stall_bytes: self.stall_bytes.load(Ordering::Relaxed),
-            uncoalesced_bytes: self.uncoalesced_bytes.load(Ordering::Relaxed),
             wall_us: self.wall_ns.load(Ordering::Relaxed) as f64 / 1e3,
         }
     }
@@ -492,7 +434,7 @@ impl Profiler {
         device.total_time_us(
             launch_groups,
             self.syncs(),
-            t.bytes_read + t.stall_bytes + t.uncoalesced_bytes,
+            t.bytes_read + t.stall_bytes,
             t.bytes_written,
             t.atomic_bytes,
         )
@@ -579,7 +521,6 @@ impl Profiler {
         self.bytes_written.store(0, Ordering::Relaxed);
         self.atomic_bytes.store(0, Ordering::Relaxed);
         self.stall_bytes.store(0, Ordering::Relaxed);
-        self.uncoalesced_bytes.store(0, Ordering::Relaxed);
         self.wall_ns.store(0, Ordering::Relaxed);
         self.per_kernel.lock().clear();
         self.thread_blocks.lock().clear();
@@ -598,51 +539,6 @@ mod tests {
         assert_eq!(c.bytes_read, 100 * 19 * 8);
         assert_eq!(c.bytes_written, 100 * 19 * 8);
         assert_eq!(c.atomic_bytes, 0);
-    }
-
-    #[test]
-    fn coalescing_efficiency_model() {
-        // Fully contiguous f64 runs: every 32-byte transaction is useful.
-        assert_eq!(coalescing_efficiency(32, 8), 1.0);
-        assert_eq!(coalescing_efficiency(512, 8), 1.0); // clamped to a warp
-        assert_eq!(coalescing_efficiency(4, 8), 1.0); // one full transaction
-        // AoS: each lane fetches a 32-byte transaction for one value.
-        assert_eq!(coalescing_efficiency(1, 8), 0.25);
-        assert_eq!(coalescing_efficiency(1, 4), 0.125);
-        // Short tiles use half a transaction.
-        assert_eq!(coalescing_efficiency(2, 8), 0.5);
-        assert_eq!(coalescing_efficiency(2, 4), 0.25);
-    }
-
-    #[test]
-    fn uncoalesced_bytes_charged_like_stalls() {
-        // coalescing 0.25 fetches 4× the useful bytes: 3× excess.
-        let c = LaunchCost::cells(10).loads(4).coalescing(0.25).build();
-        let mut s = KernelStats::default();
-        s.add(c, 0.0);
-        assert_eq!(s.bytes_read, 10 * 4 * 8);
-        assert_eq!(s.uncoalesced_bytes, 3 * 10 * 4 * 8);
-        // Fully coalesced launches charge nothing extra.
-        let full = LaunchCost::cells(10).loads(4).build();
-        let mut s2 = KernelStats::default();
-        s2.add(full, 0.0);
-        assert_eq!(s2.uncoalesced_bytes, 0);
-        // The excess raises modeled time but not the declared traffic.
-        let d = DeviceModel::a100_40gb();
-        assert!(s.modeled_us(&d) > s2.modeled_us(&d));
-        assert_eq!(s.bytes_read, s2.bytes_read);
-    }
-
-    #[test]
-    fn profiler_accumulates_uncoalesced_bytes() {
-        let p = Profiler::new();
-        let c = LaunchCost::cells(8).loads(2).coalescing(0.5).build();
-        p.record_launch("gather", c, 1.0);
-        p.record_launch("gather", c, 1.0);
-        let t = p.total();
-        assert_eq!(t.uncoalesced_bytes, 2 * 8 * 2 * 8);
-        p.reset();
-        assert_eq!(p.total().uncoalesced_bytes, 0);
     }
 
     #[test]

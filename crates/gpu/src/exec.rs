@@ -355,18 +355,6 @@ impl Executor {
         }
     }
 
-    /// This executor with the pool replaced by one of `threads` threads.
-    /// The profiler and device model are shared with `self`, so metering
-    /// continues to accumulate in one place.
-    pub fn with_thread_count(&self, threads: usize) -> Self {
-        Self {
-            profiler: Arc::clone(&self.profiler),
-            device: self.device.clone(),
-            pool: Arc::new(ThreadPool::new(threads)),
-            parallel: threads > 1 || self.parallel,
-        }
-    }
-
     /// The shared profiler.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
@@ -628,15 +616,6 @@ mod tests {
         let shares = ex.profiler().thread_blocks();
         assert!(shares.len() <= 4);
         assert_eq!(shares.iter().sum::<u64>(), n as u64);
-    }
-
-    #[test]
-    fn with_thread_count_shares_the_profiler() {
-        let ex = Executor::sequential(DeviceModel::a100_40gb());
-        let wide = ex.with_thread_count(2);
-        assert_eq!(wide.thread_count(), 2);
-        wide.launch("k", 4, LaunchCost::default(), |_| {});
-        assert_eq!(ex.profiler().launches(), 1);
     }
 
     #[test]

@@ -30,8 +30,7 @@ pub mod memory;
 
 pub use atomic::AtomicF64Field;
 pub use counters::{
-    coalescing_efficiency, with_span_context, KernelSpan, KernelStats, LaunchCost,
-    LaunchCostBuilder, Profiler,
+    with_span_context, KernelSpan, KernelStats, LaunchCost, LaunchCostBuilder, Profiler,
 };
 pub use device::DeviceModel;
 pub use exec::{Executor, ThreadPool, THREADS_ENV};

@@ -1,20 +1,17 @@
 //! Block-sparse field storage over a [`SparseGrid`](crate::grid::SparseGrid)
 //! (paper §V-A, Fig. 5).
 //!
-//! Blocks are always contiguous (`block_stride = q·B³` elements each) —
-//! that is what lets the executor hand kernels disjoint per-block chunks —
-//! but the placement of `(comp, cell)` *within* a block is a pluggable
-//! [`Layout`] strategy. The default, [`Layout::BlockSoA`], is the paper's
-//! component-major layout `data[block · q·B³ + comp · B³ + cell]`: within a
-//! component the cells of a block are contiguous, which guarantees
-//! coalesced accesses on real hardware and cache-line-friendly sweeps here.
-//! See [`crate::layout`] for the alternatives and what they trade.
+//! Storage is the paper's component-major block layout
+//! `data[block · q·B³ + comp · B³ + cell]`. Blocks are contiguous
+//! (`block_stride = q·B³` elements each), which lets the executor hand
+//! kernels disjoint per-block chunks; within a block each component's cells
+//! are contiguous, which guarantees coalesced accesses on real hardware and
+//! cache-line-friendly sweeps here.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicIsize, Ordering};
 
 use crate::grid::{BlockIdx, SparseGrid};
-use crate::layout::{Layout, Slots};
 
 /// A `q`-component field over the active blocks of a sparse grid.
 ///
@@ -24,26 +21,17 @@ use crate::layout::{Layout, Slots};
 pub struct Field<T> {
     q: usize,
     cells_per_block: usize,
-    layout: Layout,
     data: Vec<T>,
 }
 
 impl<T: Copy> Field<T> {
-    /// Allocates the field for `grid` in the default [`Layout::BlockSoA`],
-    /// filling every slot with `init`.
+    /// Allocates the field for `grid`, filling every slot with `init`.
     pub fn new(grid: &SparseGrid, q: usize, init: T) -> Self {
-        Self::with_layout(grid, q, init, Layout::BlockSoA)
-    }
-
-    /// Allocates the field in the given intra-block layout.
-    pub fn with_layout(grid: &SparseGrid, q: usize, init: T, layout: Layout) -> Self {
         assert!(q >= 1, "field needs at least one component");
         let cpb = grid.cells_per_block();
-        layout.validate(cpb);
         Self {
             q,
             cells_per_block: cpb,
-            layout,
             data: vec![init; grid.num_blocks() * q * cpb],
         }
     }
@@ -60,20 +48,8 @@ impl<T: Copy> Field<T> {
         self.cells_per_block
     }
 
-    /// The intra-block layout.
-    #[inline(always)]
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// The intra-block slot resolver (see [`Slots`]).
-    #[inline(always)]
-    pub fn slots(&self) -> Slots {
-        self.layout.slots(self.q, self.cells_per_block)
-    }
-
-    /// Elements per block (`q · B³`, layout-invariant): the chunk size for
-    /// per-block parallel mutation.
+    /// Elements per block (`q · B³`): the chunk size for per-block parallel
+    /// mutation.
     #[inline(always)]
     pub fn block_stride(&self) -> usize {
         self.q * self.cells_per_block
@@ -85,14 +61,13 @@ impl<T: Copy> Field<T> {
         self.data.len() / self.block_stride()
     }
 
-    /// Flat index of `(block, comp, cell)`. All indexing — accessors here,
-    /// kernels elsewhere — goes through the layout's slot resolver; for
-    /// every layout this is a bijection onto `0..len`.
+    /// Flat index of `(block, comp, cell)`:
+    /// `block · q·B³ + comp · B³ + cell`.
     #[inline(always)]
     pub fn index(&self, block: BlockIdx, comp: usize, cell: u32) -> usize {
         debug_assert!(comp < self.q);
         debug_assert!((cell as usize) < self.cells_per_block);
-        (block as usize) * self.block_stride() + self.slots().of(comp, cell as usize)
+        (block as usize) * self.block_stride() + comp * self.cells_per_block + cell as usize
     }
 
     /// Reads one value.
@@ -123,16 +98,8 @@ impl<T: Copy> Field<T> {
     }
 
     /// Read-only view of one component within one block (`B³` values).
-    /// Only layouts that keep a component's cells contiguous support this:
-    /// [`Layout::BlockSoA`], or any layout when `q == 1` (they all
-    /// coincide then).
     #[inline(always)]
     pub fn component(&self, block: BlockIdx, comp: usize) -> &[T] {
-        assert!(
-            self.q == 1 || self.layout == Layout::BlockSoA,
-            "component() needs a component-contiguous layout, not {:?}",
-            self.layout
-        );
         let base = (block as usize) * self.block_stride() + comp * self.cells_per_block;
         &self.data[base..base + self.cells_per_block]
     }
@@ -155,79 +122,9 @@ impl<T: Copy> Field<T> {
         self.data.fill(v);
     }
 
-    /// Re-packs the field into `layout`, preserving every `(block, comp,
-    /// cell)` value. A no-op if the layout already matches.
-    pub fn convert_layout(&mut self, layout: Layout) {
-        if layout == self.layout {
-            return;
-        }
-        layout.validate(self.cells_per_block);
-        let old = self.slots();
-        let new = layout.slots(self.q, self.cells_per_block);
-        let stride = self.block_stride();
-        let mut out = self.data.clone();
-        for (src, dst) in self.data.chunks_exact(stride).zip(out.chunks_exact_mut(stride)) {
-            for comp in 0..self.q {
-                for cell in 0..self.cells_per_block {
-                    dst[new.of(comp, cell)] = src[old.of(comp, cell)];
-                }
-            }
-        }
-        self.data = out;
-        self.layout = layout;
-    }
-
     /// Heap bytes held by the field (memory-model accounting).
     pub fn heap_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
-    }
-
-    /// Copies every value out in *canonical order*: `(block, comp, cell)`
-    /// ascending, independent of the intra-block [`Layout`]. This is the
-    /// serialization order of the checkpoint format — two fields holding the
-    /// same logical values produce the same canonical vector even when their
-    /// physical layouts differ.
-    pub fn canonical_values(&self) -> Vec<T> {
-        let slots = self.slots();
-        let stride = self.block_stride();
-        let mut out = Vec::with_capacity(self.data.len());
-        for block in self.data.chunks_exact(stride) {
-            for comp in 0..self.q {
-                for cell in 0..self.cells_per_block {
-                    out.push(block[slots.of(comp, cell)]);
-                }
-            }
-        }
-        out
-    }
-
-    /// Writes a canonical-order value vector (see
-    /// [`Field::canonical_values`]) back into the field's *current* layout.
-    /// The inverse of extraction for any layout, which is what makes a
-    /// snapshot saved under one layout restorable under another.
-    ///
-    /// # Panics
-    /// If `values.len()` differs from the field's element count.
-    pub fn load_canonical(&mut self, values: &[T]) {
-        assert_eq!(
-            values.len(),
-            self.data.len(),
-            "canonical image has {} values, field holds {}",
-            values.len(),
-            self.data.len()
-        );
-        let slots = self.slots();
-        let stride = self.block_stride();
-        let q = self.q;
-        let cpb = self.cells_per_block;
-        let mut src = values.iter();
-        for block in self.data.chunks_exact_mut(stride) {
-            for comp in 0..q {
-                for cell in 0..cpb {
-                    block[slots.of(comp, cell)] = *src.next().unwrap();
-                }
-            }
-        }
     }
 }
 
@@ -240,30 +137,13 @@ pub struct DoubleBuffer<T> {
 }
 
 impl<T: Copy> DoubleBuffer<T> {
-    /// Allocates two identical fields in the default layout.
+    /// Allocates two identical fields.
     pub fn new(grid: &SparseGrid, q: usize, init: T) -> Self {
-        Self::with_layout(grid, q, init, Layout::BlockSoA)
-    }
-
-    /// Allocates two identical fields in the given layout.
-    pub fn with_layout(grid: &SparseGrid, q: usize, init: T, layout: Layout) -> Self {
         Self {
-            a: Field::with_layout(grid, q, init, layout),
-            b: Field::with_layout(grid, q, init, layout),
+            a: Field::new(grid, q, init),
+            b: Field::new(grid, q, init),
             flipped: false,
         }
-    }
-
-    /// The intra-block layout of both halves.
-    #[inline(always)]
-    pub fn layout(&self) -> Layout {
-        self.a.layout()
-    }
-
-    /// Re-packs both halves into `layout` (see [`Field::convert_layout`]).
-    pub fn convert_layout(&mut self, layout: Layout) {
-        self.a.convert_layout(layout);
-        self.b.convert_layout(layout);
     }
 
     /// Current source (read) field.
@@ -517,18 +397,10 @@ mod tests {
         gb.build(SpaceFillingCurve::Morton)
     }
 
-    const LAYOUTS: [Layout; 4] = [
-        Layout::BlockSoA,
-        Layout::CellAoS,
-        Layout::Tiled { width: 8 },
-        Layout::Tiled { width: 32 },
-    ];
-
     #[test]
-    fn default_layout_is_aosoa() {
+    fn index_is_component_major() {
         let g = grid();
         let f = Field::<f64>::new(&g, 19, 0.0);
-        assert_eq!(f.layout(), Layout::BlockSoA);
         assert_eq!(f.block_stride(), 19 * 64);
         assert_eq!(f.num_blocks(), g.num_blocks());
         // Component slices are contiguous and disjoint per component.
@@ -539,120 +411,37 @@ mod tests {
     }
 
     /// `Field::index` is a bijection onto `0..len` and `get`/`set`
-    /// round-trips, for every layout × B ∈ {4, 8} × q ∈ {1, 19, 27}.
+    /// round-trips, for B ∈ {4, 8} × q ∈ {1, 19, 27}.
     #[test]
-    fn index_bijection_and_roundtrip_every_layout() {
-        for layout in LAYOUTS {
-            for b in [4usize, 8] {
-                let g = grid_b(b, 2 * b);
-                for q in [1usize, 19, 27] {
-                    let mut f = Field::<u32>::with_layout(&g, q, 0, layout);
-                    let len = f.as_slice().len();
-                    let mut seen = vec![false; len];
-                    for blk in 0..g.num_blocks() as u32 {
-                        for comp in 0..q {
-                            for cell in 0..g.cells_per_block() as u32 {
-                                let i = f.index(blk, comp, cell);
-                                assert!(
-                                    !seen[i],
-                                    "{layout:?} B={b} q={q}: index {i} hit twice"
-                                );
-                                seen[i] = true;
-                                let v = blk * 100_000 + (comp as u32) * 1000 + cell;
-                                f.set(blk, comp, cell, v);
-                            }
+    fn index_bijection_and_roundtrip() {
+        for b in [4usize, 8] {
+            let g = grid_b(b, 2 * b);
+            for q in [1usize, 19, 27] {
+                let mut f = Field::<u32>::new(&g, q, 0);
+                let len = f.as_slice().len();
+                let mut seen = vec![false; len];
+                for blk in 0..g.num_blocks() as u32 {
+                    for comp in 0..q {
+                        for cell in 0..g.cells_per_block() as u32 {
+                            let i = f.index(blk, comp, cell);
+                            assert!(!seen[i], "B={b} q={q}: index {i} hit twice");
+                            seen[i] = true;
+                            let v = blk * 100_000 + (comp as u32) * 1000 + cell;
+                            f.set(blk, comp, cell, v);
                         }
                     }
-                    assert!(seen.iter().all(|&s| s), "{layout:?} B={b} q={q}: not onto");
-                    for blk in 0..g.num_blocks() as u32 {
-                        for comp in 0..q {
-                            for cell in 0..g.cells_per_block() as u32 {
-                                let v = blk * 100_000 + (comp as u32) * 1000 + cell;
-                                assert_eq!(f.get(blk, comp, cell), v, "{layout:?} B={b} q={q}");
-                            }
+                }
+                assert!(seen.iter().all(|&s| s), "B={b} q={q}: not onto");
+                for blk in 0..g.num_blocks() as u32 {
+                    for comp in 0..q {
+                        for cell in 0..g.cells_per_block() as u32 {
+                            let v = blk * 100_000 + (comp as u32) * 1000 + cell;
+                            assert_eq!(f.get(blk, comp, cell), v, "B={b} q={q}");
                         }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn convert_layout_preserves_values() {
-        let g = grid();
-        let mut f = Field::<f64>::new(&g, 19, 0.0);
-        for blk in 0..g.num_blocks() as u32 {
-            for comp in 0..19 {
-                for cell in 0..64 {
-                    f.set(blk, comp, cell, (blk as f64) + 0.01 * comp as f64 + 1e-4 * cell as f64);
-                }
-            }
-        }
-        let reference = f.clone();
-        for layout in [Layout::CellAoS, Layout::Tiled { width: 16 }, Layout::BlockSoA] {
-            f.convert_layout(layout);
-            assert_eq!(f.layout(), layout);
-            for blk in 0..g.num_blocks() as u32 {
-                for comp in 0..19 {
-                    for cell in 0..64 {
-                        assert_eq!(
-                            f.get(blk, comp, cell).to_bits(),
-                            reference.get(blk, comp, cell).to_bits(),
-                            "{layout:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_values_are_layout_invariant() {
-        let g = grid();
-        let mut reference = Field::<u32>::new(&g, 19, 0);
-        for blk in 0..g.num_blocks() as u32 {
-            for comp in 0..19 {
-                for cell in 0..64 {
-                    reference.set(blk, comp, cell, blk * 100_000 + (comp as u32) * 1000 + cell);
-                }
-            }
-        }
-        let canon = reference.canonical_values();
-        assert_eq!(canon.len(), reference.as_slice().len());
-        // Canonical order is (block, comp, cell) ascending.
-        assert_eq!(canon[0], reference.get(0, 0, 0));
-        assert_eq!(canon[1], reference.get(0, 0, 1));
-        assert_eq!(canon[64], reference.get(0, 1, 0));
-        // Every layout extracts the same canonical image …
-        for layout in LAYOUTS {
-            let mut f = reference.clone();
-            f.convert_layout(layout);
-            assert_eq!(f.canonical_values(), canon, "{layout:?}");
-            // … and loading it into a fresh field of that layout restores
-            // every logical value.
-            let mut fresh = Field::<u32>::with_layout(&g, 19, 0, layout);
-            fresh.load_canonical(&canon);
-            for blk in 0..g.num_blocks() as u32 {
-                for comp in 0..19 {
-                    for cell in 0..64 {
-                        assert_eq!(
-                            fresh.get(blk, comp, cell),
-                            reference.get(blk, comp, cell),
-                            "{layout:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "canonical image")]
-    fn load_canonical_rejects_wrong_length() {
-        let g = grid();
-        let mut f = Field::<u32>::new(&g, 2, 0);
-        let short = vec![0u32; 3];
-        f.load_canonical(&short);
     }
 
     #[test]
@@ -690,22 +479,6 @@ mod tests {
         assert_eq!(f.block(2)[64 + 7], 42.5);
         f.fill(1.0);
         assert_eq!(f.get(2, 1, 7), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "component-contiguous")]
-    fn component_rejects_non_contiguous_layout() {
-        let g = grid();
-        let f = Field::<f64>::with_layout(&g, 19, 0.0, Layout::CellAoS);
-        let _ = f.component(0, 1);
-    }
-
-    #[test]
-    fn component_works_for_single_component_any_layout() {
-        let g = grid();
-        let mut f = Field::<u8>::with_layout(&g, 1, 0, Layout::CellAoS);
-        f.set(1, 0, 5, 9);
-        assert_eq!(f.component(1, 0)[5], 9);
     }
 
     #[test]

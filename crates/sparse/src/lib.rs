@@ -8,12 +8,10 @@
 //! - [`bitmask`]: per-block active-cell masks;
 //! - [`sfc`]: Sweep / Morton / Hilbert block ordering;
 //! - [`grid`]: the block-sparse grid topology with 27-slot neighbor tables;
-//! - [`field`]: per-block field storage and double buffering;
-//! - [`layout`]: pluggable intra-block memory layouts (SoA / AoS / tiled
-//!   AoSoA) every field access is resolved through;
+//! - [`field`]: per-block component-major field storage and double
+//!   buffering;
 //! - [`offsets`]: precomputed per-direction streaming source decompositions
-//!   (the branch-free direction-major gather tables) and their per-layout
-//!   element-space lowerings;
+//!   (the branch-free direction-major gather tables);
 //! - [`partition`]: block partitioning for intra-kernel parallelism —
 //!   work-stealing chunk granularity and stable owner maps for
 //!   deterministic staged reductions.
@@ -24,7 +22,6 @@ pub mod bitmask;
 pub mod coords;
 pub mod field;
 pub mod grid;
-pub mod layout;
 pub mod offsets;
 pub mod partition;
 pub mod sfc;
@@ -33,7 +30,6 @@ pub use bitmask::BitMask;
 pub use coords::{Box3, Coord};
 pub use field::{DoubleBuffer, Field, HalfReadGuard, HalfWriteGuard, SplitHalves};
 pub use grid::{dir_slot, Block, BlockIdx, CellRef, GridBuilder, SparseGrid, INVALID_BLOCK};
-pub use layout::{Layout, Slots};
-pub use offsets::{CopyRun, DirOffsets, DirRegion, LayoutRuns, MemRun, StreamOffsets, CENTER_SLOT};
+pub use offsets::{CopyRun, DirOffsets, DirRegion, StreamOffsets, CENTER_SLOT};
 pub use partition::{chunk_granularity, OwnerMap, NO_OWNER};
 pub use sfc::SpaceFillingCurve;

@@ -16,14 +16,15 @@
 //! computed once per `(B, velocity set)` pair and shared process-wide via
 //! [`StreamOffsets::cached`]. Precomputing per-direction offsets for sparse
 //! blocks is the decisive streaming optimization of Tomczak & Szafran's
-//! sparse-geometry LBM; this module is that idea specialized to the AoSoA
-//! block layout of [`crate::field::Field`].
+//! sparse-geometry LBM; this module is that idea specialized to the
+//! block-sparse [`crate::field::Field`]. Because a component's `B³` cells
+//! are contiguous there, a cell-space run of direction `i` is a memory run
+//! at component base `i·B³`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::grid::NEIGHBOR_SLOTS;
-use crate::layout::Layout;
 
 /// The neighbor-table slot of the block itself (`dir_slot([0, 0, 0])`).
 pub const CENTER_SLOT: u8 = 13;
@@ -264,159 +265,6 @@ impl StreamOffsets {
         }
         true
     }
-
-    /// Lowers the cell-space [`CopyRun`] plans into *element-space*
-    /// [`MemRun`]s for the given intra-block layout, with component `i`
-    /// folded into direction `i`'s offsets (a population field has one
-    /// component per direction). See [`MemRun`] for how each layout fares.
-    pub fn lower(&self, layout: Layout) -> LayoutRuns {
-        let b = self.block_size as usize;
-        let cpb = b * b * b;
-        let q = self.dirs.len();
-        layout.validate(cpb);
-        let slots = layout.slots(q, cpb);
-        let dirs = (0..q)
-            .map(|i| {
-                let mut out = Vec::new();
-                for e in &self.dirs[i].runs {
-                    match layout {
-                        // Cell runs are memory runs: translate 1:1, keeping
-                        // the compact `count × stride` form (cell stride ==
-                        // element stride for a fixed component).
-                        Layout::BlockSoA => out.push(MemRun {
-                            slot: e.slot,
-                            dst_off: slots.of(i, e.dst_base as usize) as u32,
-                            src_off: slots.of(i, e.src_base as usize) as u32,
-                            len: e.len,
-                            count: e.count,
-                            stride: e.stride,
-                        }),
-                        // A fixed component strides by `q` elements between
-                        // cells: each copy becomes one strided scalar run
-                        // (the memcpy fast path does not survive).
-                        Layout::CellAoS => {
-                            for k in 0..e.count {
-                                let d0 = (e.dst_base + k * e.stride) as usize;
-                                let s0 = (e.src_base + k * e.stride) as usize;
-                                out.push(MemRun {
-                                    slot: e.slot,
-                                    dst_off: slots.of(i, d0) as u32,
-                                    src_off: slots.of(i, s0) as u32,
-                                    len: 1,
-                                    count: e.len,
-                                    stride: q as u32,
-                                });
-                            }
-                        }
-                        // Contiguity holds within a tile; a copy splits at
-                        // every tile boundary of *either* side (dst and src
-                        // tile phases differ when the shift is not a
-                        // multiple of the width).
-                        Layout::Tiled { width } => {
-                            let w = width as usize;
-                            for k in 0..e.count {
-                                let d0 = (e.dst_base + k * e.stride) as usize;
-                                let s0 = (e.src_base + k * e.stride) as usize;
-                                let mut pos = 0usize;
-                                while pos < e.len as usize {
-                                    let rem = e.len as usize - pos;
-                                    let l = rem
-                                        .min(w - (d0 + pos) % w)
-                                        .min(w - (s0 + pos) % w);
-                                    out.push(MemRun {
-                                        slot: e.slot,
-                                        dst_off: slots.of(i, d0 + pos) as u32,
-                                        src_off: slots.of(i, s0 + pos) as u32,
-                                        len: l as u32,
-                                        count: 1,
-                                        stride: 0,
-                                    });
-                                    pos += l;
-                                }
-                            }
-                        }
-                    }
-                }
-                out
-            })
-            .collect();
-        LayoutRuns { layout, dirs }
-    }
-
-    /// Process-wide cached lowered plans, keyed by `(block_size, direction
-    /// list, layout)` — the layout-aware sibling of
-    /// [`StreamOffsets::cached`].
-    pub fn lowered_cached(
-        block_size: u32,
-        dirs: &'static [[i32; 3]],
-        layout: Layout,
-    ) -> Arc<LayoutRuns> {
-        type Cache = Mutex<HashMap<(u32, usize, Layout), Arc<LayoutRuns>>>;
-        static CACHE: OnceLock<Cache> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let key = (block_size, dirs.as_ptr() as usize, layout);
-        let mut map = cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(key)
-            .or_insert_with(|| Arc::new(Self::cached(block_size, dirs).lower(layout)))
-            .clone()
-    }
-}
-
-/// One element-space copy of a lowered gather plan: `count` copies of `len`
-/// contiguous *elements*, the `k`-th at element offset `k·stride` past the
-/// bases. Offsets are relative to a block's `q·B³`-element chunk, with the
-/// direction's component already folded in.
-///
-/// This is the layout-lowered form of [`CopyRun`]: for
-/// [`Layout::BlockSoA`] the translation is 1:1 (the bulk-memcpy fast path
-/// survives unchanged); for [`Layout::Tiled`] runs split at tile
-/// boundaries (memcpys of at most `width` elements); for
-/// [`Layout::CellAoS`] every run degenerates to `len = 1` strided scalar
-/// copies — the clean fallback when the layout admits no contiguity.
-/// The ordered-overwrite discipline of [`CopyRun`] carries over: runs
-/// lowered from a later cell run still overwrite runs lowered from an
-/// earlier one.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MemRun {
-    /// Neighbor-table slot of the source block ([`CENTER_SLOT`] = self).
-    pub slot: u8,
-    /// Element offset of the first destination value within the block chunk.
-    pub dst_off: u32,
-    /// Element offset of the first source value within the source block
-    /// chunk.
-    pub src_off: u32,
-    /// Contiguous elements per copy.
-    pub len: u32,
-    /// Number of copies.
-    pub count: u32,
-    /// Element offset between consecutive copies (unused when `count = 1`).
-    pub stride: u32,
-}
-
-/// Per-direction lowered gather plans for one `(block size, velocity set,
-/// layout)` triple (see [`StreamOffsets::lower`]).
-#[derive(Clone, Debug)]
-pub struct LayoutRuns {
-    layout: Layout,
-    dirs: Vec<Vec<MemRun>>,
-}
-
-impl LayoutRuns {
-    /// The layout the plans were lowered for.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// The ordered overwrite plan of direction `i`.
-    #[inline(always)]
-    pub fn dir(&self, i: usize) -> &[MemRun] {
-        &self.dirs[i]
-    }
-
-    /// Number of directions.
-    pub fn num_dirs(&self) -> usize {
-        self.dirs.len()
-    }
 }
 
 #[cfg(test)]
@@ -602,12 +450,13 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
     }
 
-    /// Executing the lowered element-space plans **in order** reproduces,
-    /// for every layout, exactly the per-cell `dst → (slot, src)` map of
-    /// the cell-space runs pushed through the layout's slot bijection —
-    /// every element written, for all 27 directions and several widths.
+    /// Executing the copy runs **in order** at component base `i·B³` —
+    /// exactly what the direction-major gather does on a `q·B³` block
+    /// chunk — writes every element of component `i` and nothing else, each
+    /// from the `(slot, i·B³ + src cell)` the per-cell pull computes, for
+    /// all 27 directions and several block sizes.
     #[test]
-    fn lowered_runs_match_cell_runs_under_every_layout() {
+    fn element_runs_match_per_cell_pull() {
         for b in [2u32, 4, 8] {
             let mut dirs = Vec::new();
             for z in -1..=1 {
@@ -618,85 +467,40 @@ mod tests {
                 }
             }
             let t = StreamOffsets::build(b, &dirs);
-            let cpb = (b * b * b) as usize;
-            let q = dirs.len();
-            let mut layouts = vec![Layout::BlockSoA, Layout::CellAoS];
-            for width in [1u32, 2, 4, 8, 32] {
-                if cpb % width as usize == 0 {
-                    layouts.push(Layout::Tiled { width });
+            let (bi, cpb, q) = (b as i32, (b * b * b) as usize, dirs.len());
+            let wrap = |s: i32| {
+                if s < 0 {
+                    (-1, s + bi)
+                } else if s >= bi {
+                    (1, s - bi)
+                } else {
+                    (0, s)
                 }
-            }
-            for layout in layouts {
-                let slots = layout.slots(q, cpb);
-                let lowered = t.lower(layout);
-                for i in 0..q {
-                    // Reference: cell-space runs mapped through the layout.
-                    let mut expect = vec![None; q * cpb];
-                    for e in &t.dir(i).runs {
-                        for k in 0..e.count {
-                            for x in 0..e.len {
-                                let off = (k * e.stride + x) as usize;
-                                expect[slots.of(i, e.dst_base as usize + off)] =
-                                    Some((e.slot, slots.of(i, e.src_base as usize + off)));
-                            }
+            };
+            for (i, c) in dirs.iter().enumerate() {
+                let comp = i * cpb;
+                let mut expect = vec![None; q * cpb];
+                for dst in 0..cpb {
+                    let d = dst as i32;
+                    let (ox, wx) = wrap(d % bi - c[0]);
+                    let (oy, wy) = wrap(d / bi % bi - c[1]);
+                    let (oz, wz) = wrap(d / (bi * bi) - c[2]);
+                    let slot = ((ox + 1) + 3 * (oy + 1) + 9 * (oz + 1)) as u8;
+                    let scell = (wx + bi * (wy + bi * wz)) as usize;
+                    expect[comp + dst] = Some((slot, comp + scell));
+                }
+                let mut got = vec![None; q * cpb];
+                for e in &t.dir(i).runs {
+                    for k in 0..e.count {
+                        for x in 0..e.len {
+                            let off = (k * e.stride + x) as usize;
+                            got[comp + e.dst_base as usize + off] =
+                                Some((e.slot, comp + e.src_base as usize + off));
                         }
                     }
-                    let mut got = vec![None; q * cpb];
-                    for m in lowered.dir(i) {
-                        for k in 0..m.count {
-                            for x in 0..m.len {
-                                let off = (k * m.stride + x) as usize;
-                                got[m.dst_off as usize + off] =
-                                    Some((m.slot, m.src_off as usize + off));
-                            }
-                        }
-                    }
-                    assert_eq!(got, expect, "b={b} dir {i} {layout:?}");
                 }
+                assert_eq!(got, expect, "b={b} dir {c:?}");
             }
         }
-    }
-
-    /// The SoA lowering is the identity translation: same run shapes as
-    /// the cell-space plan, so the memcpy fast path survives byte for byte.
-    /// AoS keeps no contiguity (all runs are `len = 1`); tiled runs never
-    /// exceed the tile width.
-    #[test]
-    fn lowering_contiguity_per_layout() {
-        let mut dirs = Vec::new();
-        for z in -1..=1 {
-            for y in -1..=1 {
-                for x in -1..=1 {
-                    dirs.push([x, y, z]);
-                }
-            }
-        }
-        let t = StreamOffsets::build(8, &dirs);
-        let soa = t.lower(Layout::BlockSoA);
-        for i in 0..dirs.len() {
-            let cell_shapes: Vec<_> =
-                t.dir(i).runs.iter().map(|e| (e.len, e.count, e.stride)).collect();
-            let mem_shapes: Vec<_> =
-                soa.dir(i).iter().map(|m| (m.len, m.count, m.stride)).collect();
-            assert_eq!(mem_shapes, cell_shapes, "dir {i}");
-        }
-        let aos = t.lower(Layout::CellAoS);
-        assert!(aos.dirs.iter().flatten().all(|m| m.len == 1));
-        let tiled = t.lower(Layout::Tiled { width: 32 });
-        assert!(tiled.dirs.iter().flatten().all(|m| m.len <= 32));
-        // The rest direction of a tiled block is still one memcpy per tile.
-        assert_eq!(tiled.dir(13).len(), 512 / 32);
-    }
-
-    #[test]
-    fn lowered_cache_shares_plans() {
-        static DIRS: [[i32; 3]; 2] = [[0, 0, 0], [1, 0, 0]];
-        let a = StreamOffsets::lowered_cached(4, &DIRS, Layout::BlockSoA);
-        let b = StreamOffsets::lowered_cached(4, &DIRS, Layout::BlockSoA);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = StreamOffsets::lowered_cached(4, &DIRS, Layout::CellAoS);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.layout(), Layout::CellAoS);
-        assert_eq!(a.num_dirs(), 2);
     }
 }

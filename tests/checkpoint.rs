@@ -3,15 +3,13 @@
 //!
 //! The core property is **restart equivalence**: save → fresh engine →
 //! restore → run N steps must be bit-identical to the same engine never
-//! having been interrupted — across velocity sets, memory layouts,
-//! execution modes and pool widths, and even when the snapshot is restored
-//! under a *different* layout than it was saved under (the format is
-//! canonical). Damaged snapshots must fail cleanly and leave the target
+//! having been interrupted — across velocity sets, execution modes and
+//! pool widths. Damaged snapshots must fail cleanly and leave the target
 //! engine untouched.
 
 mod common;
 
-use common::{assert_logical_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
+use common::{assert_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
 use lbm_refinement::core::{
     CheckpointError, Engine, ExecMode, GridSpec, HealthAction, HealthCause, HealthGuard,
     HealthPolicy, MultiGrid, Variant,
@@ -19,7 +17,7 @@ use lbm_refinement::core::{
 use lbm_refinement::core::AllWalls;
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, VelocitySet, D3Q19, D3Q27};
-use lbm_refinement::sparse::{Box3, Layout};
+use lbm_refinement::sparse::Box3;
 
 /// Runs one restart-equivalence case: `reference` runs `total` steps in one
 /// piece; a second engine is interrupted at `k`, snapshotted, dropped, and
@@ -44,47 +42,30 @@ fn restart_case<V: VelocitySet>(seed: u64, opts: EngineOpts, total: usize, k: us
         grid_digest(&resumed.grid),
         "{what}: resumed digest differs from uninterrupted"
     );
-    assert_logical_bits_identical(&reference, &resumed, what);
+    assert_bits_identical(&reference, &resumed, what);
 }
 
 #[test]
-fn restart_is_bit_identical_across_layouts_and_modes() {
+fn restart_is_bit_identical_across_modes() {
     for seed in [3u64, 11] {
         for mode in [ExecMode::Eager, ExecMode::Graph] {
-            for layout in [
-                Layout::BlockSoA,
-                Layout::CellAoS,
-                Layout::Tiled { width: 16 },
-            ] {
-                let opts = EngineOpts {
-                    mode,
-                    layout,
-                    ..EngineOpts::default()
-                };
-                restart_case::<D3Q19>(
-                    seed,
-                    opts,
-                    6,
-                    3,
-                    &format!("d3q19 seed={seed} {mode:?} {layout:?}"),
-                );
-            }
+            let opts = EngineOpts {
+                mode,
+                ..EngineOpts::default()
+            };
+            restart_case::<D3Q19>(seed, opts, 6, 3, &format!("d3q19 seed={seed} {mode:?}"));
         }
     }
 }
 
 #[test]
 fn restart_is_bit_identical_for_d3q27() {
-    for (mode, layout) in [
-        (ExecMode::Eager, Layout::CellAoS),
-        (ExecMode::Graph, Layout::Tiled { width: 16 }),
-    ] {
+    for mode in [ExecMode::Eager, ExecMode::Graph] {
         let opts = EngineOpts {
             mode,
-            layout,
             ..EngineOpts::default()
         };
-        restart_case::<D3Q27>(5, opts, 6, 3, &format!("d3q27 {mode:?} {layout:?}"));
+        restart_case::<D3Q27>(5, opts, 6, 3, &format!("d3q27 {mode:?}"));
     }
 }
 
@@ -99,37 +80,26 @@ fn restart_is_bit_identical_with_thread_pool() {
     }
 }
 
-/// A snapshot saved under one layout restores into an engine running any
-/// other layout — the serialized bytes are canonical `(block, comp, cell)`
-/// order, so the restore re-packs into whatever the target uses.
+/// A snapshot restored into a fresh engine is re-emitted byte for byte by
+/// that engine's own checkpoint: the payload is the fields' memory image,
+/// so save → restore → save is the identity on the blob.
 #[test]
-fn snapshot_restores_across_layouts() {
+fn snapshot_round_trips_byte_identically() {
     let (total, k, seed) = (6usize, 3usize, 13u64);
-    let soa = EngineOpts::default();
-    let mut reference = seeded_engine_with::<D3Q19>(seed, Variant::FusedAll, soa);
+    let opts = EngineOpts::default();
+    let mut reference = seeded_engine_with::<D3Q19>(seed, Variant::FusedAll, opts);
     reference.run(total);
 
-    let mut interrupted = seeded_engine_with::<D3Q19>(seed, Variant::FusedAll, soa);
+    let mut interrupted = seeded_engine_with::<D3Q19>(seed, Variant::FusedAll, opts);
     interrupted.run(k);
     let blob = interrupted.checkpoint();
 
-    for layout in [Layout::CellAoS, Layout::Tiled { width: 16 }] {
-        let opts = EngineOpts {
-            layout,
-            ..EngineOpts::default()
-        };
-        let mut resumed = seeded_engine_with::<D3Q19>(seed, Variant::FusedAll, opts);
-        resumed
-            .restore(&blob)
-            .unwrap_or_else(|e| panic!("cross-layout restore into {layout:?}: {e}"));
-        resumed.run(total - k);
-        assert_eq!(
-            grid_digest(&reference.grid),
-            grid_digest(&resumed.grid),
-            "cross-layout restore into {layout:?}"
-        );
-        assert_logical_bits_identical(&reference, &resumed, &format!("soa->{layout:?}"));
-    }
+    let mut resumed = seeded_engine_with::<D3Q19>(seed, Variant::FusedAll, opts);
+    resumed.restore(&blob).expect("restore");
+    assert!(resumed.checkpoint() == blob, "re-saved snapshot differs");
+    resumed.run(total - k);
+    assert_eq!(grid_digest(&reference.grid), grid_digest(&resumed.grid));
+    assert_bits_identical(&reference, &resumed, "round trip");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Shared harness for the integration suites: seeded random 2-level
-//! geometries, engine construction over every execution knob (mode, layout,
-//! thread count, Accumulate path), bit-level field comparison, and the
+//! geometries, engine construction over every execution knob (mode, thread
+//! count, Accumulate path), bit-level field comparison, and the
 //! canonical FNV-1a state digest the determinism suite pins on.
 //!
 //! Everything here is deterministic by construction — no ambient RNG, no
@@ -11,7 +11,7 @@
 use lbm_refinement::core::{AllWalls, Engine, ExecMode, GridSpec, HealthGuard, MultiGrid, Variant};
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, VelocitySet};
-use lbm_refinement::sparse::{Box3, Layout};
+use lbm_refinement::sparse::Box3;
 
 /// Deterministic xorshift64*: the tests must not depend on ambient RNG.
 pub fn xorshift(state: &mut u64) -> u64 {
@@ -43,8 +43,6 @@ pub fn random_box(seed: u64) -> ([i32; 3], [i32; 3]) {
 pub struct EngineOpts {
     /// Eager or wave-scheduled graph execution.
     pub mode: ExecMode,
-    /// Population memory layout.
-    pub layout: Layout,
     /// Kernel-pool width (`None` keeps the sequential executor's 1).
     pub threads: Option<usize>,
     /// Accumulate-path override (`None` keeps the engine default:
@@ -56,8 +54,6 @@ pub struct EngineOpts {
 
 /// Builds an engine over the seeded geometry with a deterministic,
 /// spatially varying initial velocity, honoring every knob in `opts`.
-/// The initial condition goes through the accessor API, so the seeded
-/// logical state is identical regardless of layout or thread count.
 pub fn seeded_engine_with<V: VelocitySet>(
     seed: u64,
     variant: Variant,
@@ -74,18 +70,18 @@ pub fn seeded_engine_with<V: VelocitySet>(
     let mut b = Engine::builder(grid)
         .collision(Bgk::new(1.6))
         .variant(variant)
-        .exec_mode(opts.mode)
-        .layout(opts.layout);
-    if let Some(t) = opts.threads {
-        b = b.threads(t);
-    }
+        .exec_mode(opts.mode);
     if let Some(s) = opts.staged {
         b = b.staged_accumulate(s);
     }
     if let Some(g) = opts.health {
         b = b.health(g);
     }
-    let mut eng = b.build(Executor::sequential(DeviceModel::a100_40gb()));
+    let device = DeviceModel::a100_40gb();
+    let mut eng = b.build(match opts.threads {
+        Some(t) => Executor::with_threads(device, t),
+        None => Executor::sequential(device),
+    });
     eng.grid.init_equilibrium(
         |_, _| 1.0,
         move |l, p| {
@@ -96,37 +92,24 @@ pub fn seeded_engine_with<V: VelocitySet>(
     eng
 }
 
-/// [`seeded_engine_with`] with an explicit layout only (the historical
-/// signature most suites use).
-pub fn seeded_engine<V: VelocitySet>(
+/// Sequential-executor engine in the given execution mode.
+pub fn mode_engine<V: VelocitySet>(
     seed: u64,
     variant: Variant,
     mode: ExecMode,
-    layout: Layout,
 ) -> Engine<f64, V, Bgk<f64>> {
     seeded_engine_with(
         seed,
         variant,
         EngineOpts {
             mode,
-            layout,
             ..EngineOpts::default()
         },
     )
 }
 
-/// Sequential-executor engine in the default layout.
-pub fn mode_engine<V: VelocitySet>(
-    seed: u64,
-    variant: Variant,
-    mode: ExecMode,
-) -> Engine<f64, V, Bgk<f64>> {
-    seeded_engine(seed, variant, mode, Layout::default())
-}
-
 /// Asserts bit-for-bit equality of every population slot in both halves of
-/// every level's double buffer (raw-slice comparison; requires identical
-/// layouts).
+/// every level's double buffer.
 pub fn assert_bits_identical<V: VelocitySet>(
     a: &Engine<f64, V, Bgk<f64>>,
     b: &Engine<f64, V, Bgk<f64>>,
@@ -142,34 +125,6 @@ pub fn assert_bits_identical<V: VelocitySet>(
                     x.to_bits() == y.to_bits(),
                     "{what}: level {l} half {h} slot {i}: {x:e} vs {y:e}"
                 );
-            }
-        }
-    }
-}
-
-/// Asserts bit-for-bit equality of the logical population state in both
-/// halves of every level's double buffer, layout-blind (reads back per
-/// `(block, direction, cell)` through the accessor API).
-pub fn assert_logical_bits_identical<V: VelocitySet>(
-    a: &Engine<f64, V, Bgk<f64>>,
-    b: &Engine<f64, V, Bgk<f64>>,
-    what: &str,
-) {
-    for (l, (la, lb)) in a.grid.levels.iter().zip(&b.grid.levels).enumerate() {
-        for h in 0..2 {
-            let (fa, fb) = (la.f.half(h), lb.f.half(h));
-            let cpb = fa.cells_per_block() as u32;
-            for blk in 0..la.grid.num_blocks() as u32 {
-                for i in 0..V::Q {
-                    for cell in 0..cpb {
-                        let (x, y) = (fa.get(blk, i, cell), fb.get(blk, i, cell));
-                        assert!(
-                            x.to_bits() == y.to_bits(),
-                            "{what}: level {l} half {h} block {blk} dir {i} \
-                             cell {cell}: {x:e} vs {y:e}"
-                        );
-                    }
-                }
             }
         }
     }

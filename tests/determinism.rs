@@ -13,24 +13,16 @@
 
 mod common;
 
-use common::{assert_logical_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
+use common::{assert_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
 use lbm_refinement::core::{ExecMode, Variant};
 use lbm_refinement::lattice::{VelocitySet, D3Q19, D3Q27};
-use lbm_refinement::sparse::Layout;
 
 /// Runs one seeded geometry at thread counts {1, 2, 4, 8} and asserts the
 /// final state digests and every population slot agree with the 1-thread
 /// serial-atomic reference.
-fn check_threads_agree<V: VelocitySet>(
-    seed: u64,
-    variant: Variant,
-    mode: ExecMode,
-    layout: Layout,
-    steps: usize,
-) {
+fn check_threads_agree<V: VelocitySet>(seed: u64, variant: Variant, mode: ExecMode, steps: usize) {
     let base = EngineOpts {
         mode,
-        layout,
         ..EngineOpts::default()
     };
     let mut reference = seeded_engine_with::<V>(seed, variant, base);
@@ -57,7 +49,7 @@ fn check_threads_agree<V: VelocitySet>(
         assert_eq!(eng.thread_count(), threads);
         eng.run(steps);
         let what = format!(
-            "seed {seed} {} {} {mode:?} {layout:?} threads={threads}",
+            "seed {seed} {} {} {mode:?} threads={threads}",
             variant.name(),
             V::NAME
         );
@@ -66,50 +58,28 @@ fn check_threads_agree<V: VelocitySet>(
             ref_digest,
             "{what}: state digest diverged from the 1-thread reference"
         );
-        assert_logical_bits_identical(&reference, &eng, &what);
+        assert_bits_identical(&reference, &eng, &what);
     }
 }
 
 #[test]
 fn bit_identity_across_thread_counts_d3q19_all_variants() {
     for variant in Variant::ALL {
-        check_threads_agree::<D3Q19>(31, variant, ExecMode::Eager, Layout::default(), 3);
+        check_threads_agree::<D3Q19>(31, variant, ExecMode::Eager, 3);
     }
 }
 
 #[test]
 fn bit_identity_across_thread_counts_d3q27() {
-    check_threads_agree::<D3Q27>(32, Variant::FusedAll, ExecMode::Eager, Layout::default(), 2);
-    check_threads_agree::<D3Q27>(
-        33,
-        Variant::ModifiedBaseline,
-        ExecMode::Eager,
-        Layout::default(),
-        2,
-    );
+    check_threads_agree::<D3Q27>(32, Variant::FusedAll, ExecMode::Eager, 2);
+    check_threads_agree::<D3Q27>(33, Variant::ModifiedBaseline, ExecMode::Eager, 2);
 }
 
 #[test]
 fn bit_identity_under_graph_mode() {
-    check_threads_agree::<D3Q19>(34, Variant::FusedAll, ExecMode::Graph, Layout::default(), 3);
-    check_threads_agree::<D3Q19>(
-        35,
-        Variant::ModifiedBaseline,
-        ExecMode::Graph,
-        Layout::default(),
-        2,
-    );
-    check_threads_agree::<D3Q27>(36, Variant::FusedAll, ExecMode::Graph, Layout::default(), 2);
-}
-
-#[test]
-fn bit_identity_across_layouts_and_threads() {
-    // The two axes compose: a tiled 8-thread engine must still match the
-    // SoA 1-thread reference bit for bit (logical comparison is
-    // layout-blind).
-    for layout in [Layout::CellAoS, Layout::Tiled { width: 32 }] {
-        check_threads_agree::<D3Q19>(37, Variant::FusedAll, ExecMode::Eager, layout, 2);
-    }
+    check_threads_agree::<D3Q19>(34, Variant::FusedAll, ExecMode::Graph, 3);
+    check_threads_agree::<D3Q19>(35, Variant::ModifiedBaseline, ExecMode::Graph, 2);
+    check_threads_agree::<D3Q27>(36, Variant::FusedAll, ExecMode::Graph, 2);
 }
 
 #[test]
@@ -137,7 +107,7 @@ fn staged_path_is_bit_identical_on_one_thread() {
             grid_digest(&staged.grid),
             "{what}"
         );
-        assert_logical_bits_identical(&serial, &staged, &what);
+        assert_bits_identical(&serial, &staged, &what);
     }
 }
 
@@ -150,4 +120,51 @@ fn digests_discriminate_different_states() {
     a.run(1);
     b.run(1);
     assert_ne!(grid_digest(&a.grid), grid_digest(&b.grid));
+}
+
+/// Runs the two-level lid-driven box (n=32, near-wall band 4, BGK ω=1.7,
+/// `FusedAll`, 1 warm-up + 4 coarse steps) and returns its state digest.
+fn lid_box_digest<V: VelocitySet>(block_size: usize) -> u64 {
+    use lbm_refinement::core::{presets, Boundary, Engine, GridSpec, MultiGrid};
+    use lbm_refinement::gpu::{DeviceModel, Executor};
+    use lbm_refinement::lattice::Bgk;
+    use lbm_refinement::sparse::{Box3, Coord};
+    let n = 32usize;
+    let domain = Box3::from_dims(n, n, n);
+    let refine = presets::near_walls(domain, 2, 4, [true, true, true]);
+    let spec = GridSpec::new(2, domain, refine).with_block_size(block_size);
+    let bc = move |level: u32, src: Coord, _dir: usize| {
+        if src.y >= (n as i32) >> (1 - level) {
+            Boundary::MovingWall {
+                velocity: [0.05, 0.0, 0.0],
+            }
+        } else {
+            Boundary::BounceBack
+        }
+    };
+    let grid = MultiGrid::<f64, V>::build(spec, &bc, 1.7);
+    let mut eng = Engine::builder(grid)
+        .collision(Bgk::new(1.7))
+        .variant(Variant::FusedAll)
+        .build(Executor::sequential(DeviceModel::a100_40gb()));
+    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.0; 3]);
+    eng.run(1 + 4);
+    grid_digest(&eng.grid)
+}
+
+#[test]
+fn golden_digests_of_the_lid_driven_box() {
+    // Pinned final-state digests of the block-SoA engine (the same
+    // traversal `lbm_bench::grid_digest` prints). Any change to kernel
+    // arithmetic, scatter order or population indexing moves them.
+    let cases: [(fn(usize) -> u64, usize, &str); 4] = [
+        (lid_box_digest::<D3Q19>, 4, "f56c29a849c37c4d"),
+        (lid_box_digest::<D3Q27>, 4, "b27a57622eb50e49"),
+        (lid_box_digest::<D3Q19>, 8, "aad1ee9d95c96895"),
+        (lid_box_digest::<D3Q27>, 8, "4297b84c4eabdefd"),
+    ];
+    for (digest, block_size, expect) in cases {
+        let got = format!("{:016x}", digest(block_size));
+        assert_eq!(got, expect, "B={block_size}");
+    }
 }

@@ -4,13 +4,13 @@
 
 mod common;
 
-use common::{assert_bits_identical, assert_logical_bits_identical, mode_engine, seeded_engine};
+use common::{assert_bits_identical, mode_engine};
 use lbm_refinement::core::{Engine, ExecMode, MultiGrid, Variant};
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, VelocitySet, D3Q19, D3Q27};
 use lbm_refinement::problems::sphere::{SphereConfig, SphereFlow};
 use lbm_refinement::problems::tunnel_boundary;
-use lbm_refinement::sparse::{Coord, Layout};
+use lbm_refinement::sparse::Coord;
 
 fn low_re_flow() -> SphereFlow {
     let mut c = SphereConfig::for_size([36, 24, 36]);
@@ -168,68 +168,6 @@ fn graph_mode_bit_identical_to_eager_d3q27() {
             check_modes_agree::<D3Q27>(seed, variant, 2);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Memory layouts: the layout strategy only permutes where each population
-// lives inside a block, so every layout must compute bit-identical logical
-// state and declare identical traffic. Raw slices differ by construction —
-// the comparison reads back per `(block, direction, cell)` through the
-// accessor API (tests/common's `assert_logical_bits_identical`).
-
-/// Runs one seeded geometry under every layout and checks logical state
-/// and declared traffic against the block-SoA reference.
-fn check_layouts_agree<V: VelocitySet>(seed: u64, variant: Variant, mode: ExecMode, steps: usize) {
-    let layouts = [
-        Layout::BlockSoA,
-        Layout::CellAoS,
-        Layout::Tiled { width: 32 },
-    ];
-    let mut engines: Vec<_> = layouts
-        .iter()
-        .map(|&l| seeded_engine::<V>(seed, variant, mode, l))
-        .collect();
-    for eng in &mut engines {
-        eng.run(steps);
-    }
-    let (a, rest) = engines.split_first().unwrap();
-    for (k, b) in rest.iter().enumerate() {
-        let what = format!(
-            "seed {seed} {} {} {mode:?}: {:?} vs {:?}",
-            variant.name(),
-            V::NAME,
-            layouts[0],
-            layouts[k + 1]
-        );
-        assert_logical_bits_identical(a, b, &what);
-        // The layout changes coalescing (modeled stall time), never the
-        // declared traffic or the kernel count.
-        let ta = a.exec.profiler().total();
-        let tb = b.exec.profiler().total();
-        assert_eq!(ta.launches, tb.launches, "{what}: launches");
-        assert_eq!(ta.bytes_read, tb.bytes_read, "{what}: bytes read");
-        assert_eq!(ta.bytes_written, tb.bytes_written, "{what}: bytes written");
-        assert_eq!(ta.atomic_bytes, tb.atomic_bytes, "{what}: atomic bytes");
-    }
-}
-
-#[test]
-fn layouts_bit_identical_d3q19_all_variants() {
-    for variant in Variant::ALL {
-        check_layouts_agree::<D3Q19>(21, variant, ExecMode::Eager, 2);
-    }
-}
-
-#[test]
-fn layouts_bit_identical_d3q27() {
-    check_layouts_agree::<D3Q27>(22, Variant::FusedAll, ExecMode::Eager, 2);
-    check_layouts_agree::<D3Q27>(23, Variant::ModifiedBaseline, ExecMode::Eager, 2);
-}
-
-#[test]
-fn layouts_bit_identical_under_graph_mode() {
-    check_layouts_agree::<D3Q19>(24, Variant::FusedAll, ExecMode::Graph, 2);
-    check_layouts_agree::<D3Q27>(25, Variant::FusedAll, ExecMode::Graph, 2);
 }
 
 #[test]
