@@ -5,26 +5,22 @@
 //! ```
 //!
 //! Experiments: `fig2`, `ghost`, `fig7`, `compare`, `uniform`, `table1`,
-//! `fig9`, `fig1`, `bench-json`, `graph`, or `all`. Sizes default to
-//! host-runnable scales (DESIGN.md §2); `--paper-scale` where supported
-//! evaluates the paper's full-size domains through the memory model.
-//! `bench-json` writes the interior-fast-path comparison to
-//! `BENCH_streaming.json`; `graph` compares eager vs wave-scheduled
-//! execution and writes `BENCH_graph.json` plus a chrome://tracing file
-//! `BENCH_graph_trace.json`; `checkpoint` measures snapshot save/load and the
-//! interrupt/resume bit-identity gate and writes `BENCH_checkpoint.json`.
+//! `fig9`, `fig1`, `structure`, or `all`. Sizes default to host-runnable
+//! scales (DESIGN.md §2); `--paper-scale` where supported evaluates the
+//! paper's full-size domains through the memory model.
 
 use std::time::Instant;
 
-use lbm_bench::{cavity_case, checkpoint_case, graph_case, sphere_case, stream_kernel_compare, streaming_case, table1_row, CaseResult, CheckpointCaseResult, ThreadSweepResult, thread_sweep_case};
+use lbm_bench::{cavity_case, sphere_case, table1_row, time_engine};
 use lbm_compare::PalabosLike;
-use lbm_core::{alg1_graph, memory_report, step_graph, ExecMode, InteriorPath, MultiGrid, Variant};
+use lbm_core::{alg1_graph, memory_report, step_graph, AllWalls, Engine, GridSpec, MultiGrid, Variant};
 use lbm_gpu::{max_uniform_cube, DeviceModel, Executor};
-use lbm_lattice::D3Q19;
+use lbm_lattice::{Bgk, D3Q19};
 use lbm_problems::airplane::{AirplaneConfig, AirplaneFlow};
 use lbm_problems::cavity::{Cavity, CavityConfig};
 use lbm_problems::diagnostics;
 use lbm_problems::sphere::{SphereConfig, SphereFlow};
+use lbm_sparse::{Box3, Coord, SpaceFillingCurve};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,10 +36,7 @@ fn main() {
         "table1" => table1(),
         "fig9" => fig9(),
         "fig1" => fig1(paper_scale),
-        "bench-json" => bench_json(),
-        "graph" => graph_report(),
-        "thread-sweep" => thread_sweep(),
-        "checkpoint" => checkpoint_report(),
+        "structure" => structure(),
         "all" => {
             fig2();
             ghost();
@@ -53,10 +46,11 @@ fn main() {
             table1();
             fig9();
             fig1(false);
+            structure();
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose from: fig2 ghost fig7 compare uniform table1 fig9 fig1 bench-json graph thread-sweep checkpoint all");
+            eprintln!("choose from: fig2 ghost fig7 compare uniform table1 fig9 fig1 structure all");
             std::process::exit(2);
         }
     }
@@ -320,380 +314,38 @@ fn fig9() {
     }
 }
 
-/// Interior fast-path comparison → `BENCH_streaming.json`.
-///
-/// Runs every [`InteriorPath`] on an interior-dominated uniform cavity
-/// (where the direction-major offset-table path's ≥1.5× measured-MLUPS
-/// target is defined) and on a refined cavity (where the interface
-/// machinery must stay neutral), then writes the machine-readable record
-/// the CI check consumes. Modeled MLUPS must agree across paths: the
-/// device model prices the kernel's declared traffic, which the path
-/// choice does not change.
-fn bench_json() {
-    banner("Interior streaming fast path — BENCH_streaming.json");
-    let paths = [InteriorPath::DirMajor, InteriorPath::General];
-
-    // Headline: the streaming kernel in isolation (collision and interface
-    // kernels are path-independent and would only dilute the ratio),
-    // interleaved best-of-rounds against this machine's timing drift.
-    let (kernel_n, kernel_rounds, kernel_iters) = (128, 6, 6);
-    let kernel = stream_kernel_compare(kernel_n, kernel_rounds, kernel_iters);
+/// §V data-structure ablation: space-filling-curve block ordering ×
+/// memory block size (2³ is the waLBerla-like granularity) on a 64³ box
+/// refined to 2 levels inside a sphere, BGK D3Q19, fused variant 4f.
+fn structure() {
+    banner("§V — block ordering × block size (sphere-refined 64³ box, 4f)");
     println!(
-        "\nstream kernel only (uniform box n={kernel_n}, best of {kernel_rounds} \
-         interleaved rounds x {kernel_iters} iters):"
+        "{:<8} {:>3} {:>10} {:>14}",
+        "curve", "B", "MLUPS", "modeled MLUPS"
     );
-    println!("{:<12} {:>12}", "path", "MLUPS");
-    for (p, m) in &kernel {
-        println!("{:<12} {:>12.2}", p.name(), m);
-    }
-    let kget = |p: InteriorPath| kernel.iter().find(|(q, _)| *q == p).unwrap().1;
-    let (kdm, kgen) = (kget(InteriorPath::DirMajor), kget(InteriorPath::General));
-    println!("dir-major kernel speedup: {:.2}x vs general", kdm / kgen);
-
-    let cases: [(&str, usize, u32, usize); 2] = [("uniform", 64, 1, 12), ("refined", 48, 2, 8)];
-    let case_rounds = 3;
-    let mut case_objs = Vec::new();
-    for (label, n, levels, steps) in cases {
-        // Whole-engine runs are interleaved best-of-rounds for the same
-        // reason the kernel headline is: the collision/interface work that
-        // dilutes the ratio is also what this machine's timing drift hides
-        // behind.
-        let mut results: Vec<(InteriorPath, CaseResult)> = paths
-            .iter()
-            .map(|&p| (p, streaming_case(n, levels, p, 2, steps)))
-            .collect();
-        for _ in 1..case_rounds {
-            for (p, best) in results.iter_mut() {
-                let r = streaming_case(n, levels, *p, 1, steps);
-                if r.measured_mlups > best.measured_mlups {
-                    *best = r;
-                }
-            }
-        }
-        println!(
-            "\n{label} cavity (n={n}, levels={levels}, {steps} steps, best of {case_rounds} rounds):"
-        );
-        println!("{:<12} {:>12} {:>14}", "path", "MLUPS", "modeled MLUPS");
-        for (p, r) in &results {
+    for curve in SpaceFillingCurve::ALL {
+        for block in [2usize, 4, 8, 16] {
+            let spec = GridSpec::new(2, Box3::from_dims(64, 64, 64), |l, p| {
+                l == 0 && (p - Coord::new(16, 16, 16)).norm2() < 121.0
+            })
+            .with_curve(curve)
+            .with_block_size(block);
+            let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, 1.6);
+            let mut eng = Engine::builder(grid)
+                .collision(Bgk::new(1.6))
+                .variant(Variant::FusedAll)
+                .build(Executor::new(DeviceModel::a100_40gb()));
+            eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.0, 0.0]);
+            let r = time_engine(format!("{} B={block}", curve.name()), &mut eng, 1, 4);
             println!(
-                "{:<12} {:>12.2} {:>14.1}",
-                p.name(),
+                "{:<8} {:>3} {:>10.2} {:>14.1}",
+                curve.name(),
+                block,
                 r.measured_mlups,
                 r.modeled_mlups
             );
         }
-        let get = |p: InteriorPath| &results.iter().find(|(q, _)| *q == p).unwrap().1;
-        let dm = get(InteriorPath::DirMajor);
-        let gen = get(InteriorPath::General);
-        println!(
-            "dir-major speedup: {:.2}x vs general (modeled ratio vs general: {:.3})",
-            dm.measured_mlups / gen.measured_mlups,
-            dm.modeled_mlups / gen.modeled_mlups,
-        );
-        let path_objs: Vec<String> = results
-            .iter()
-            .map(|(p, r)| {
-                format!(
-                    "      {{ \"path\": \"{}\", \"measured_mlups\": {:.3}, \
-                     \"modeled_mlups\": {:.3}, \"wall_s\": {:.6} }}",
-                    p.name(),
-                    r.measured_mlups,
-                    r.modeled_mlups,
-                    r.wall.as_secs_f64()
-                )
-            })
-            .collect();
-        case_objs.push(format!(
-            "    {{\n      \"case\": \"{label}\", \"n\": {n}, \"levels\": {levels}, \
-             \"steps\": {steps},\n      \"paths\": [\n{}\n      ],\n      \
-             \"speedup_measured_dir_major_vs_general\": {:.4},\n      \
-             \"modeled_ratio_dir_major_vs_general\": {:.4}\n    }}",
-            path_objs.join(",\n"),
-            dm.measured_mlups / gen.measured_mlups,
-            dm.modeled_mlups / gen.modeled_mlups,
-        ));
     }
-    let kernel_objs: Vec<String> = kernel
-        .iter()
-        .map(|(p, m)| format!("      {{ \"path\": \"{}\", \"measured_mlups\": {:.3} }}", p.name(), m))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"streaming_fastpath\",\n  \"device_model\": \"a100_40gb\",\n  \
-         \"stream_kernel\": {{\n    \"case\": \"uniform box n={kernel_n} B=8, stream kernel only, \
-         best of {kernel_rounds} interleaved rounds\",\n    \
-         \"iters\": {kernel_iters},\n    \"paths\": [\n{}\n    ],\n    \
-         \"speedup_dir_major_vs_general\": {:.4}\n  }},\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        kernel_objs.join(",\n"),
-        kdm / kgen,
-        case_objs.join(",\n")
-    );
-    std::fs::write("BENCH_streaming.json", &json).unwrap();
-    println!("\nwrote BENCH_streaming.json");
-}
-
-/// Eager vs wave-scheduled graph execution → `BENCH_graph.json` and the
-/// chrome://tracing span file `BENCH_graph_trace.json`.
-///
-/// Both modes execute the same unified step program; the graph mode
-/// replaces the per-kernel barriers with the `Schedule::from_graph` wave
-/// plan, so its measured sync count per step must equal the schedule's —
-/// the CI smoke check asserts the `sync_match` field this writes.
-fn graph_report() {
-    banner("Graph execution — eager vs wave-scheduled (BENCH_graph.json)");
-    let (n, levels, warmup, steps) = (48usize, 3u32, 2usize, 8usize);
-    let mut case_objs = Vec::new();
-    let mut trace: Option<String> = None;
-    for variant in [Variant::ModifiedBaseline, Variant::FusedAll] {
-        let (eager, einfo) = graph_case(n, levels, variant, ExecMode::Eager, warmup, steps);
-        let (graphr, ginfo) = graph_case(n, levels, variant, ExecMode::Graph, warmup, steps);
-        let eager_syncs = eager.syncs as f64 / steps as f64;
-        let graph_syncs = graphr.syncs as f64 / steps as f64;
-        let sync_match = graphr.syncs == (ginfo.schedule_syncs * steps) as u64;
-        let wave_match = ginfo.waves == (ginfo.schedule_waves * steps) as u64;
-        println!(
-            "\ncavity n={n} L={levels} {} — schedule: {} kernels, {} waves, {} syncs per step",
-            variant.name(),
-            ginfo.schedule_kernels,
-            ginfo.schedule_waves,
-            ginfo.schedule_syncs,
-        );
-        println!(
-            "{:<8} {:>12} {:>14} {:>12} {:>12}",
-            "mode", "MLUPS", "modeled MLUPS", "syncs/step", "waves/step"
-        );
-        println!(
-            "{:<8} {:>12.2} {:>14.1} {:>12.1} {:>12}",
-            "eager", eager.measured_mlups, eager.modeled_mlups, eager_syncs, "-"
-        );
-        println!(
-            "{:<8} {:>12.2} {:>14.1} {:>12.1} {:>12.1}",
-            "graph",
-            graphr.measured_mlups,
-            graphr.modeled_mlups,
-            graph_syncs,
-            ginfo.waves as f64 / steps as f64
-        );
-        println!(
-            "sync check: measured {} == schedule {} x {} steps: {}",
-            graphr.syncs,
-            ginfo.schedule_syncs,
-            steps,
-            if sync_match { "OK" } else { "MISMATCH" }
-        );
-        println!("\nper-wave summary (one traced step):");
-        println!("{}", ginfo.wave_summary);
-
-        // Per-wave span aggregation of the traced step.
-        let mut waves: Vec<(u32, u64, u64, f64)> = Vec::new(); // (wave, kernels, bytes, wall_us)
-        for s in &ginfo.spans {
-            let w = s.wave.unwrap_or(u32::MAX);
-            match waves.iter_mut().find(|(id, ..)| *id == w) {
-                Some((_, k, b, t)) => {
-                    *k += 1;
-                    *b += s.bytes;
-                    *t += s.dur_us;
-                }
-                None => waves.push((w, 1, s.bytes, s.dur_us)),
-            }
-        }
-        waves.sort_by_key(|(id, ..)| *id);
-        let wave_objs: Vec<String> = waves
-            .iter()
-            .map(|(id, k, b, t)| {
-                format!(
-                    "        {{ \"wave\": {id}, \"kernels\": {k}, \"bytes\": {b}, \
-                     \"wall_us\": {t:.3} }}"
-                )
-            })
-            .collect();
-        case_objs.push(format!(
-            "    {{\n      \"case\": \"cavity n={n} L={levels} {}\",\n      \
-             \"schedule\": {{ \"kernels\": {}, \"waves\": {}, \"syncs\": {} }},\n      \
-             \"eager\": {{ \"measured_mlups\": {:.3}, \"modeled_mlups\": {:.3}, \
-             \"syncs_per_step\": {:.1}, \"launches_per_step\": {:.1} }},\n      \
-             \"graph\": {{ \"measured_mlups\": {:.3}, \"modeled_mlups\": {:.3}, \
-             \"syncs_per_step\": {:.1}, \"waves_per_step\": {:.1}, \
-             \"spans_per_step\": {} }},\n      \
-             \"sync_match\": {sync_match},\n      \"wave_match\": {wave_match},\n      \
-             \"waves\": [\n{}\n      ]\n    }}",
-            variant.name(),
-            ginfo.schedule_kernels,
-            ginfo.schedule_waves,
-            ginfo.schedule_syncs,
-            eager.measured_mlups,
-            eager.modeled_mlups,
-            eager_syncs,
-            eager.launches_per_step(),
-            graphr.measured_mlups,
-            graphr.modeled_mlups,
-            graph_syncs,
-            ginfo.waves as f64 / steps as f64,
-            ginfo.spans.len(),
-            wave_objs.join(",\n"),
-        ));
-        // Keep the chrome trace of the most fused graph run (the last).
-        trace = Some(ginfo.chrome_trace);
-        let _ = einfo; // eager spans are recorded but not exported
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"graph_exec\",\n  \"device_model\": \"a100_40gb\",\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        case_objs.join(",\n")
-    );
-    std::fs::write("BENCH_graph.json", &json).unwrap();
-    std::fs::write("BENCH_graph_trace.json", trace.unwrap()).unwrap();
-    println!("\nwrote BENCH_graph.json and BENCH_graph_trace.json");
-}
-
-/// Block-parallel kernel execution sweep → `BENCH_parallel.json`.
-///
-/// Runs the refined cavity at 1/2/4/8 pool threads and digests the final
-/// state of each run: the staged deterministic Accumulate (DESIGN.md §10)
-/// makes every digest bit-identical regardless of thread count — the
-/// `digests_match` field is what CI gates on. Speedups are reported
-/// honestly for this host and are **not** gated: they are entirely
-/// machine-dependent (a single-core container pays pool overhead and shows
-/// ≈1x or below; see EXPERIMENTS.md).
-fn thread_sweep() {
-    banner("Block-parallel execution — thread sweep (BENCH_parallel.json)");
-    let (n, levels, warmup, steps) = (48usize, 2u32, 1usize, 6usize);
-    let counts = [1usize, 2, 4, 8];
-    let host_cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    let results: Vec<ThreadSweepResult> = counts
-        .iter()
-        .map(|&t| thread_sweep_case(n, levels, t, warmup, steps))
-        .collect();
-    let digests_match = results.windows(2).all(|w| w[0].digest == w[1].digest);
-    let base_wall = results[0].case.wall.as_secs_f64();
-    println!(
-        "\ncavity n={n} L={levels}, {steps} steps, host cores: {host_cores}"
-    );
-    println!(
-        "{:>7} {:>10} {:>12} {:>12} {:>7} {:>18}",
-        "threads", "wall s", "speedup vs 1", "MLUPS", "staged", "digest"
-    );
-    for r in &results {
-        println!(
-            "{:>7} {:>10.4} {:>12.2} {:>12.2} {:>7} {:>18}",
-            r.threads,
-            r.case.wall.as_secs_f64(),
-            base_wall / r.case.wall.as_secs_f64(),
-            r.case.measured_mlups,
-            r.staged,
-            r.digest
-        );
-    }
-    println!(
-        "digest gate: {}",
-        if digests_match { "OK (bit-identical at every thread count)" } else { "MISMATCH" }
-    );
-    if host_cores <= 1 {
-        println!("note: single-core host — parallel speedup is not observable here.");
-    }
-    let case_objs: Vec<String> = results
-        .iter()
-        .map(|r| {
-            let ptb: Vec<String> = r.per_thread_blocks.iter().map(u64::to_string).collect();
-            format!(
-                "    {{ \"threads\": {}, \"wall_s\": {:.6}, \"speedup_vs_1\": {:.4}, \
-                 \"measured_mlups\": {:.3}, \"modeled_mlups\": {:.3}, \"staged\": {}, \
-                 \"digest\": \"{}\", \"per_thread_blocks\": [{}] }}",
-                r.threads,
-                r.case.wall.as_secs_f64(),
-                base_wall / r.case.wall.as_secs_f64(),
-                r.case.measured_mlups,
-                r.case.modeled_mlups,
-                r.staged,
-                r.digest,
-                ptb.join(", ")
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"thread_sweep\",\n  \"device_model\": \"a100_40gb\",\n  \
-         \"n\": {n}, \"levels\": {levels}, \"steps\": {steps},\n  \
-         \"host_cores\": {host_cores},\n  \"digests_match\": {digests_match},\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        case_objs.join(",\n")
-    );
-    std::fs::write("BENCH_parallel.json", &json).unwrap();
-    println!("\nwrote BENCH_parallel.json (digests match: {digests_match})");
-}
-
-/// Crash-safe checkpoint/restart equivalence → `BENCH_checkpoint.json`.
-///
-/// Every case runs the refined cavity twice: uninterrupted to the step
-/// target, and interrupted-midway → snapshot to a real file → fresh engine
-/// → restore → finish. The two final-state digests must be bit-identical —
-/// that equality, per case, is what CI gates on. Snapshot sizes and
-/// save/load throughput are reported, not gated (machine-dependent).
-fn checkpoint_report() {
-    banner("Checkpoint/restart — interrupt/resume equivalence (BENCH_checkpoint.json)");
-    let (n, levels, interrupt_at, total) = (32usize, 2u32, 3usize, 7usize);
-    // Both exec modes at 1 and at 8 pool threads.
-    let plan = [
-        (ExecMode::Eager, 1usize),
-        (ExecMode::Graph, 1),
-        (ExecMode::Eager, 8),
-        (ExecMode::Graph, 8),
-    ];
-    let results: Vec<CheckpointCaseResult> = plan
-        .iter()
-        .map(|&(mode, threads)| checkpoint_case(n, levels, mode, threads, interrupt_at, total))
-        .collect();
-    let all_match = results.iter().all(CheckpointCaseResult::digests_match);
-    println!(
-        "\ncavity n={n} L={levels}, interrupt at {interrupt_at}/{total} coarse steps"
-    );
-    println!(
-        "{:>34} {:>12} {:>11} {:>11} {:>6}",
-        "case", "snapshot B", "save MiB/s", "load MiB/s", "match"
-    );
-    for r in &results {
-        println!(
-            "{:>34} {:>12} {:>11.1} {:>11.1} {:>6}",
-            r.label,
-            r.snapshot_bytes,
-            r.save_mib_s(),
-            r.load_mib_s(),
-            r.digests_match()
-        );
-    }
-    println!(
-        "restart gate: {}",
-        if all_match { "OK (resume bit-identical to uninterrupted)" } else { "MISMATCH" }
-    );
-    let case_objs: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"case\": \"{}\", \"snapshot_bytes\": {}, \
-                 \"save_s\": {:.6}, \"load_s\": {:.6}, \
-                 \"save_mib_s\": {:.2}, \"load_mib_s\": {:.2}, \
-                 \"uninterrupted_digest\": \"{}\", \"resume_digest\": \"{}\", \
-                 \"digests_match\": {} }}",
-                r.label,
-                r.snapshot_bytes,
-                r.save_s,
-                r.load_s,
-                r.save_mib_s(),
-                r.load_mib_s(),
-                r.uninterrupted_digest,
-                r.resume_digest,
-                r.digests_match()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"checkpoint\",\n  \"device_model\": \"a100_40gb\",\n  \
-         \"n\": {n}, \"levels\": {levels}, \"interrupt_at\": {interrupt_at}, \
-         \"total_steps\": {total},\n  \"all_match\": {all_match},\n  \
-         \"cases\": [\n{}\n  ]\n}}\n",
-        case_objs.join(",\n")
-    );
-    std::fs::write("BENCH_checkpoint.json", &json).unwrap();
-    println!("\nwrote BENCH_checkpoint.json (all match: {all_match})");
 }
 
 /// Fig. 1 / §VI-B: airplane-tunnel capacity claim.

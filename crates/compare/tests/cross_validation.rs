@@ -111,7 +111,7 @@ fn dense_solver_matches_on_periodic_slab() {
     let mut ours = Engine::builder(grid)
         .collision(Bgk::new(omega0))
         .variant(Variant::ModifiedBaseline)
-        .build(Executor::sequential(DeviceModel::a100_40gb()));
+        .build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
     let u = |l: u32, p: Coord| {
         let s = if l == 0 { 2.0 } else { 1.0 };
         let y = (p.y as f64 + 0.5) * s;

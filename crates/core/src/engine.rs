@@ -408,7 +408,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                     // node order, so any stream width replays the same
                     // per-kernel launch order.
                     let groups = schedule.stream_partition(w, exec.thread_count());
-                    if exec.is_parallel() && groups.len() > 1 {
+                    if groups.len() > 1 {
                         std::thread::scope(|scope| {
                             for (stream, group) in groups.iter().enumerate() {
                                 let ctx = &ctx;

@@ -44,16 +44,6 @@ pub enum InteriorPath {
     General,
 }
 
-impl InteriorPath {
-    /// Stable snake_case label (benchmark reports, JSON output).
-    pub fn name(self) -> &'static str {
-        match self {
-            InteriorPath::DirMajor => "dir_major",
-            InteriorPath::General => "general",
-        }
-    }
-}
-
 /// Read-only views of one level needed by the streaming-family kernels.
 #[derive(Copy, Clone)]
 pub struct StreamInputs<'a, T> {

@@ -88,7 +88,7 @@ fn build<V: VelocitySet>(c: &Case, path: InteriorPath) -> Engine<f64, V, Bgk<f64
         .collision(Bgk::new(c.omega0))
         .variant(variant)
         .interior_path(path)
-        .build(Executor::sequential(DeviceModel::a100_40gb()));
+        .build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
     let u = c.u;
     eng.grid.init_equilibrium(|_, _| 1.0, move |_, _| u);
     // Kick every slot off equilibrium with a deterministic multiplicative
@@ -115,7 +115,9 @@ fn build<V: VelocitySet>(c: &Case, path: InteriorPath) -> Engine<f64, V, Bgk<f64
 }
 
 /// Runs the case under every interior path and asserts the resulting
-/// population buffers are bit-identical on every level.
+/// population buffers are bit-identical on every level, and that both
+/// paths declare the same metered traffic: the path choice is a host
+/// implementation detail the device model must not see.
 fn assert_paths_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
     let paths = [InteriorPath::DirMajor, InteriorPath::General];
     let mut engines: Vec<_> = paths
@@ -140,8 +142,21 @@ fn assert_paths_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
     for eng in &mut engines {
         eng.run(c.steps);
     }
+    let traffic = |e: &Engine<f64, V, Bgk<f64>>| {
+        let t = e.exec.profiler().total();
+        (t.launches, t.bytes_read, t.bytes_written, t.atomic_bytes)
+    };
     let (a, rest) = engines.split_first().unwrap();
     for (k, b) in rest.iter().enumerate() {
+        let (ta, tb) = (traffic(a), traffic(b));
+        if ta != tb {
+            return Err(format!(
+                "paths {:?} and {:?} declare different traffic \
+                 (launches, read, written, atomic): {ta:?} vs {tb:?}",
+                paths[0],
+                paths[k + 1],
+            ));
+        }
         for (l, (la, lb)) in a.grid.levels.iter().zip(&b.grid.levels).enumerate() {
             let sa = la.f.src().as_slice();
             let sb = lb.f.src().as_slice();
@@ -238,7 +253,7 @@ fn interior_paths_bit_identical_uniform() {
                 .collision(Bgk::new(1.5))
                 .variant(variant)
                 .interior_path(p)
-                .build(Executor::sequential(DeviceModel::a100_40gb()));
+                .build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
             eng.grid
                 .init_equilibrium(|_, _| 1.0, |_, p| [0.02 * (p.x as f64 * 0.3).sin(), 0.01, 0.0]);
             eng.run(3);

@@ -19,7 +19,7 @@ fn engine(cfg: impl FnOnce(BuilderOf) -> BuilderOf) -> Eng {
     });
     let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, 1.6);
     let b = Engine::builder(grid).collision(Bgk::new(1.6));
-    let mut eng = cfg(b).build(Executor::sequential(DeviceModel::a100_40gb()));
+    let mut eng = cfg(b).build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
     eng.grid.init_equilibrium(
         |_, _| 1.0,
         |l, p| {

@@ -440,41 +440,6 @@ impl Profiler {
         )
     }
 
-    /// Per-wave text summary of the recorded spans: kernel count, names,
-    /// total declared bytes, and the wave's measured makespan (max end −
-    /// min start over its spans). Eager launches (no wave id) are grouped
-    /// under a trailing "unwaved" line. Empty if tracing was off.
-    pub fn wave_summary(&self) -> String {
-        let spans = self.spans();
-        let mut by_wave: BTreeMap<Option<u32>, Vec<&KernelSpan>> = BTreeMap::new();
-        for s in &spans {
-            by_wave.entry(s.wave).or_default().push(s);
-        }
-        let mut out = String::new();
-        for (wave, group) in &by_wave {
-            let bytes: u64 = group.iter().map(|s| s.bytes).sum();
-            let start = group.iter().map(|s| s.start_us).fold(f64::INFINITY, f64::min);
-            let end = group
-                .iter()
-                .map(|s| s.start_us + s.dur_us)
-                .fold(0.0_f64, f64::max);
-            let names: Vec<&str> = group.iter().map(|s| s.name).collect();
-            let head = match wave {
-                Some(w) => format!("wave {w:>3}"),
-                None => "unwaved ".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "{head}: {:>2} kernels  {:>12} B  makespan {:>9.3} us  [{}]",
-                group.len(),
-                bytes,
-                (end - start).max(0.0),
-                names.join(" ")
-            );
-        }
-        out
-    }
-
     /// Serializes the recorded spans as chrome://tracing JSON (the "trace
     /// event format", `ph: "X"` complete events). Load the file at
     /// `chrome://tracing` or <https://ui.perfetto.dev>. Rows (`tid`) are
@@ -633,9 +598,6 @@ mod tests {
         assert!(json.contains("\"tid\":1"));
         // Timestamps normalize: earliest span starts at ts 0.
         assert!(json.contains("\"ts\":0.000"));
-        let summary = p.wave_summary();
-        assert!(summary.contains("wave   0"));
-        assert!(summary.contains("2 kernels"));
     }
 
     #[test]

@@ -313,7 +313,6 @@ pub struct Executor {
     profiler: Arc<Profiler>,
     device: DeviceModel,
     pool: Arc<ThreadPool>,
-    parallel: bool,
 }
 
 impl Executor {
@@ -330,28 +329,17 @@ impl Executor {
             profiler: Arc::new(Profiler::new()),
             device,
             pool: Arc::new(ThreadPool::new(threads)),
-            parallel: true,
         }
     }
 
-    /// Executor with an explicit pool width.
+    /// Executor with an explicit pool width. One thread executes every
+    /// launch in block order on the calling thread: the sequential executor
+    /// of debugging tests and of comparators modeling unoptimized codes.
     pub fn with_threads(device: DeviceModel, threads: usize) -> Self {
         Self {
             profiler: Arc::new(Profiler::new()),
             device,
             pool: Arc::new(ThreadPool::new(threads)),
-            parallel: threads > 1,
-        }
-    }
-
-    /// Single-threaded executor — deterministic execution order, used by
-    /// debugging tests and by comparators that model unoptimized codes.
-    pub fn sequential(device: DeviceModel) -> Self {
-        Self {
-            profiler: Arc::new(Profiler::new()),
-            device,
-            pool: Arc::new(ThreadPool::new(1)),
-            parallel: false,
         }
     }
 
@@ -363,12 +351,6 @@ impl Executor {
     /// The modeled device.
     pub fn device(&self) -> &DeviceModel {
         &self.device
-    }
-
-    /// Whether launches may be dispatched concurrently (pool width and
-    /// graph-mode streams).
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// Number of pool threads executing each launch (including the
@@ -438,48 +420,6 @@ impl Executor {
             .record_launch(name, cost, t0.elapsed().as_secs_f64() * 1e6);
     }
 
-    /// Launches a kernel that mutates **two** destination arrays in disjoint
-    /// per-block chunks (e.g. fused kernels writing populations and a
-    /// macroscopic field). The closure receives
-    /// `(block_index, chunk_a, chunk_b)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_mut2<T, U, F>(
-        &self,
-        name: &'static str,
-        a: &mut [T],
-        stride_a: usize,
-        b: &mut [U],
-        stride_b: usize,
-        cost: LaunchCost,
-        f: F,
-    ) where
-        T: Send,
-        U: Send,
-        F: Fn(u32, &mut [T], &mut [U]) + Sync,
-    {
-        assert!(stride_a > 0 && a.len().is_multiple_of(stride_a), "a not block-aligned");
-        assert!(stride_b > 0 && b.len().is_multiple_of(stride_b), "b not block-aligned");
-        assert_eq!(a.len() / stride_a, b.len() / stride_b, "block count mismatch");
-        let n_blocks = a.len() / stride_a;
-        let t0 = Instant::now();
-        let pa = SendPtr(a.as_mut_ptr());
-        let pb = SendPtr(b.as_mut_ptr());
-        let executed = self.pool.run(n_blocks as u32, &|i: u32| {
-            // SAFETY: as in `launch_mut`, per-block ranges are disjoint and
-            // in-bounds in both arrays.
-            let (ca, cb) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(pa.get().add(i as usize * stride_a), stride_a),
-                    std::slice::from_raw_parts_mut(pb.get().add(i as usize * stride_b), stride_b),
-                )
-            };
-            f(i, ca, cb);
-        });
-        self.record_balance(n_blocks, &executed);
-        self.profiler
-            .record_launch(name, cost, t0.elapsed().as_secs_f64() * 1e6);
-    }
-
     /// Records a synchronization point between dependent kernels.
     ///
     /// Execution here is synchronous, so this is pure accounting — but it is
@@ -534,24 +474,9 @@ mod tests {
     }
 
     #[test]
-    fn launch_mut2_zips_blocks() {
-        let ex = Executor::default();
-        let mut a = vec![0u32; 4 * 8];
-        let mut b = vec![0f64; 4 * 2];
-        ex.launch_mut2("k", &mut a, 8, &mut b, 2, LaunchCost::default(), |i, ca, cb| {
-            ca.fill(i);
-            cb.fill(i as f64 * 0.5);
-        });
-        assert_eq!(a[3 * 8], 3);
-        assert_eq!(b[3 * 2], 1.5);
-    }
-
-    #[test]
     fn sequential_mode_matches_parallel() {
         let par = Executor::default();
-        let seq = Executor::sequential(DeviceModel::a100_40gb());
-        assert!(par.is_parallel());
-        assert!(!seq.is_parallel());
+        let seq = Executor::with_threads(DeviceModel::a100_40gb(), 1);
         assert_eq!(seq.thread_count(), 1);
         let mut d1 = vec![0u64; 64];
         let mut d2 = vec![0u64; 64];
@@ -580,7 +505,7 @@ mod tests {
     #[test]
     fn launch_mut_is_identical_across_thread_counts() {
         let reference: Vec<u64> = {
-            let ex = Executor::sequential(DeviceModel::a100_40gb());
+            let ex = Executor::with_threads(DeviceModel::a100_40gb(), 1);
             let mut d = vec![0u64; 32 * 16];
             ex.launch_mut("k", &mut d, 16, LaunchCost::default(), |b, c| {
                 for (i, v) in c.iter_mut().enumerate() {

@@ -145,7 +145,7 @@ mod tests {
         let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, 1.0);
         let mut eng = lbm_core::Engine::builder(grid)
             .collision(lbm_lattice::Bgk::new(1.0))
-            .build(Executor::sequential(DeviceModel::a100_40gb()));
+            .build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
         eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.0; 3]);
         eng
     }

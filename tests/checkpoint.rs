@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{assert_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
+use common::{assert_bits_identical, grid_digest, refined_cavity, seeded_engine_with, EngineOpts};
 use lbm_refinement::core::{
     CheckpointError, Engine, ExecMode, GridSpec, HealthAction, HealthCause, HealthGuard,
     HealthPolicy, MultiGrid, Variant,
@@ -77,6 +77,58 @@ fn restart_is_bit_identical_with_thread_pool() {
             ..EngineOpts::default()
         };
         restart_case::<D3Q19>(7, opts, 6, 3, &format!("threads={threads}"));
+    }
+}
+
+/// The refined cavity (n=32, 2 levels) interrupted at coarse step 3 of 7:
+/// its snapshot goes through a real file into a fresh engine, for both
+/// execution modes at 1 and 8 pool threads. The snapshot size and the
+/// final digest of the resumed and the uninterrupted run are pinned.
+#[test]
+fn refined_cavity_resumes_from_a_snapshot_file() {
+    let (interrupt_at, total) = (3usize, 7usize);
+    let cavity = refined_cavity(32);
+    for mode in [ExecMode::Eager, ExecMode::Graph] {
+        for threads in [1usize, 8] {
+            let what = format!("{mode:?} threads={threads}");
+            let mk = || {
+                cavity.engine_with(
+                    Variant::FusedAll,
+                    Executor::with_threads(DeviceModel::a100_40gb(), threads),
+                    |b| b.exec_mode(mode),
+                )
+            };
+            let mut reference = mk();
+            reference.run(total);
+
+            let mut interrupted = mk();
+            interrupted.run(interrupt_at);
+            let blob = interrupted.checkpoint();
+            drop(interrupted);
+            assert_eq!(blob.len(), 3_275_872, "{what}: snapshot bytes");
+            let path = std::env::temp_dir().join(format!(
+                "lbm_ckpt_{}_{mode:?}_{threads}.bin",
+                std::process::id()
+            ));
+            std::fs::write(&path, &blob).expect("snapshot write");
+            let bytes = std::fs::read(&path).expect("snapshot read");
+            let _ = std::fs::remove_file(&path);
+
+            let mut resumed = mk();
+            resumed
+                .restore(&bytes)
+                .unwrap_or_else(|e| panic!("{what}: restore failed: {e}"));
+            assert_eq!(resumed.coarse_steps(), interrupt_at as u64, "{what}");
+            resumed.run(total - interrupt_at);
+
+            for (run, eng) in [("uninterrupted", &reference), ("resumed", &resumed)] {
+                assert_eq!(
+                    format!("{:016x}", grid_digest(&eng.grid)),
+                    "5360bc1f1933114d",
+                    "{what}: {run} digest"
+                );
+            }
+        }
     }
 }
 
@@ -158,7 +210,7 @@ fn snapshot_rejects_structural_mismatch() {
     let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, 1.6);
     let mut uniform = Engine::builder(grid)
         .collision(Bgk::new(1.6))
-        .build(Executor::sequential(DeviceModel::a100_40gb()));
+        .build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
     let err = uniform.restore(&blob).unwrap_err();
     assert!(
         matches!(err, CheckpointError::Mismatch(_)),

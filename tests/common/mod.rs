@@ -1,7 +1,8 @@
 //! Shared harness for the integration suites: seeded random 2-level
-//! geometries, engine construction over every execution knob (mode, thread
-//! count, Accumulate path), bit-level field comparison, and the
-//! canonical FNV-1a state digest the determinism suite pins on.
+//! geometries, the refined lid-driven cavity of the golden-digest tests,
+//! engine construction over every execution knob (mode, thread count,
+//! Accumulate path), bit-level field comparison, and the canonical FNV-1a
+//! state digest the determinism suite pins on.
 //!
 //! Everything here is deterministic by construction — no ambient RNG, no
 //! wall-clock — so any two engines built from the same seed start from the
@@ -11,6 +12,7 @@
 use lbm_refinement::core::{AllWalls, Engine, ExecMode, GridSpec, HealthGuard, MultiGrid, Variant};
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, VelocitySet};
+use lbm_refinement::problems::cavity::{Cavity, CavityConfig};
 use lbm_refinement::sparse::Box3;
 
 /// Deterministic xorshift64*: the tests must not depend on ambient RNG.
@@ -37,13 +39,27 @@ pub fn random_box(seed: u64) -> ([i32; 3], [i32; 3]) {
     (lo, hi)
 }
 
+/// The quasi-2D lid-driven cavity with `n` finest cells per side, refined
+/// to 2 levels in a 4-cell wall band, 8 cells deep: the workload of the
+/// golden-digest thread-sweep and snapshot-file restart tests.
+pub fn refined_cavity(n: usize) -> Cavity {
+    Cavity::new(CavityConfig {
+        n_finest: n,
+        levels: 2,
+        wall_band: 4,
+        quasi_2d: true,
+        depth: 8,
+        ..CavityConfig::default()
+    })
+}
+
 /// Execution knobs for [`seeded_engine_with`]; `Default` reproduces the
 /// original single-thread sequential configuration.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct EngineOpts {
     /// Eager or wave-scheduled graph execution.
     pub mode: ExecMode,
-    /// Kernel-pool width (`None` keeps the sequential executor's 1).
+    /// Kernel-pool width (`None`: one thread, the sequential executor).
     pub threads: Option<usize>,
     /// Accumulate-path override (`None` keeps the engine default:
     /// staged iff more than one thread).
@@ -77,11 +93,10 @@ pub fn seeded_engine_with<V: VelocitySet>(
     if let Some(g) = opts.health {
         b = b.health(g);
     }
-    let device = DeviceModel::a100_40gb();
-    let mut eng = b.build(match opts.threads {
-        Some(t) => Executor::with_threads(device, t),
-        None => Executor::sequential(device),
-    });
+    let mut eng = b.build(Executor::with_threads(
+        DeviceModel::a100_40gb(),
+        opts.threads.unwrap_or(1),
+    ));
     eng.grid.init_equilibrium(
         |_, _| 1.0,
         move |l, p| {
@@ -132,9 +147,7 @@ pub fn assert_bits_identical<V: VelocitySet>(
 
 /// FNV-1a digest of every active population of every level, folded in
 /// canonical `(level, block, component, cell)` accessor order over the
-/// source half — the same traversal `lbm_bench::grid_digest` uses, so a
-/// digest printed by `report -- thread-sweep` is comparable to one from
-/// the test suite.
+/// source half. Golden digests are pinned as its 16-digit hex rendering.
 pub fn grid_digest<V: VelocitySet>(grid: &MultiGrid<f64, V>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for level in &grid.levels {

@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{assert_bits_identical, grid_digest, seeded_engine_with, EngineOpts};
+use common::{assert_bits_identical, grid_digest, refined_cavity, seeded_engine_with, EngineOpts};
 use lbm_refinement::core::{ExecMode, Variant};
 use lbm_refinement::lattice::{VelocitySet, D3Q19, D3Q27};
 
@@ -146,7 +146,7 @@ fn lid_box_digest<V: VelocitySet>(block_size: usize) -> u64 {
     let mut eng = Engine::builder(grid)
         .collision(Bgk::new(1.7))
         .variant(Variant::FusedAll)
-        .build(Executor::sequential(DeviceModel::a100_40gb()));
+        .build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
     eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.0; 3]);
     eng.run(1 + 4);
     grid_digest(&eng.grid)
@@ -154,9 +154,8 @@ fn lid_box_digest<V: VelocitySet>(block_size: usize) -> u64 {
 
 #[test]
 fn golden_digests_of_the_lid_driven_box() {
-    // Pinned final-state digests of the block-SoA engine (the same
-    // traversal `lbm_bench::grid_digest` prints). Any change to kernel
-    // arithmetic, scatter order or population indexing moves them.
+    // Pinned final-state digests of the block-SoA engine. Any change to
+    // kernel arithmetic, scatter order or population indexing moves them.
     let cases: [(fn(usize) -> u64, usize, &str); 4] = [
         (lid_box_digest::<D3Q19>, 4, "f56c29a849c37c4d"),
         (lid_box_digest::<D3Q27>, 4, "b27a57622eb50e49"),
@@ -166,5 +165,27 @@ fn golden_digests_of_the_lid_driven_box() {
     for (digest, block_size, expect) in cases {
         let got = format!("{:016x}", digest(block_size));
         assert_eq!(got, expect, "B={block_size}");
+    }
+}
+
+#[test]
+fn golden_digest_of_the_refined_cavity_at_every_pool_width() {
+    // The refined cavity (n=48, 2 levels, `FusedAll`, 7 coarse steps) on
+    // the default Accumulate path of each pool width: serial atomic at one
+    // thread, staged scatter + ordered merge above. Both must land on the
+    // same pinned bits.
+    use lbm_refinement::gpu::{DeviceModel, Executor};
+    let cavity = refined_cavity(48);
+    for threads in [1usize, 2, 4, 8] {
+        let mut eng = cavity.engine(
+            Variant::FusedAll,
+            Executor::with_threads(DeviceModel::a100_40gb(), threads),
+        );
+        eng.run(7);
+        assert_eq!(
+            format!("{:016x}", grid_digest(&eng.grid)),
+            "8459027d11cbd77d",
+            "threads={threads}"
+        );
     }
 }

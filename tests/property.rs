@@ -59,11 +59,10 @@ fn build_engine_threads(
     if let Some(s) = staged {
         b = b.staged_accumulate(s);
     }
-    let device = DeviceModel::a100_40gb();
-    let mut eng = b.build(match threads {
-        Some(t) => Executor::with_threads(device, t),
-        None => Executor::sequential(device),
-    });
+    let mut eng = b.build(Executor::with_threads(
+        DeviceModel::a100_40gb(),
+        threads.unwrap_or(1),
+    ));
     let u = r.u;
     // Spatially varying on top of the random bulk velocity, so the
     // interface-crossing populations the Accumulate scatters are all

@@ -190,6 +190,26 @@ fn graph_mode_sync_count_matches_schedule() {
             "{}: one executor wave per schedule wave",
             variant.name()
         );
+
+        // A traced step records one span per scheduled kernel and exports
+        // them as a chrome://tracing document.
+        eng.exec.profiler().reset();
+        eng.exec.profiler().set_tracing(true);
+        eng.step();
+        let prof = eng.exec.profiler();
+        prof.set_tracing(false);
+        assert_eq!(
+            prof.spans().len(),
+            schedule.kernel_count(),
+            "{}: one span per scheduled kernel",
+            variant.name()
+        );
+        let trace = prof.chrome_trace_json();
+        assert!(
+            trace.starts_with("{\"traceEvents\":[{"),
+            "{}: chrome trace has no span entries: {trace}",
+            variant.name()
+        );
     }
 }
 
