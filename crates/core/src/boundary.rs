@@ -7,7 +7,7 @@ use lbm_sparse::Coord;
 /// What a streaming direction whose pull source is missing should do.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum Boundary {
-    /// Halfway bounce-back (no-slip wall, Ladd / paper ref. [27]):
+    /// Halfway bounce-back (no-slip wall, Ladd / paper ref. \[27\]):
     /// `f_i(x, t+Δt) = f*_ī(x, t)`.
     BounceBack,
     /// Moving-wall bounce-back with prescribed wall velocity (lattice

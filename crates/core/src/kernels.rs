@@ -345,68 +345,85 @@ pub fn stream<T: Real, V: VelocitySet>(
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
         .build();
-    let grid = inp.grid;
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let g = BlockGather::new(grid, inp.src, b);
-        let bsz = grid.block_size() as i32;
-        let cdir = dir_table::<V>();
         if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
-            g.gather_dir_major(inp.offsets, q, out);
-            return;
+            BlockGather::new(inp.grid, inp.src, b).gather_dir_major(inp.offsets, q, out);
+        } else {
+            gather_block::<T, V>(&inp, b, out, opts, accumulate);
         }
-        let blk = grid.block(b);
-        let links = &inp.links[b as usize];
-        let flags = inp.flags.component(b, 0);
-        let tables = accumulate.filter(|t| t.targets[b as usize].is_some());
-        let mut cell = 0usize;
-        for lz in 0..bsz {
-            for ly in 0..bsz {
-                for lx in 0..bsz {
-                    let cf = CellFlags(flags[cell]);
-                    if !blk.active.get(cell) || !cf.is_real() {
-                        cell += 1;
-                        continue;
+    });
+}
+
+/// The general, link-resolving gather of one block into `out`: for every
+/// real cell it deposits the cell's crossing populations (`accumulate`),
+/// copies the rest population, and pulls or resolves every other
+/// direction. Directions whose links `opts` excludes are left untouched,
+/// and so are the slots of ghost and inactive cells.
+#[inline(always)]
+fn gather_block<T: Real, V: VelocitySet>(
+    inp: &StreamInputs<'_, T>,
+    b: u32,
+    out: &mut [T],
+    opts: StreamOptions,
+    accumulate: Option<AccTables<'_>>,
+) {
+    let q = V::Q;
+    let grid = inp.grid;
+    let cpb = grid.cells_per_block();
+    let g = BlockGather::new(grid, inp.src, b);
+    let bsz = grid.block_size() as i32;
+    let cdir = dir_table::<V>();
+    let blk = grid.block(b);
+    let links = &inp.links[b as usize];
+    let flags = inp.flags.component(b, 0);
+    let tables = accumulate.filter(|t| t.targets[b as usize].is_some());
+    let mut cell = 0usize;
+    for lz in 0..bsz {
+        for ly in 0..bsz {
+            for lx in 0..bsz {
+                let cf = CellFlags(flags[cell]);
+                if !blk.active.get(cell) || !cf.is_real() {
+                    cell += 1;
+                    continue;
+                }
+                if let Some(t) = &tables {
+                    if cf.accumulates() {
+                        t.scatter_from(inp.src, b, cell as u32);
                     }
-                    if let Some(t) = &tables {
-                        if cf.accumulates() {
-                            t.scatter_from(inp.src, b, cell as u32);
+                }
+                out[cell] = g.src_all[g.block_base + cell]; // rest
+                match links.of(cell as u32) {
+                    None => {
+                        for i in 1..q {
+                            out[i * cpb + cell] = g.pull(lx, ly, lz, i, cdir[i]);
                         }
                     }
-                    out[cell] = g.src_all[g.block_base + cell]; // rest
-                    match links.of(cell as u32) {
-                        None => {
-                            for i in 1..q {
+                    Some(set) => {
+                        let mut li = 0usize;
+                        for i in 1..q {
+                            let linked = li < set.links.len() && set.links[li].dir as usize == i;
+                            if linked {
+                                let kind = &set.links[li].kind;
+                                li += 1;
+                                let handled = match kind {
+                                    LinkKind::Explosion { .. } => opts.explosion,
+                                    LinkKind::Coalesce { .. } => opts.coalesce,
+                                    _ => true, // boundaries always resolve in S
+                                };
+                                if handled {
+                                    out[i * cpb + cell] =
+                                        resolve_link(kind, inp, b, cell as u32, i);
+                                }
+                            } else {
                                 out[i * cpb + cell] = g.pull(lx, ly, lz, i, cdir[i]);
                             }
                         }
-                        Some(set) => {
-                            let mut li = 0usize;
-                            for i in 1..q {
-                                let linked =
-                                    li < set.links.len() && set.links[li].dir as usize == i;
-                                if linked {
-                                    let kind = &set.links[li].kind;
-                                    li += 1;
-                                    let handled = match kind {
-                                        LinkKind::Explosion { .. } => opts.explosion,
-                                        LinkKind::Coalesce { .. } => opts.coalesce,
-                                        _ => true, // boundaries always resolve in S
-                                    };
-                                    if handled {
-                                        out[i * cpb + cell] =
-                                            resolve_link(kind, &inp, b, cell as u32, i);
-                                    }
-                                } else {
-                                    out[i * cpb + cell] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                            }
-                        }
                     }
-                    cell += 1;
                 }
+                cell += 1;
             }
         }
-    });
+    }
 }
 
 /// True when `block` may skip the general link-resolving loop under the
@@ -493,7 +510,7 @@ pub fn coalesce<T: Real, V: VelocitySet>(
 }
 
 /// Collision kernel (paper "C"): in-place BGK/KBC on the post-streaming
-/// buffer, real cells only.
+/// buffer, real cells only, eight cells at a time (`LANES`).
 pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     exec: &Executor,
     name: &'static str,
@@ -514,23 +531,61 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .thread_block(cpb)
         .build();
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let blk = grid.block(b);
-        for cell in blk.active.iter_set() {
-            let cell = cell as u32;
-            let cf = CellFlags(flags.get(b, 0, cell));
-            if !cf.is_real() {
+        collide_block::<T, V, C>(op, out, cpb, Some((grid.block(b), flags.component(b, 0))));
+    });
+}
+
+/// Cells one collide site relaxes at once through
+/// [`Collision::collide_lanes`]: `LANES` adjacent cells of a block, whose
+/// populations sit contiguously in each block-SoA column (the host analogue
+/// of a warp relaxing adjacent cells in lockstep). Every block holds `B³`
+/// cells with `B ≥ 2` a power of two, a multiple of 8, so blocks split into
+/// whole groups and need no tail loop.
+const LANES: usize = 8;
+
+/// Collides the real cells of one block in place, `LANES` cells at a time.
+/// With `cells = None` every cell is real (a fully-interior block) and each
+/// group is stored whole. Otherwise `cells` holds the block's active mask
+/// and cell flags: groups without a real cell are skipped, and a group's
+/// store writes only its real cells, so ghost and inactive slots keep
+/// their contents.
+#[inline(always)]
+fn collide_block<T: Real, V: VelocitySet, C: Collision<T, V>>(
+    op: &C,
+    out: &mut [T],
+    cpb: usize,
+    cells: Option<(&lbm_sparse::Block, &[u8])>,
+) {
+    debug_assert_eq!(cpb % LANES, 0, "partial lane group");
+    for base in (0..cpb).step_by(LANES) {
+        let mut real = [true; LANES];
+        if let Some((blk, flags)) = cells {
+            for (l, r) in real.iter_mut().enumerate() {
+                *r = blk.active.get(base + l) && CellFlags(flags[base + l]).is_real();
+            }
+            if !real.contains(&true) {
                 continue;
             }
-            let mut f = [T::ZERO; MAX_Q];
-            for i in 0..q {
-                f[i] = out[i * cpb + cell as usize];
-            }
-            op.collide(&mut f);
-            for i in 0..q {
-                out[i * cpb + cell as usize] = f[i];
+        }
+        let mut f = [[T::ZERO; LANES]; MAX_Q];
+        for i in 0..V::Q {
+            f[i].copy_from_slice(&out[i * cpb + base..][..LANES]);
+        }
+        op.collide_lanes(&mut f);
+        let whole = !real.contains(&false);
+        for i in 0..V::Q {
+            let col = &mut out[i * cpb + base..][..LANES];
+            if whole {
+                col.copy_from_slice(&f[i]);
+            } else {
+                for l in 0..LANES {
+                    if real[l] {
+                        col[l] = f[i][l];
+                    }
+                }
             }
         }
-    });
+    }
 }
 
 /// Staged-Accumulate merge (label "M", the second half of the
@@ -617,7 +672,8 @@ pub fn accumulate_gather<T: Real, V: VelocitySet>(
 
 /// The fully fused kernel of Fig. 4f ("CASE"): streaming gather (with
 /// Explosion and Coalescence inline), collision, and Accumulate, in one
-/// pass with populations held in registers throughout.
+/// launch. Each block is gathered into `dst` and then collided there in
+/// `LANES`-cell groups while it is still in cache.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     exec: &Executor,
@@ -637,74 +693,24 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
         .build();
-    let grid = inp.grid;
+    // Every link family resolves inline.
+    let all = StreamOptions {
+        explosion: true,
+        coalesce: true,
+    };
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let blk = grid.block(b);
-        let g = BlockGather::new(grid, inp.src, b);
-        let bsz = grid.block_size() as i32;
-        let cdir = dir_table::<V>();
         if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
             // Fully-interior blocks hold only real cells with no links and
             // no accumulating cells (their `acc_target` entry is `None`),
             // so the fused kernel reduces to gather + in-place collide.
-            g.gather_dir_major(inp.offsets, q, out);
-            for cell in 0..cpb {
-                let mut f = [T::ZERO; MAX_Q];
-                for i in 0..q {
-                    f[i] = out[i * cpb + cell];
-                }
-                op.collide(&mut f);
-                for i in 0..q {
-                    out[i * cpb + cell] = f[i];
-                }
-            }
-            return;
-        }
-        let links = &inp.links[b as usize];
-        let flags = inp.flags.component(b, 0);
-        let tables = accumulate.filter(|t| t.targets[b as usize].is_some());
-        let mut cell = 0usize;
-        for lz in 0..bsz {
-            for ly in 0..bsz {
-                for lx in 0..bsz {
-                    let cf = CellFlags(flags[cell]);
-                    if !blk.active.get(cell) || !cf.is_real() {
-                        cell += 1;
-                        continue;
-                    }
-                    if let Some(t) = &tables {
-                        if cf.accumulates() {
-                            t.scatter_from(inp.src, b, cell as u32);
-                        }
-                    }
-                    let mut f = [T::ZERO; MAX_Q];
-                    f[0] = g.src_all[g.block_base + cell];
-                    match links.of(cell as u32) {
-                        None => {
-                            for i in 1..q {
-                                f[i] = g.pull(lx, ly, lz, i, cdir[i]);
-                            }
-                        }
-                        Some(set) => {
-                            let mut li = 0usize;
-                            for i in 1..q {
-                                if li < set.links.len() && set.links[li].dir as usize == i {
-                                    let kind = &set.links[li].kind;
-                                    li += 1;
-                                    f[i] = resolve_link(kind, &inp, b, cell as u32, i);
-                                } else {
-                                    f[i] = g.pull(lx, ly, lz, i, cdir[i]);
-                                }
-                            }
-                        }
-                    }
-                    op.collide(&mut f);
-                    for i in 0..q {
-                        out[i * cpb + cell] = f[i];
-                    }
-                    cell += 1;
-                }
-            }
+            BlockGather::new(inp.grid, inp.src, b).gather_dir_major(inp.offsets, q, out);
+            collide_block::<T, V, C>(op, out, cpb, None);
+        } else {
+            // Frontier blocks: gather every real cell into `out` first,
+            // then collide them in lane groups, storing only real cells.
+            gather_block::<T, V>(&inp, b, out, all, accumulate);
+            let cells = (inp.grid.block(b), inp.flags.component(b, 0));
+            collide_block::<T, V, C>(op, out, cpb, Some(cells));
         }
     });
 }

@@ -4,9 +4,10 @@
 //!
 //! `Engine::step` executes this program (eagerly or wave-scheduled from the
 //! dependency graph), and [`crate::graphs::step_graph`] renders the same
-//! program as a [`TaskGraph`] — so the Fig.-2 kernel/sync counts come from
-//! the graph that is actually executed, exactly the paper's §V-C discipline
-//! of extracting the schedule from declared data accesses.
+//! program as a [`TaskGraph`](lbm_runtime::TaskGraph) — so the Fig.-2
+//! kernel/sync counts come from the graph that is actually executed,
+//! exactly the paper's §V-C discipline of extracting the schedule from
+//! declared data accesses.
 
 use lbm_runtime::{FieldId, KernelNode};
 

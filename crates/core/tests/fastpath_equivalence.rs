@@ -10,7 +10,7 @@
 
 use lbm_core::{AllWalls, Engine, GridSpec, InteriorPath, MultiGrid, Variant};
 use lbm_gpu::{DeviceModel, Executor};
-use lbm_lattice::{Bgk, D3Q19, D3Q27, VelocitySet};
+use lbm_lattice::{Bgk, Collision, Kbc, VelocitySet, D3Q19, D3Q27};
 use lbm_sparse::Box3;
 use proptest::prelude::*;
 
@@ -64,9 +64,14 @@ fn random_case() -> impl Strategy<Value = Case> {
         })
 }
 
-/// Builds one engine for the case with the given interior path, seeded
-/// with a deterministic off-equilibrium state.
-fn build<V: VelocitySet>(c: &Case, path: InteriorPath) -> Engine<f64, V, Bgk<f64>> {
+/// Builds one engine for the case with the given interior path and the
+/// collision operator `op(ω₀)`, seeded with a deterministic
+/// off-equilibrium state.
+fn build<V: VelocitySet, C: Collision<f64, V>>(
+    c: &Case,
+    path: InteriorPath,
+    op: fn(f64) -> C,
+) -> Engine<f64, V, C> {
     let (lo, hi) = (c.lo, c.hi);
     // `finest_domain` is in finest-level coordinates: 10·B per axis makes
     // the coarse level exactly 5 blocks per axis.
@@ -85,7 +90,7 @@ fn build<V: VelocitySet>(c: &Case, path: InteriorPath) -> Engine<f64, V, Bgk<f64
         Variant::ModifiedBaseline
     };
     let mut eng = Engine::builder(grid)
-        .collision(Bgk::new(c.omega0))
+        .collision(op(c.omega0))
         .variant(variant)
         .interior_path(path)
         .build(Executor::with_threads(DeviceModel::a100_40gb(), 1));
@@ -115,15 +120,16 @@ fn build<V: VelocitySet>(c: &Case, path: InteriorPath) -> Engine<f64, V, Bgk<f64
 }
 
 /// Runs the case under every interior path and asserts the resulting
-/// population buffers are bit-identical on every level, and that both
-/// paths declare the same metered traffic: the path choice is a host
-/// implementation detail the device model must not see.
-fn assert_paths_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
+/// population buffers are bit-identical on every level, every slot
+/// (ghost and inactive ones included), and that both paths declare the
+/// same metered traffic: the path choice is a host implementation detail
+/// the device model must not see. Collides with `op(ω₀)`.
+fn assert_paths_bit_identical<V: VelocitySet, C: Collision<f64, V>>(
+    c: &Case,
+    op: fn(f64) -> C,
+) -> Result<(), String> {
     let paths = [InteriorPath::DirMajor, InteriorPath::General];
-    let mut engines: Vec<_> = paths
-        .iter()
-        .map(|&p| build::<V>(c, p))
-        .collect();
+    let mut engines: Vec<_> = paths.iter().map(|&p| build::<V, C>(c, p, op)).collect();
     // Every level must actually exercise the fast path, or the test would
     // pass vacuously through the general path alone.
     for (l, lv) in engines[0].grid.levels.iter().enumerate() {
@@ -142,7 +148,7 @@ fn assert_paths_bit_identical<V: VelocitySet>(c: &Case) -> Result<(), String> {
     for eng in &mut engines {
         eng.run(c.steps);
     }
-    let traffic = |e: &Engine<f64, V, Bgk<f64>>| {
+    let traffic = |e: &Engine<f64, V, C>| {
         let t = e.exec.profiler().total();
         (t.launches, t.bytes_read, t.bytes_written, t.atomic_bytes)
     };
@@ -181,7 +187,7 @@ proptest! {
     /// paths agree bitwise through multi-step refined runs (D3Q19).
     #[test]
     fn interior_paths_bit_identical_d3q19(c in random_case()) {
-        if let Err(e) = assert_paths_bit_identical::<D3Q19>(&c) {
+        if let Err(e) = assert_paths_bit_identical::<D3Q19, _>(&c, Bgk::new) {
             prop_assert!(false, "{}", e);
         }
     }
@@ -201,7 +207,7 @@ fn interior_paths_bit_identical_d3q19_both_block_sizes() {
             u: [0.02, -0.015, 0.01],
             steps: 2,
         };
-        assert_paths_bit_identical::<D3Q19>(&c).unwrap();
+        assert_paths_bit_identical::<D3Q19, _>(&c, Bgk::new).unwrap();
     }
 }
 
@@ -230,7 +236,26 @@ fn interior_paths_bit_identical_d3q27() {
         },
     ];
     for c in &cases {
-        assert_paths_bit_identical::<D3Q27>(c).unwrap();
+        assert_paths_bit_identical::<D3Q27, _>(c, Bgk::new).unwrap();
+    }
+}
+
+/// KBC on D3Q27: both interior paths collide 8-cell lane groups, and on
+/// frontier blocks the lane store is masked to real cells; the fast and
+/// general paths must still agree in every slot, fused and unfused.
+#[test]
+fn interior_paths_bit_identical_d3q27_kbc() {
+    for (fused, block_size) in [(true, 4usize), (false, 4), (true, 8)] {
+        let c = Case {
+            lo: [2, 3, 2],
+            hi: [10, 11, 9],
+            block_size,
+            fused,
+            omega0: 1.6,
+            u: [0.03, -0.01, 0.02],
+            steps: 2,
+        };
+        assert_paths_bit_identical::<D3Q27, _>(&c, Kbc::new).unwrap();
     }
 }
 

@@ -93,7 +93,7 @@ impl fmt::Display for MemoryPlan {
 ///
 /// - classic two-buffer LBM: `buffers = 2`;
 /// - AA-method / Esoteric-Twist in-place streaming: `buffers = 1`
-///   (paper refs [7], [8]).
+///   (paper refs \[7\], \[8\]).
 pub fn max_uniform_cube(device: &DeviceModel, q: usize, value_bytes: usize, buffers: usize) -> u64 {
     (device.capacity_cells(q, value_bytes, buffers, 0.0) as f64).cbrt() as u64
 }

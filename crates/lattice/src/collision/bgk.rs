@@ -1,8 +1,8 @@
 //! Single-relaxation-time Bhatnagar–Gross–Krook collision (paper Eq. 3).
 
 use super::Collision;
-use crate::equilibrium::equilibrium;
-use crate::moments::density_velocity;
+use crate::equilibrium::equilibrium_lanes;
+use crate::moments::density_velocity_lanes;
 use crate::real::Real;
 use crate::velocity_set::{VelocitySet, MAX_Q};
 
@@ -35,14 +35,16 @@ impl<T: Real> Bgk<T> {
 
 impl<T: Real, V: VelocitySet> Collision<T, V> for Bgk<T> {
     #[inline(always)]
-    fn collide(&self, f: &mut [T; MAX_Q]) {
-        let (rho, u) = density_velocity::<T, V>(&f[..]);
-        let mut feq = [T::ZERO; MAX_Q];
-        equilibrium::<T, V>(rho, u, &mut feq);
+    fn collide_lanes<const N: usize>(&self, f: &mut [[T; N]; MAX_Q]) {
+        let (rho, u) = density_velocity_lanes::<T, V, N>(f);
+        let mut feq = [[T::ZERO; N]; MAX_Q];
+        equilibrium_lanes::<T, V, N>(&rho, &u, &mut feq);
         let om = self.omega;
-        for i in 0..V::Q {
-            f[i] -= om * (f[i] - feq[i]);
-        }
+        for_each_dir!(V, |I| {
+            for l in 0..N {
+                f[I][l] -= om * (f[I][l] - feq[I][l]);
+            }
+        });
     }
 
     #[inline(always)]

@@ -15,15 +15,33 @@
 //! `⟨Δh|Δh⟩ → 0` the operator degenerates gracefully to BGK (`γ = 2`).
 //!
 //! The paper uses this model with D3Q27 only ("compatible only with D3Q27
-//! lattice", §VI); this implementation asserts that constraint.
+//! lattice", §VI), and so does the type system: [`Kbc`] implements
+//! [`Collision`] for [`D3Q27`] alone.
 
 use super::Collision;
-use crate::equilibrium::equilibrium;
-use crate::moments::{density_velocity, second_moment};
+use crate::equilibrium::equilibrium_lanes;
+use crate::lanes::signed_sum;
+use crate::moments::{density_velocity_lanes, second_moment_lanes};
 use crate::real::Real;
-use crate::velocity_set::{VelocitySet, MAX_Q};
+use crate::velocity_set::{VelocitySet, D3Q27, MAX_Q};
 
 /// KBC entropic multi-relaxation operator.
+///
+/// A collision operator on [`D3Q27`] only; any other lattice is rejected
+/// at compile time:
+///
+/// ```compile_fail
+/// use lbm_lattice::{Collision, Kbc, D3Q19, MAX_Q};
+/// let mut f = [0.0_f64; MAX_Q];
+/// Collision::<f64, D3Q19>::collide(&Kbc::new(1.0_f64), &mut f);
+/// ```
+///
+/// ```
+/// use lbm_lattice::{Collision, Kbc, D3Q27, MAX_Q};
+/// let mut f = [0.0_f64; MAX_Q];
+/// lbm_lattice::equilibrium::<f64, D3Q27>(1.0, [0.01, 0.0, 0.0], &mut f);
+/// Collision::<f64, D3Q27>::collide(&Kbc::new(1.0_f64), &mut f);
+/// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct Kbc<T> {
     omega: T,
@@ -42,83 +60,92 @@ impl<T: Real> Kbc<T> {
 
     /// Creates the operator from the lattice kinematic viscosity of the
     /// target level, `ν = cs²(1/ω − 1/2)`.
-    pub fn from_viscosity<V: VelocitySet>(nu: T) -> Self {
+    pub fn from_viscosity(nu: T) -> Self {
         let nu = nu.to_f64();
         assert!(nu > 0.0, "viscosity must be positive, got {nu}");
-        Self::new(T::from_f64(1.0 / (nu / V::CS2 + 0.5)))
+        Self::new(T::from_f64(1.0 / (nu / D3Q27::CS2 + 0.5)))
     }
 }
 
-impl<T: Real, V: VelocitySet> Collision<T, V> for Kbc<T> {
+impl<T: Real> Collision<T, D3Q27> for Kbc<T> {
     #[inline(always)]
-    fn collide(&self, f: &mut [T; MAX_Q]) {
-        assert!(
-            V::Q == 27,
-            "the KBC model is only defined for the D3Q27 lattice (got {})",
-            V::NAME
-        );
-        let (rho, u) = density_velocity::<T, V>(&f[..]);
-        let mut feq = [T::ZERO; MAX_Q];
-        equilibrium::<T, V>(rho, u, &mut feq);
+    fn collide_lanes<const N: usize>(&self, f: &mut [[T; N]; MAX_Q]) {
+        type V = D3Q27;
+        let (rho, u) = density_velocity_lanes::<T, V, N>(f);
+        let mut feq = [[T::ZERO; N]; MAX_Q];
+        equilibrium_lanes::<T, V, N>(&rho, &u, &mut feq);
 
-        let mut fneq = [T::ZERO; MAX_Q];
-        for i in 0..V::Q {
-            fneq[i] = f[i] - feq[i];
-        }
+        // Non-equilibrium part; it becomes Δh = f − f^eq − Δs below.
+        let mut dh = [[T::ZERO; N]; MAX_Q];
+        for_each_dir!(V, |I| {
+            for l in 0..N {
+                dh[I][l] = f[I][l] - feq[I][l];
+            }
+        });
 
         // Traceless non-equilibrium stress Π̄ (shear tensor); the trace is a
         // higher-order (energy) mode and stays in Δh.
-        let pi = second_moment::<T, V>(&fneq[..]);
+        let pi = second_moment_lanes::<T, V, N>(&dh);
         let third = T::from_f64(1.0 / 3.0);
-        let tr = (pi[0] + pi[1] + pi[2]) * third;
-        let pxx = pi[0] - tr;
-        let pyy = pi[1] - tr;
-        let pzz = pi[2] - tr;
-        let (pxy, pxz, pyz) = (pi[3], pi[4], pi[5]);
+        let mut diag = [[T::ZERO; N]; 3]; // xx, yy, zz
+        for l in 0..N {
+            let tr = (pi[0][l] + pi[1][l] + pi[2][l]) * third;
+            for a in 0..3 {
+                diag[a][l] = pi[a][l] - tr;
+            }
+        }
+        let off = [pi[3], pi[4], pi[5]]; // xy, xz, yz
 
-        // Δs_i = w_i/(2cs⁴) Σ_ab c_ia c_ib Π̄_ab (cs²δ term drops: Π̄ traceless).
+        // Δs_i = w_i/(2cs⁴) Σ_ab c_ia c_ib Π̄_ab (cs²δ term drops: Π̄
+        // traceless). Every c_ia c_ib is ±1 or 0, so each sum is adds and
+        // subtracts of the nonzero terms (`signed_sum`); the rest direction
+        // (index 0) has none, so Δs_0 = 0 and its Δs terms are skipped. The
+        // same pass accumulates the entropic inner products ⟨Δs|Δh⟩ and
+        // ⟨Δh|Δh⟩.
         let half_inv_cs4 = T::from_f64(0.5 / (V::CS2 * V::CS2));
         let two = T::from_f64(2.0);
-        let mut ds = [T::ZERO; MAX_Q];
-        #[allow(clippy::needless_range_loop)] // indexes parallel constant tables
-        for i in 0..V::Q {
-            let c = V::C[i];
-            let (cx, cy, cz) = (c[0] as f64, c[1] as f64, c[2] as f64);
-            // Components are ±1/0, so squares are 0/1 and products ±1/0;
-            // fold through f64 constants that LLVM resolves at unroll time.
-            let quad = T::from_f64(cx * cx) * pxx
-                + T::from_f64(cy * cy) * pyy
-                + T::from_f64(cz * cz) * pzz
-                + two * (T::from_f64(cx * cy) * pxy
-                    + T::from_f64(cx * cz) * pxz
-                    + T::from_f64(cy * cz) * pyz);
-            ds[i] = T::from_f64(V::W[i]) * half_inv_cs4 * quad;
-        }
-
-        // Entropic inner products ⟨Δs|Δh⟩ and ⟨Δh|Δh⟩.
-        let mut sh = T::ZERO;
-        let mut hh = T::ZERO;
-        for i in 0..V::Q {
-            let dh = fneq[i] - ds[i];
-            let inv_feq = T::ONE / feq[i];
-            sh += ds[i] * dh * inv_feq;
-            hh += dh * dh * inv_feq;
-        }
+        let mut ds = [[T::ZERO; N]; MAX_Q];
+        let mut sh = [T::ZERO; N];
+        let mut hh = [T::ZERO; N];
+        for_each_dir!(V, |I| {
+            let [cx, cy, cz] = V::C[I];
+            let sq = signed_sum([cx * cx, cy * cy, cz * cz], &diag);
+            let cross = signed_sum([cx * cy, cx * cz, cy * cz], &off);
+            let w = T::from_f64(V::W[I]);
+            for l in 0..N {
+                ds[I][l] = w * half_inv_cs4 * (sq[l] + two * cross[l]);
+                dh[I][l] -= ds[I][l];
+                let inv_feq = T::ONE / feq[I][l];
+                if I != 0 {
+                    sh[l] += ds[I][l] * dh[I][l] * inv_feq;
+                }
+                hh[l] += dh[I][l] * dh[I][l] * inv_feq;
+            }
+        });
 
         let beta = self.omega * T::from_f64(0.5);
         let inv_beta = T::ONE / beta;
         // Guard: for vanishing higher-order non-equilibrium fall back to
-        // γ = 2, which makes KBC identical to BGK.
-        let gamma = if hh.to_f64().abs() < 1e-30 {
-            two
-        } else {
-            inv_beta - (two - inv_beta) * (sh / hh)
-        };
-
-        for i in 0..V::Q {
-            let dh = fneq[i] - ds[i];
-            f[i] -= beta * (two * ds[i] + gamma * dh);
+        // γ = 2, which makes KBC identical to BGK. A per-lane select.
+        let mut gamma = [T::ZERO; N];
+        for l in 0..N {
+            gamma[l] = if hh[l].to_f64().abs() < 1e-30 {
+                two
+            } else {
+                inv_beta - (two - inv_beta) * (sh[l] / hh[l])
+            };
         }
+
+        for_each_dir!(V, |I| {
+            for l in 0..N {
+                let relax = if I == 0 {
+                    gamma[l] * dh[I][l]
+                } else {
+                    two * ds[I][l] + gamma[l] * dh[I][l]
+                };
+                f[I][l] -= beta * relax;
+            }
+        });
     }
 
     #[inline(always)]
@@ -139,7 +166,8 @@ impl<T: Real, V: VelocitySet> Collision<T, V> for Kbc<T> {
 mod tests {
     use super::*;
     use crate::collision::Bgk;
-    use crate::velocity_set::D3Q27;
+    use crate::equilibrium::equilibrium;
+    use crate::moments::density_velocity;
 
     fn perturbed() -> [f64; MAX_Q] {
         let mut f = [0.0; MAX_Q];
@@ -208,15 +236,6 @@ mod tests {
                 f_bgk[i]
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "only defined for the D3Q27")]
-    fn rejects_d3q19() {
-        use crate::velocity_set::D3Q19;
-        let op = Kbc::new(1.0_f64);
-        let mut f = [0.0; MAX_Q];
-        Collision::<f64, D3Q19>::collide(&op, &mut f);
     }
 
     #[test]

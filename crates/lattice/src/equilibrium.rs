@@ -1,5 +1,6 @@
 //! Second-order Maxwell–Boltzmann equilibrium (paper Eq. 5).
 
+use crate::lanes::signed_sum;
 use crate::real::Real;
 use crate::velocity_set::{VelocitySet, MAX_Q};
 
@@ -8,20 +9,41 @@ use crate::velocity_set::{VelocitySet, MAX_Q};
 /// into `out[..V::Q]`.
 ///
 /// `out` is a `MAX_Q`-sized register buffer; entries past `V::Q` are left
-/// untouched so callers can reuse one buffer across lattices.
+/// untouched so callers can reuse one buffer across lattices. This is the
+/// one-lane instance of [`equilibrium_lanes`].
 #[inline(always)]
 pub fn equilibrium<T: Real, V: VelocitySet>(rho: T, u: [T; 3], out: &mut [T; MAX_Q]) {
+    let mut lanes = [[T::ZERO; 1]; MAX_Q];
+    equilibrium_lanes::<T, V, 1>(&[rho], &[[u[0]], [u[1]], [u[2]]], &mut lanes);
+    for i in 0..V::Q {
+        out[i] = lanes[i][0];
+    }
+}
+
+/// [`equilibrium`] of `N` cells at once: lane `l` of `rho`, `u[a]` and
+/// `out[i]` belongs to cell `l`. The direction loop is unrolled, so
+/// `e_i·u` is a signed sum of velocity components (as in [`ci_dot_u`]).
+#[inline(always)]
+pub fn equilibrium_lanes<T: Real, V: VelocitySet, const N: usize>(
+    rho: &[T; N],
+    u: &[[T; N]; 3],
+    out: &mut [[T; N]; MAX_Q],
+) {
     let inv_cs2 = T::from_f64(1.0 / V::CS2);
     let half_inv_cs4 = T::from_f64(0.5 / (V::CS2 * V::CS2));
     let half_inv_cs2 = T::from_f64(0.5 / V::CS2);
-    let usq = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-    let common = T::ONE - half_inv_cs2 * usq;
-    #[allow(clippy::needless_range_loop)] // indexes parallel constant tables
-    for i in 0..V::Q {
-        let cu = ci_dot_u::<T, V>(i, u);
-        let w = T::from_f64(V::W[i]);
-        out[i] = w * rho * (common + inv_cs2 * cu + half_inv_cs4 * cu * cu);
+    let mut common = [T::ZERO; N];
+    for l in 0..N {
+        let usq = u[0][l] * u[0][l] + u[1][l] * u[1][l] + u[2][l] * u[2][l];
+        common[l] = T::ONE - half_inv_cs2 * usq;
     }
+    for_each_dir!(V, |I| {
+        let w = T::from_f64(V::W[I]);
+        let cu = signed_sum(V::C[I], u);
+        for l in 0..N {
+            out[I][l] = w * rho[l] * (common[l] + inv_cs2 * cu[l] + half_inv_cs4 * cu[l] * cu[l]);
+        }
+    });
 }
 
 /// Single-direction equilibrium; used by boundary conditions that only need
@@ -36,14 +58,11 @@ pub fn equilibrium_dir<T: Real, V: VelocitySet>(i: usize, rho: T, u: [T; 3]) -> 
     T::from_f64(V::W[i]) * rho * (T::ONE - half_inv_cs2 * usq + inv_cs2 * cu + half_inv_cs4 * cu * cu)
 }
 
-/// Dot product `e_i · u` with the integer lattice direction, expressed as
-/// multiplications by ±1/0 constants so the unrolled code vectorizes.
+/// Dot product `e_i · u` with the integer lattice direction, as a signed
+/// sum of velocity components.
 #[inline(always)]
 pub fn ci_dot_u<T: Real, V: VelocitySet>(i: usize, u: [T; 3]) -> T {
-    let c = V::C[i];
-    T::from_f64(c[0] as f64) * u[0]
-        + T::from_f64(c[1] as f64) * u[1]
-        + T::from_f64(c[2] as f64) * u[2]
+    signed_sum(V::C[i], &[[u[0]], [u[1]], [u[2]]])[0]
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //!
 //! Contents (paper §II):
 //! - [`velocity_set`]: D2Q9 / D3Q19 / D3Q27 discrete velocity sets;
-//! - [`equilibrium`]: second-order Maxwellian equilibrium (Eq. 5);
+//! - [`equilibrium`](mod@equilibrium): second-order Maxwellian equilibrium (Eq. 5);
 //! - [`moments`]: density, velocity, pressure, stress (Eqs. 6–8);
 //! - [`collision`]: BGK (Eq. 3) and entropic KBC operators;
 //! - [`scaling`]: per-level relaxation rates under acoustic scaling (Eq. 9);
@@ -19,6 +19,9 @@
 
 #![warn(missing_docs)]
 
+#[macro_use]
+mod lanes;
+
 pub mod collision;
 pub mod equilibrium;
 pub mod moments;
@@ -27,7 +30,7 @@ pub mod scaling;
 pub mod units;
 pub mod velocity_set;
 
-pub use collision::{Bgk, Collision, Kbc, Trt};
+pub use collision::{Bgk, Collision, Kbc};
 pub use equilibrium::{equilibrium, equilibrium_dir};
 pub use moments::{density, density_velocity, momentum, pressure, second_moment};
 pub use real::Real;

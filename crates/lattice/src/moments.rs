@@ -1,7 +1,8 @@
 //! Macroscopic moments of the distribution functions (paper Eqs. 6–8).
 
+use crate::lanes::{add_signed, one_lane};
 use crate::real::Real;
-use crate::velocity_set::VelocitySet;
+use crate::velocity_set::{VelocitySet, MAX_Q};
 
 /// Density `ρ = Σ_i f_i` (Eq. 6).
 #[inline(always)]
@@ -32,12 +33,38 @@ pub fn momentum<T: Real, V: VelocitySet>(f: &[T]) -> [T; 3] {
 }
 
 /// Density and velocity in one pass: `u = (Σ e_i f_i)/ρ` (Eqs. 6–7).
+/// The one-lane instance of [`density_velocity_lanes`].
 #[inline(always)]
 pub fn density_velocity<T: Real, V: VelocitySet>(f: &[T]) -> (T, [T; 3]) {
-    let rho = density::<T, V>(f);
-    let m = momentum::<T, V>(f);
-    let inv = T::ONE / rho;
-    (rho, [m[0] * inv, m[1] * inv, m[2] * inv])
+    let (rho, u) = density_velocity_lanes::<T, V, 1>(&one_lane::<T, V>(f));
+    (rho[0], u.map(|[v]| v))
+}
+
+/// [`density_velocity`] of `N` cells at once: lane `l` of `f[i]` is
+/// population `i` of cell `l`. The direction loop is unrolled and the
+/// momentum adds or subtracts `f_i` per nonzero component of `e_i` (the
+/// zero terms only ever added `±0` to a sum that starts at `+0`).
+#[inline(always)]
+pub fn density_velocity_lanes<T: Real, V: VelocitySet, const N: usize>(
+    f: &[[T; N]; MAX_Q],
+) -> ([T; N], [[T; N]; 3]) {
+    let mut rho = [T::ZERO; N];
+    let mut m = [[T::ZERO; N]; 3];
+    for_each_dir!(V, |I| {
+        let [cx, cy, cz] = V::C[I];
+        add_signed(&mut rho, 1, &f[I]);
+        add_signed(&mut m[0], cx, &f[I]);
+        add_signed(&mut m[1], cy, &f[I]);
+        add_signed(&mut m[2], cz, &f[I]);
+    });
+    let mut u = [[T::ZERO; N]; 3];
+    for l in 0..N {
+        let inv = T::ONE / rho[l];
+        for a in 0..3 {
+            u[a][l] = m[a][l] * inv;
+        }
+    }
+    (rho, u)
 }
 
 /// Pressure `p = cs² ρ` (Eq. 8).
@@ -50,43 +77,29 @@ pub fn pressure<T: Real, V: VelocitySet>(rho: T) -> T {
 /// symmetric packing `[xx, yy, zz, xy, xz, yz]`.
 ///
 /// Applied to `f − f^eq` this yields the non-equilibrium stress used by the
-/// KBC collision operator and by strain-rate diagnostics.
+/// KBC collision operator and by strain-rate diagnostics. The one-lane
+/// instance of [`second_moment_lanes`].
 #[inline(always)]
 pub fn second_moment<T: Real, V: VelocitySet>(f: &[T]) -> [T; 6] {
-    let mut pi = [T::ZERO; 6];
-    #[allow(clippy::needless_range_loop)] // indexes parallel constant tables
-    for i in 0..V::Q {
-        let c = V::C[i];
-        let (cx, cy, cz) = (c[0], c[1], c[2]);
-        let v = f[i];
-        if cx != 0 {
-            pi[0] += v; // xx: cx² ∈ {0,1}
-        }
-        if cy != 0 {
-            pi[1] += v;
-        }
-        if cz != 0 {
-            pi[2] += v;
-        }
-        let sxy = cx * cy;
-        if sxy == 1 {
-            pi[3] += v;
-        } else if sxy == -1 {
-            pi[3] -= v;
-        }
-        let sxz = cx * cz;
-        if sxz == 1 {
-            pi[4] += v;
-        } else if sxz == -1 {
-            pi[4] -= v;
-        }
-        let syz = cy * cz;
-        if syz == 1 {
-            pi[5] += v;
-        } else if syz == -1 {
-            pi[5] -= v;
-        }
-    }
+    second_moment_lanes::<T, V, 1>(&one_lane::<T, V>(f)).map(|[v]| v)
+}
+
+/// [`second_moment`] of `N` cells at once. Each `e_ia e_ib ∈ {−1, 0, 1}`,
+/// so every component adds, subtracts or skips `f_i`.
+#[inline(always)]
+pub fn second_moment_lanes<T: Real, V: VelocitySet, const N: usize>(
+    f: &[[T; N]; MAX_Q],
+) -> [[T; N]; 6] {
+    let mut pi = [[T::ZERO; N]; 6];
+    for_each_dir!(V, |I| {
+        let [cx, cy, cz] = V::C[I];
+        add_signed(&mut pi[0], cx * cx, &f[I]);
+        add_signed(&mut pi[1], cy * cy, &f[I]);
+        add_signed(&mut pi[2], cz * cz, &f[I]);
+        add_signed(&mut pi[3], cx * cy, &f[I]);
+        add_signed(&mut pi[4], cx * cz, &f[I]);
+        add_signed(&mut pi[5], cy * cz, &f[I]);
+    });
     pi
 }
 

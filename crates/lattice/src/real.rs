@@ -1,6 +1,6 @@
 //! Floating-point abstraction so the whole solver can run in `f64` (the
 //! paper's default) or `f32` (the mixed/reduced-precision extension discussed
-//! in the paper's reference [9]).
+//! in the paper's reference \[9\]).
 
 use std::fmt::{Debug, Display};
 use std::iter::Sum;

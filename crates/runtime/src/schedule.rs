@@ -1,4 +1,4 @@
-//! Wave schedule derived from a [`TaskGraph`](crate::graph::TaskGraph).
+//! Wave schedule derived from a [`crate::graph::TaskGraph`].
 //!
 //! Neon runs independent kernels concurrently and synchronizes between
 //! dependent groups. The [`Schedule`] materializes that plan: kernels

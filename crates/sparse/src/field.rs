@@ -1,4 +1,4 @@
-//! Block-sparse field storage over a [`SparseGrid`](crate::grid::SparseGrid)
+//! Block-sparse field storage over a [`crate::grid::SparseGrid`]
 //! (paper §V-A, Fig. 5).
 //!
 //! Storage is the paper's component-major block layout

@@ -189,3 +189,27 @@ fn golden_digest_of_the_refined_cavity_at_every_pool_width() {
         );
     }
 }
+
+#[test]
+fn golden_digest_of_the_kbc_sphere_at_one_and_two_threads() {
+    // The paper's turbulent configuration: the scaled Table-I sphere
+    // (68×48×68, 3 levels), KBC on D3Q27, `FusedAll`, 20 coarse steps.
+    // The pinned value was computed with the one-cell-at-a-time KBC
+    // operator that preceded the lane-parallel collision; the lane path
+    // must reproduce it bit for bit on the serial and the staged path.
+    use lbm_refinement::gpu::{DeviceModel, Executor};
+    use lbm_refinement::problems::sphere::{SphereConfig, SphereFlow};
+    let flow = SphereFlow::new(SphereConfig::scaled_small());
+    for threads in [1usize, 2] {
+        let mut eng = flow.engine(
+            Variant::FusedAll,
+            Executor::with_threads(DeviceModel::a100_40gb(), threads),
+        );
+        eng.run(20);
+        assert_eq!(
+            format!("{:016x}", grid_digest(&eng.grid)),
+            "4cf49d504675380e",
+            "threads={threads}"
+        );
+    }
+}
