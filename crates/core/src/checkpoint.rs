@@ -1,5 +1,6 @@
 //! Crash-safe checkpoint/restart for the multi-resolution grid, plus the
-//! runtime health-guard policies built on top of it (DESIGN.md §11).
+//! runtime health-guard policies and the raw in-memory recovery point their
+//! rollback restores (DESIGN.md §11).
 //!
 //! # Snapshot format (version 1)
 //!
@@ -306,11 +307,79 @@ pub fn restore<T: Real, V: VelocitySet>(
         lv.f.half_mut(0).as_mut_slice().copy_from_slice(&h0);
         lv.f.half_mut(1).as_mut_slice().copy_from_slice(&h1);
         lv.f.set_parity(img.parity as usize);
-        for (i, v) in img.acc.into_iter().enumerate() {
-            lv.acc.store_flat(i, v);
-        }
+        lv.acc.copy_from_slice(&img.acc);
     }
     Ok(coarse_steps)
+}
+
+/// The rollback guard's in-memory recovery point: preallocated raw copies
+/// of everything a step writes — both population halves, the ghost
+/// accumulators and the parity of every level — plus the coarse step
+/// count. Allocated on the first healthy check, refreshed on each later
+/// one, and applied on rollback, all with slice copies: no encoding, no
+/// checksum, and nothing that can fail. Per-cell flags are not copied,
+/// because only [`MultiGrid::build`] and [`restore`] write them (DESIGN.md
+/// §11). The serialized format above stays the one for files and
+/// [`crate::Engine::checkpoint`].
+pub(crate) struct RecoveryPoint<T> {
+    coarse_steps: u64,
+    levels: Vec<LevelCopy<T>>,
+}
+
+/// One level's share of a [`RecoveryPoint`].
+struct LevelCopy<T> {
+    parity: usize,
+    halves: [Vec<T>; 2],
+    acc: Vec<f64>,
+}
+
+impl<T: Real> RecoveryPoint<T> {
+    /// Allocates a recovery point holding `grid`'s current state.
+    pub(crate) fn capture<V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) -> Self {
+        let levels = grid
+            .levels
+            .iter()
+            .map(|lv| LevelCopy {
+                parity: lv.f.parity(),
+                halves: [0, 1].map(|h| lv.f.half(h).as_slice().to_vec()),
+                acc: {
+                    let mut acc = vec![0.0; lv.acc.len()];
+                    lv.acc.copy_to_slice(&mut acc);
+                    acc
+                },
+            })
+            .collect();
+        Self {
+            coarse_steps,
+            levels,
+        }
+    }
+
+    /// Overwrites the copies with `grid`'s current state, reusing their
+    /// allocations.
+    pub(crate) fn refresh<V: VelocitySet>(&mut self, grid: &MultiGrid<T, V>, coarse_steps: u64) {
+        for (copy, lv) in self.levels.iter_mut().zip(&grid.levels) {
+            copy.parity = lv.f.parity();
+            for (h, half) in copy.halves.iter_mut().enumerate() {
+                half.copy_from_slice(lv.f.half(h).as_slice());
+            }
+            lv.acc.copy_to_slice(&mut copy.acc);
+        }
+        self.coarse_steps = coarse_steps;
+    }
+
+    /// Writes the copies back into `grid` (the grid they were taken from)
+    /// and returns the coarse step count they were taken at.
+    pub(crate) fn apply<V: VelocitySet>(&self, grid: &mut MultiGrid<T, V>) -> u64 {
+        for (copy, lv) in self.levels.iter().zip(&mut grid.levels) {
+            for (h, half) in copy.halves.iter().enumerate() {
+                lv.f.half_mut(h).as_mut_slice().copy_from_slice(half);
+            }
+            lv.f.set_parity(copy.parity);
+            lv.acc.copy_from_slice(&copy.acc);
+        }
+        self.coarse_steps
+    }
 }
 
 /// What a failed health check triggers (see [`HealthGuard::policy`]).
@@ -320,11 +389,11 @@ pub enum HealthPolicy {
     Abort,
     /// Record the event and keep stepping (monitoring only).
     Report,
-    /// Restore the last healthy in-engine snapshot and keep going, at most
-    /// `n` times over the engine's lifetime; with no snapshot yet, or once
-    /// the budget is spent, the engine halts instead. After a rollback the
-    /// caller can adjust parameters (e.g. [`crate::Engine::set_omega0`])
-    /// before resuming.
+    /// Restore the recovery point of the last healthy check and keep going,
+    /// at most `n` times over the engine's lifetime; with no recovery point
+    /// yet, or once the budget is spent, the engine halts instead. After a
+    /// rollback the caller can adjust parameters (e.g.
+    /// [`crate::Engine::set_omega0`]) before resuming.
     RollbackToLastCheckpoint(u32),
 }
 
@@ -346,12 +415,12 @@ pub enum HealthAction {
     Aborted,
     /// Policy [`HealthPolicy::Report`]: recorded, stepping continues.
     Reported,
-    /// Rolled back to the last healthy snapshot (cut at `to_step`).
+    /// Rolled back to the recovery point taken at `to_step`.
     RolledBack {
-        /// Coarse step the restored snapshot was cut at.
+        /// Coarse step the restored recovery point was taken at.
         to_step: u64,
     },
-    /// Rollback was requested but impossible (no snapshot yet, or the
+    /// Rollback was requested but impossible (no recovery point yet, or the
     /// rollback budget is exhausted): the engine halted.
     Halted,
 }
@@ -368,17 +437,29 @@ pub struct HealthEvent {
 }
 
 /// Periodic engine health checks: every `check_every` coarse steps the
-/// engine scans both halves of every level for non-finite values and (when
-/// finite) checks the maximum flow speed against a bound, then applies the
-/// configured [`HealthPolicy`]. Under the rollback policy, each *healthy*
-/// check also cuts an in-memory snapshot — the state the next unhealthy
-/// check rolls back to.
+/// engine runs one probe pass ([`MultiGrid::probe`]) that scans both
+/// halves of every level for non-finite values and (when finite) checks the
+/// maximum flow speed against a bound, then applies the configured
+/// [`HealthPolicy`]. Under the rollback policy, each *healthy* check also
+/// refreshes the engine's raw in-memory recovery point — the state the next
+/// unhealthy check rolls back to.
 ///
-/// ```ignore
-/// let eng = Engine::builder(grid)
+/// ```
+/// # use lbm_core::{AllWalls, Engine, GridSpec, HealthGuard, HealthPolicy, MultiGrid};
+/// # use lbm_gpu::{DeviceModel, Executor};
+/// # use lbm_lattice::{Bgk, D3Q19};
+/// # use lbm_sparse::Box3;
+/// # let omega0 = 1.6;
+/// # let spec = GridSpec::uniform(Box3::from_dims(8, 8, 8));
+/// # let mut grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, omega0);
+/// # grid.init_equilibrium(|_, _| 1.0, |_, _| [0.01, 0.0, 0.0]);
+/// # let exec = Executor::with_threads(DeviceModel::a100_40gb(), 1);
+/// let mut eng = Engine::builder(grid)
 ///     .health(HealthGuard::new(10).policy(HealthPolicy::RollbackToLastCheckpoint(1)))
 ///     .collision(Bgk::new(omega0))
 ///     .build(exec);
+/// eng.run(20); // healthy checks at steps 10 and 20
+/// assert!(eng.health_events().is_empty() && !eng.halted());
 /// ```
 #[derive(Copy, Clone, Debug)]
 pub struct HealthGuard {

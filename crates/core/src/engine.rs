@@ -38,6 +38,7 @@ use lbm_sparse::{Field, HalfReadGuard, SparseGrid, SplitHalves, StreamOffsets};
 
 use crate::checkpoint::{
     self, CheckpointError, HealthAction, HealthCause, HealthEvent, HealthGuard, HealthPolicy,
+    RecoveryPoint,
 };
 use crate::flags::BlockFlags;
 use crate::graphs;
@@ -83,11 +84,21 @@ pub enum ExecMode {
 ///
 /// Build one with [`Engine::builder`]:
 ///
-/// ```ignore
-/// let eng = Engine::builder(grid)
+/// ```
+/// # use lbm_core::{AllWalls, Engine, GridSpec, MultiGrid, Variant};
+/// # use lbm_gpu::{DeviceModel, Executor};
+/// # use lbm_lattice::{Bgk, D3Q19};
+/// # use lbm_sparse::Box3;
+/// # let omega0 = 1.6;
+/// # let spec = GridSpec::uniform(Box3::from_dims(8, 8, 8));
+/// # let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, omega0);
+/// # let exec = Executor::with_threads(DeviceModel::a100_40gb(), 1);
+/// let mut eng = Engine::builder(grid)
 ///     .collision(Bgk::new(omega0))
 ///     .variant(Variant::FusedAll)
 ///     .build(exec);
+/// eng.run(2);
+/// assert_eq!(eng.coarse_steps(), 2);
 /// ```
 pub struct Engine<T: Real, V: VelocitySet, C> {
     /// The level stack.
@@ -113,8 +124,9 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     plan: Option<(Variant, Schedule)>,
     /// Periodic health checks ([`EngineBuilder::health`]); `None` = off.
     health: Option<HealthGuard>,
-    /// Last healthy snapshot, cut by the rollback policy's healthy checks.
-    last_snapshot: Option<(u64, Vec<u8>)>,
+    /// The rollback policy's recovery point: raw copies of the state at
+    /// the last healthy check (`None` before the first one).
+    recovery: Option<RecoveryPoint<T>>,
     /// Every health incident recorded so far.
     health_events: Vec<HealthEvent>,
     /// Rollbacks performed so far (bounded by the policy's budget).
@@ -248,7 +260,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
             staged,
             plan: None,
             health: self.health,
-            last_snapshot: None,
+            recovery: None,
             health_events: Vec::new(),
             rollbacks: 0,
             halted: false,
@@ -451,10 +463,11 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
 
     /// Runs one due health check and applies the guard's policy.
     fn health_check(&mut self, guard: HealthGuard) {
-        let cause = if !self.grid.is_finite() {
+        let probe = self.grid.probe();
+        let cause = if !probe.finite {
             Some(HealthCause::NonFinite)
         } else {
-            let speed = self.grid.max_speed();
+            let speed = probe.max_speed();
             (speed > guard.speed_bound()).then_some(HealthCause::SpeedExceeded(speed))
         };
         let Some(cause) = cause else {
@@ -464,32 +477,34 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                 guard.configured_policy(),
                 HealthPolicy::RollbackToLastCheckpoint(_)
             ) {
-                self.last_snapshot = Some((self.coarse_steps, self.checkpoint()));
+                match &mut self.recovery {
+                    Some(point) => point.refresh(&self.grid, self.coarse_steps),
+                    None => {
+                        self.recovery = Some(RecoveryPoint::capture(&self.grid, self.coarse_steps))
+                    }
+                }
             }
             return;
         };
         let step = self.coarse_steps;
-        let action = match guard.configured_policy() {
-            HealthPolicy::Abort => {
+        let action = match (guard.configured_policy(), &self.recovery) {
+            (HealthPolicy::Abort, _) => {
                 self.halted = true;
                 HealthAction::Aborted
             }
-            HealthPolicy::Report => HealthAction::Reported,
-            HealthPolicy::RollbackToLastCheckpoint(budget) => {
-                match self.last_snapshot.take() {
-                    Some((to_step, blob)) if self.rollbacks < budget => {
-                        self.restore(&blob)
-                            .expect("engine's own snapshot must restore");
-                        self.rollbacks += 1;
-                        self.last_snapshot = Some((to_step, blob));
-                        HealthAction::RolledBack { to_step }
-                    }
-                    other => {
-                        self.last_snapshot = other;
-                        self.halted = true;
-                        HealthAction::Halted
-                    }
+            (HealthPolicy::Report, _) => HealthAction::Reported,
+            (HealthPolicy::RollbackToLastCheckpoint(budget), Some(point))
+                if self.rollbacks < budget =>
+            {
+                self.coarse_steps = point.apply(&mut self.grid);
+                self.rollbacks += 1;
+                HealthAction::RolledBack {
+                    to_step: self.coarse_steps,
                 }
+            }
+            (HealthPolicy::RollbackToLastCheckpoint(_), _) => {
+                self.halted = true;
+                HealthAction::Halted
             }
         };
         self.health_events.push(HealthEvent {

@@ -47,6 +47,6 @@ pub use graphs::{alg1_graph, step_graph, step_graph_for};
 pub use kernels::InteriorPath;
 pub use level::Level;
 pub use memory_report::{plan_hypothetical, report, MemoryReport};
-pub use multigrid::MultiGrid;
+pub use multigrid::{MultiGrid, Probe};
 pub use spec::{census, presets, GridSpec, LevelCensus};
 pub use variant::{FusionConfig, Variant};

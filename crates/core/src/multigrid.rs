@@ -40,6 +40,48 @@ pub struct MultiGrid<T, V> {
     _lattice: PhantomData<V>,
 }
 
+/// What one probe pass reads off the populations: the quantities the
+/// health guard checks and the conservation reports track. A record covers
+/// one block or, folded in `(level, block)` order, a whole grid
+/// ([`MultiGrid::probe`]; DESIGN.md §11).
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct Probe {
+    /// Every population value in both double-buffer halves is finite.
+    pub finite: bool,
+    /// Maximum `|u|²` over the real cells, lattice units.
+    pub max_speed_sq: f64,
+    /// `Σ ρ·V_cell` over the real cells, finest-cell volume units.
+    pub mass: f64,
+}
+
+impl Default for Probe {
+    /// The fold's identity: an empty grid is finite, at rest and massless.
+    fn default() -> Self {
+        Self {
+            finite: true,
+            max_speed_sq: 0.0,
+            mass: 0.0,
+        }
+    }
+}
+
+impl Probe {
+    /// Folds the record of the next block (in `(level, block)` order) into
+    /// this one.
+    fn fold(self, next: Probe) -> Probe {
+        Probe {
+            finite: self.finite && next.finite,
+            max_speed_sq: self.max_speed_sq.max(next.max_speed_sq),
+            mass: self.mass + next.mass,
+        }
+    }
+
+    /// Maximum flow speed `|u|`.
+    pub fn max_speed(&self) -> f64 {
+        self.max_speed_sq.sqrt()
+    }
+}
+
 impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     /// Number of levels.
     pub fn num_levels(&self) -> usize {
@@ -618,50 +660,92 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         None
     }
 
-    /// Total mass `Σ ρ·V_cell` in finest-cell volume units.
-    pub fn total_mass(&self) -> f64 {
-        let mut total = 0.0;
-        for (l, level) in self.levels.iter().enumerate() {
-            let vol = (self.spec.scale_to_finest(l as u32) as f64).powi(3);
-            let f = level.f.src();
-            for (r, _) in level.iter_real() {
-                let mut rho = 0.0;
-                for i in 0..V::Q {
-                    rho += f.get(r.block, i, r.cell).to_f64();
-                }
-                total += rho * vol;
+    /// The probe record of one block of one level: the non-finite flag
+    /// over every slot of both double-buffer halves, and the maximum
+    /// `|u|²` and the mass over the block's real cells, read from the
+    /// source half `LANES` cells at a time through
+    /// [`moments::density_velocity_lanes`]. The one definition of every
+    /// quantity a [`Probe`] carries; [`MultiGrid::probe`] folds these
+    /// records in `(level, block)` order.
+    fn probe_block(&self, level: usize, block: u32) -> Probe {
+        const LANES: usize = 8;
+        let lv = &self.levels[level];
+        let cpb = lv.grid.cells_per_block();
+        debug_assert_eq!(cpb % LANES, 0, "partial lane group");
+        // `&` rather than `&&`: no early exit, so the scan vectorizes.
+        let finite = (0..2).all(|h| {
+            lv.f.half(h)
+                .block(block)
+                .iter()
+                .fold(true, |ok, v| ok & v.is_finite())
+        });
+        let src = lv.f.src().block(block);
+        let active = &lv.grid.block(block).active;
+        let flags = lv.flags.block(block);
+        let (mut max_speed_sq, mut mass) = (0.0f64, 0.0f64);
+        for base in (0..cpb).step_by(LANES) {
+            let real: [bool; LANES] = std::array::from_fn(|l| {
+                active.get(base + l) && CellFlags(flags[base + l]).is_real()
+            });
+            if !real.contains(&true) {
+                continue;
+            }
+            let mut f = [[T::ZERO; LANES]; MAX_Q];
+            for (i, col) in f.iter_mut().take(V::Q).enumerate() {
+                col.copy_from_slice(&src[i * cpb + base..][..LANES]);
+            }
+            let (rho, u) = moments::density_velocity_lanes::<T, V, LANES>(&f);
+            for l in (0..LANES).filter(|&l| real[l]) {
+                let [ux, uy, uz] = [u[0][l].to_f64(), u[1][l].to_f64(), u[2][l].to_f64()];
+                max_speed_sq = max_speed_sq.max(ux * ux + uy * uy + uz * uz);
+                mass += rho[l].to_f64();
             }
         }
-        total
+        // The cell volume is a power of two, so the scaling is exact.
+        let vol = (self.spec.scale_to_finest(level as u32) as f64).powi(3);
+        Probe {
+            finite,
+            max_speed_sq,
+            mass: mass * vol,
+        }
+    }
+
+    /// The whole grid's [`Probe`]: the record of every block of every
+    /// level, folded in `(level, block)` order. The health guard reads this
+    /// record.
+    pub fn probe(&self) -> Probe {
+        let blocks = |(l, lv): (usize, &Level<T>)| {
+            (0..lv.grid.num_blocks() as u32).map(move |b| (l, b))
+        };
+        self.levels
+            .iter()
+            .enumerate()
+            .flat_map(blocks)
+            .map(|(l, b)| self.probe_block(l, b))
+            .fold(Probe::default(), Probe::fold)
+    }
+
+    /// Total mass `Σ ρ·V_cell` in finest-cell volume units
+    /// ([`MultiGrid::probe`]'s mass).
+    pub fn total_mass(&self) -> f64 {
+        self.probe().mass
     }
 
     /// True iff every population value in **both** halves of every level's
-    /// double buffer is finite. Scanning both halves matters: a NaN parked
-    /// in the idle (`dst`) half — e.g. after a restore, or written by the
-    /// last substep before a parity swap — would otherwise escape detection
-    /// and resurface on the next swap.
+    /// double buffer is finite ([`MultiGrid::probe`]'s flag). Scanning both
+    /// halves matters: a NaN parked in the idle (`dst`) half — e.g. after a
+    /// restore, or written by the last substep before a parity swap — would
+    /// otherwise escape detection and resurface on the next swap.
     pub fn is_finite(&self) -> bool {
-        self.levels.iter().all(|lv| {
-            (0..2).all(|h| lv.f.half(h).as_slice().iter().all(|v| v.is_finite()))
-        })
+        self.probe().finite
     }
 
     /// Maximum flow speed `|u|` over the real cells of every level, in
-    /// lattice units (comparable across levels under acoustic scaling).
-    /// Health guards compare this against the lattice sound speed: a
-    /// resolved flow must stay well below `1/√3`.
+    /// lattice units (comparable across levels under acoustic scaling;
+    /// [`MultiGrid::probe`]'s speed). Health guards compare this against
+    /// the lattice sound speed: a resolved flow must stay well below `1/√3`.
     pub fn max_speed(&self) -> f64 {
-        let mut max = 0.0f64;
-        for (l, level) in self.levels.iter().enumerate() {
-            for (r, _) in level.iter_real() {
-                let (_, u) = self.density_velocity(l, r);
-                let s2 = u[0].to_f64() * u[0].to_f64()
-                    + u[1].to_f64() * u[1].to_f64()
-                    + u[2].to_f64() * u[2].to_f64();
-                max = max.max(s2);
-            }
-        }
-        max.sqrt()
+        self.probe().max_speed()
     }
 
     /// Total momentum `Σ ρu·V_cell` in finest-cell volume units.
@@ -881,6 +965,33 @@ mod tests {
     fn max_speed_reports_magnitude() {
         let g = uniform_with([0.03, 0.04, 0.0]);
         assert!((g.max_speed() - 0.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn probe_matches_a_per_cell_reference() {
+        // Max speed is a max, so the lane pass reproduces the per-cell
+        // scalar moments bit for bit; the mass is a sum in a different
+        // association and must agree to round-off.
+        let mut g = MG::build(two_level_spec(), &AllWalls, 1.5);
+        g.init_equilibrium(
+            |l, c| 1.0 + 0.01 * l as f64 + 1e-3 * c.z as f64,
+            |l, c| [0.01 * l as f64, 1e-3 * c.x as f64, -2e-3 * c.y as f64],
+        );
+        let (mut max_sq, mut mass) = (0.0f64, 0.0f64);
+        for (l, level) in g.levels.iter().enumerate() {
+            let vol = (g.spec.scale_to_finest(l as u32) as f64).powi(3);
+            for (r, _) in level.iter_real() {
+                let (rho, u) = g.density_velocity(l, r);
+                max_sq = max_sq.max(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+                mass += rho * vol;
+            }
+        }
+        let p = g.probe();
+        assert!(p.finite);
+        assert_eq!(p.max_speed_sq.to_bits(), max_sq.to_bits());
+        assert!(((p.mass - mass) / mass).abs() < 1e-12, "{} vs {mass}", p.mass);
+        assert_eq!(g.max_speed(), max_sq.sqrt());
+        assert_eq!(g.total_mass(), p.mass);
     }
 
     #[test]

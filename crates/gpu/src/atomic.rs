@@ -150,12 +150,28 @@ impl AtomicF64Field {
         f64::from_bits(self.data[i].load(Ordering::Relaxed))
     }
 
-    /// Overwrites a slot by flat element index — the write-side counterpart
-    /// of [`Self::load_flat`], used by checkpoint restore to replay a
-    /// serialized accumulator image.
-    #[inline(always)]
-    pub fn store_flat(&self, i: usize, v: f64) {
-        self.data[i].store(v.to_bits(), Ordering::Relaxed);
+    /// Copies every slot, in flat order, into `out` (valid once writers have
+    /// been joined).
+    ///
+    /// # Panics
+    /// If `out.len() != self.len()`.
+    pub fn copy_to_slice(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.data.len(), "accumulator image size");
+        for (o, a) in out.iter_mut().zip(&self.data) {
+            *o = f64::from_bits(a.load(Ordering::Relaxed));
+        }
+    }
+
+    /// Overwrites every slot, in flat order, from `src` — the inverse of
+    /// [`Self::copy_to_slice`].
+    ///
+    /// # Panics
+    /// If `src.len() != self.len()`.
+    pub fn copy_from_slice(&mut self, src: &[f64]) {
+        assert_eq!(src.len(), self.data.len(), "accumulator image size");
+        for (a, v) in self.data.iter_mut().zip(src) {
+            *a.get_mut() = v.to_bits();
+        }
     }
 
     /// Resets every slot to zero.
@@ -188,6 +204,22 @@ mod tests {
         f.reset();
         assert_eq!(f.load(1, 2, 5), 0.0);
         assert_eq!(f.load(0, 0, 0), 0.0);
+    }
+
+    #[test]
+    fn slice_copies_round_trip_bit_patterns() {
+        let mut f = AtomicF64Field::new(2, 2, 4);
+        let mut image: Vec<f64> = (0..f.len()).map(|i| i as f64 - 3.5).collect();
+        image[5] = f64::NAN;
+        f.copy_from_slice(&image);
+        // Flat index 5 is block 0, component 1, cell 1.
+        assert!(f.load(0, 1, 1).is_nan());
+        assert_eq!(f.load(1, 0, 2), image[10]);
+        let mut out = vec![0.0; f.len()];
+        f.copy_to_slice(&mut out);
+        for (a, b) in out.iter().zip(&image) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -282,8 +314,6 @@ mod tests {
                     let flat = f.flat_index(b, c, i);
                     assert!(flat < f.len());
                     assert_eq!(f.load_flat(flat), f.load(b, c, i));
-                    f.store_flat(flat, -1.0 * flat as f64);
-                    assert_eq!(f.load(b, c, i), -1.0 * flat as f64);
                 }
             }
         }

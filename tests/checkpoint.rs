@@ -9,6 +9,9 @@
 
 mod common;
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+
 use common::{assert_bits_identical, grid_digest, refined_cavity, seeded_engine_with, EngineOpts};
 use lbm_refinement::core::{
     CheckpointError, Engine, ExecMode, GridSpec, HealthAction, HealthCause, HealthGuard,
@@ -18,6 +21,7 @@ use lbm_refinement::core::AllWalls;
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, VelocitySet, D3Q19, D3Q27};
 use lbm_refinement::sparse::Box3;
+use proptest::prelude::*;
 
 /// Runs one restart-equivalence case: `reference` runs `total` steps in one
 /// piece; a second engine is interrupted at `k`, snapshotted, dropped, and
@@ -218,10 +222,64 @@ fn snapshot_rejects_structural_mismatch() {
     );
 }
 
+type Eng19 = Engine<f64, D3Q19, Bgk<f64>>;
+
+thread_local! {
+    /// The fuzz target: an engine two steps in, and its own snapshot.
+    static FUZZ_TARGET: RefCell<(Eng19, Vec<u8>)> = RefCell::new({
+        let mut eng = seeded_engine_with::<D3Q19>(9, Variant::FusedAll, EngineOpts::default());
+        eng.run(2);
+        let blob = eng.checkpoint();
+        (eng, blob)
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The snapshot decoder under random damage: a real snapshot, maybe
+    /// truncated at a random length, with 1–4 random bits flipped at
+    /// distinct bytes. `Engine::restore` must return `Err` without
+    /// panicking and leave the engine's state and step count untouched.
+    #[test]
+    fn damaged_snapshots_are_refused_and_leave_the_engine_untouched(
+        truncate in any::<bool>(),
+        cut in 0.0f64..1.0,
+        flips in proptest::collection::vec((0.0f64..1.0, 0u32..8), 1..5),
+    ) {
+        let (refused, digest_kept, steps_kept, state_kept) = FUZZ_TARGET.with(|t| {
+            let (eng, blob) = &mut *t.borrow_mut();
+            let before = grid_digest(&eng.grid);
+            let mut bad = blob.clone();
+            if truncate {
+                bad.truncate((cut * blob.len() as f64) as usize);
+            }
+            let mut seen = BTreeSet::new();
+            for (at, bit) in &flips {
+                let pos = (at * bad.len() as f64) as usize;
+                if pos < bad.len() && seen.insert(pos) {
+                    bad[pos] ^= 1 << bit;
+                }
+            }
+            let refused = bad != *blob && eng.restore(&bad).is_err();
+            (
+                refused,
+                grid_digest(&eng.grid) == before,
+                eng.coarse_steps() == 2,
+                eng.checkpoint() == *blob,
+            )
+        });
+        prop_assert!(refused, "a damaged snapshot restored");
+        prop_assert!(digest_kept, "a refused restore changed the grid digest");
+        prop_assert!(steps_kept, "a refused restore changed the step count");
+        prop_assert!(state_kept, "a refused restore changed the engine state");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Health guards
 
-fn poison(eng: &mut Engine<f64, D3Q19, Bgk<f64>>) {
+fn poison(eng: &mut Eng19) {
     eng.grid.levels[0].f.src_mut().set(0, 3, 7, f64::NAN);
 }
 
@@ -330,4 +388,82 @@ fn rollback_without_a_snapshot_halts() {
     assert_eq!(eng.coarse_steps(), 1);
     let ev = *eng.health_events().last().unwrap();
     assert_eq!(ev.action, HealthAction::Halted);
+}
+
+/// A rollback restores everything a step writes — both population halves,
+/// the ghost accumulators, the parity and the step count — byte for byte:
+/// after rolling back, the guarded engine's own snapshot equals the one an
+/// unguarded twin cuts at the recovery step. (`grid_digest` covers only the
+/// source half.)
+#[test]
+fn rollback_restores_the_recovery_step_byte_for_byte() {
+    for mode in [ExecMode::Eager, ExecMode::Graph] {
+        for threads in [1usize, 2] {
+            let what = format!("{mode:?} threads={threads}");
+            let opts = EngineOpts {
+                mode,
+                threads: Some(threads),
+                ..EngineOpts::default()
+            };
+            let mut twin = seeded_engine_with::<D3Q19>(6, Variant::FusedAll, opts);
+            twin.run(4);
+            let expected = twin.checkpoint();
+
+            let guard = HealthGuard::new(2).policy(HealthPolicy::RollbackToLastCheckpoint(1));
+            let guarded = EngineOpts {
+                health: Some(guard),
+                ..opts
+            };
+            let mut eng = seeded_engine_with::<D3Q19>(6, Variant::FusedAll, guarded);
+            eng.run(4); // healthy checks at steps 2 and 4: step 4 is the recovery point
+            poison(&mut eng);
+            eng.run(2); // step 6 fails its check and rolls back to step 4
+            assert_eq!(
+                eng.health_events().last().map(|e| e.action),
+                Some(HealthAction::RolledBack { to_step: 4 }),
+                "{what}"
+            );
+            assert_eq!(eng.coarse_steps(), 4, "{what}");
+            assert!(
+                eng.checkpoint() == expected,
+                "{what}: rolled-back state differs from the twin's at step 4"
+            );
+        }
+    }
+}
+
+/// A NaN parked in the idle half of the double buffer, in a slot no kernel
+/// touches, still trips the guard: the finiteness check covers both halves
+/// (DESIGN.md §11).
+#[test]
+fn nan_in_the_idle_half_trips_the_guard() {
+    let opts = EngineOpts {
+        health: Some(HealthGuard::new(1).policy(HealthPolicy::Report)),
+        ..EngineOpts::default()
+    };
+    let mut eng = seeded_engine_with::<D3Q19>(4, Variant::FusedAll, opts);
+    // A coarse ghost slot of level 0's source half: the step neither reads
+    // nor writes it, and the level's swap makes that half the idle one.
+    let (ghost, _) = eng.grid.levels[0]
+        .iter_ghost()
+        .next()
+        .expect("a refined grid has coarse ghost cells");
+    eng.grid.levels[0]
+        .f
+        .src_mut()
+        .set(ghost.block, 3, ghost.cell, f64::NAN);
+    eng.step();
+
+    for (l, lv) in eng.grid.levels.iter().enumerate() {
+        assert!(
+            lv.f.src().as_slice().iter().all(|v| v.is_finite()),
+            "level {l}: the NaN must sit in the idle half only"
+        );
+    }
+    let l0 = &eng.grid.levels[0].f;
+    assert!(l0.half(1 - l0.parity()).get(ghost.block, 3, ghost.cell).is_nan());
+    let ev = eng.health_events();
+    assert_eq!(ev.len(), 1);
+    assert_eq!(ev[0].cause, HealthCause::NonFinite);
+    assert_eq!(ev[0].action, HealthAction::Reported);
 }

@@ -213,3 +213,35 @@ fn golden_digest_of_the_kbc_sphere_at_one_and_two_threads() {
         );
     }
 }
+
+#[test]
+fn probe_record_is_bit_identical_at_every_pool_width() {
+    // The health guard decides on the probe record, so its every bit must
+    // agree at every pool width — on a healthy state and on one with a NaN
+    // parked in the idle half of the finest level.
+    use lbm_refinement::core::Probe;
+    use lbm_refinement::gpu::{DeviceModel, Executor};
+    let bits = |p: Probe| (p.finite, p.max_speed_sq.to_bits(), p.mass.to_bits());
+    let cavity = refined_cavity(32);
+    for poisoned in [false, true] {
+        let mut reference = None;
+        for threads in [1usize, 2, 8] {
+            let mut eng = cavity.engine(
+                Variant::FusedAll,
+                Executor::with_threads(DeviceModel::a100_40gb(), threads),
+            );
+            eng.run(3);
+            if poisoned {
+                let f = &mut eng.grid.levels.last_mut().unwrap().f;
+                let idle = 1 - f.parity();
+                f.half_mut(idle).set(0, 1, 0, f64::NAN);
+            }
+            let probe = eng.grid.probe();
+            let what = format!("poisoned={poisoned} threads={threads}");
+            assert_eq!(probe.finite, !poisoned, "{what}");
+            assert!(probe.max_speed_sq > 0.0 && probe.mass > 0.0, "{what}: {probe:?}");
+            let reference = *reference.get_or_insert(bits(probe));
+            assert_eq!(bits(probe), reference, "{what}: differs from 1 thread");
+        }
+    }
+}
