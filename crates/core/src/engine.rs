@@ -18,11 +18,15 @@
 //! - **Eager** — launches in program order with a synchronization point
 //!   between consecutive kernels (the classical serial submission);
 //! - **Graph** — the dependency graph of the declared field accesses is
-//!   scheduled into waves ([`lbm_runtime::Schedule`]); independent kernels
-//!   of a wave dispatch concurrently on virtual streams and barriers exist
-//!   only between waves — the paper's §V-C minimal-synchronization
-//!   execution. Both modes run the *same* kernels on the same buffers and
-//!   produce bit-identical fields (enforced by tests across all variants).
+//!   scheduled into waves ([`lbm_runtime::Schedule`]); barriers exist only
+//!   between waves — the paper's §V-C minimal-synchronization execution.
+//!   The cost model charges one launch overhead per wave (the modeled
+//!   launch overlap); the host runs a wave's kernels in program order.
+//!   Both modes run the *same* kernels on the same buffers and produce
+//!   bit-identical fields (enforced by tests across all variants).
+//!
+//! In both modes each kernel runs block-parallel on the executor's one
+//! pool; there is no other host threading.
 //!
 //! The population buffers use the post-collision convention, which is what
 //! lets Fig. 4f's single fused kernel exist: one gather (streaming +
@@ -31,20 +35,17 @@
 
 use std::time::{Duration, Instant};
 
-use lbm_gpu::{with_span_context, AtomicF64Field, Executor};
+use lbm_gpu::{with_span_context, Executor};
 use lbm_lattice::{omega_at_level, Collision, Real, VelocitySet};
 use lbm_runtime::{Schedule, TaskGraph};
-use lbm_sparse::{Field, HalfReadGuard, SparseGrid, SplitHalves, StreamOffsets};
 
 use crate::checkpoint::{
     self, CheckpointError, HealthAction, HealthCause, HealthEvent, HealthGuard, HealthPolicy,
     RecoveryPoint,
 };
-use crate::flags::BlockFlags;
 use crate::graphs;
 use crate::kernels::{self, InteriorPath, StreamInputs, StreamOptions};
-use crate::level::{AccStage, GatherEntry};
-use crate::links::{BlockLinks, LinkKind};
+use crate::links::LinkKind;
 use crate::multigrid::MultiGrid;
 use crate::program::{self, LevelTopo, OpKind, StepOp};
 use crate::variant::Variant;
@@ -73,9 +74,9 @@ pub enum ExecMode {
     /// kernels.
     #[default]
     Eager,
-    /// Wave-scheduled from the dependency graph: independent kernels
-    /// dispatch concurrently on virtual streams, barriers only between
-    /// waves (minimal synchronization, paper §V-C).
+    /// Wave-scheduled from the dependency graph: barriers only between
+    /// waves (minimal synchronization, paper §V-C), launch overhead charged
+    /// once per wave; each wave's kernels run in program order.
     Graph,
 }
 
@@ -353,100 +354,38 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         if self.halted {
             return;
         }
-        if self.exec_mode == ExecMode::Graph
-            && self.plan.as_ref().is_none_or(|(v, _)| *v != self.variant)
-        {
-            let (_, s) = self.step_task_graph();
-            self.plan = Some((self.variant, s));
-        }
         let ops = self.step_program();
-
-        // Field-granular captures: each level's double buffer is split into
-        // its two halves behind a runtime-checked [`SplitHalves`] handle
-        // (taken under the mutable borrow), alongside shared references to
-        // everything else. Kernels acquire read/write guards for exactly
-        // the halves their declared accesses name; a schedule that admitted
-        // a conflicting pair within a wave panics instead of aliasing.
-        let expl = &self.explosion_cells;
-        let coal = &self.coalesce_cells;
-        let ctx: Vec<LevelCtx<'_, T>> = self
-            .grid
-            .levels
-            .iter_mut()
-            .enumerate()
-            .map(|(l, lv)| LevelCtx {
-                grid: &lv.grid,
-                flags: &lv.flags,
-                block_flags: &lv.block_flags,
-                links: &lv.links,
-                acc: &lv.acc,
-                offsets: &lv.offsets,
-                gather: &lv.gather,
-                acc_target: &lv.acc_target,
-                acc_dirs: &lv.acc_dirs,
-                stage: lv.stage.as_ref(),
-                halves: lv.f.split_mut(),
-                real: lv.real_cells as u64,
-                ghost: lv.ghost_cells as u64,
-                expl: expl[l],
-                coal: coal[l],
-            })
-            .collect();
-
-        let exec = &self.exec;
-        let coll = &self.ops;
-        let ip = self.interior_path;
-        let st = self.staged;
         match self.exec_mode {
             ExecMode::Eager => {
                 for (i, op) in ops.iter().enumerate() {
                     if i > 0 {
-                        exec.sync();
+                        self.exec.sync();
                     }
-                    run_op::<T, V, C>(exec, &ctx, coll, op, ip, st);
+                    self.run_op(op);
                 }
             }
             ExecMode::Graph => {
-                let schedule = &self.plan.as_ref().expect("plan cached above").1;
+                // The cached schedule is taken out for the loop so `run_op`
+                // can borrow the engine mutably (rebuilt only when the
+                // variant changed). Each wave's nodes run in ascending node
+                // order on this thread, every kernel block-parallel on the
+                // executor's pool.
+                let schedule = match self.plan.take() {
+                    Some((v, s)) if v == self.variant => s,
+                    _ => self.step_task_graph().1,
+                };
                 for (w, wave) in schedule.waves.iter().enumerate() {
                     if w > 0 {
-                        exec.sync();
+                        self.exec.sync();
                     }
-                    exec.begin_wave();
-                    // A wave's nodes are mutually independent; dispatch them
-                    // on at most `thread_count` virtual streams (one OS
-                    // thread per stream; the scope join is the wave
-                    // barrier). Each stream walks its nodes in ascending
-                    // node order, so any stream width replays the same
-                    // per-kernel launch order.
-                    let groups = schedule.stream_partition(w, exec.thread_count());
-                    if groups.len() > 1 {
-                        std::thread::scope(|scope| {
-                            for (stream, group) in groups.iter().enumerate() {
-                                let ctx = &ctx;
-                                let ops = &ops;
-                                scope.spawn(move || {
-                                    for &ni in group {
-                                        with_span_context(w as u32, stream as u32, || {
-                                            run_op::<T, V, C>(exec, ctx, coll, &ops[ni], ip, st)
-                                        });
-                                    }
-                                });
-                            }
-                        });
-                    } else {
-                        // Sequential dispatch in ascending node order =
-                        // program order (deterministic replay).
-                        for (stream, &ni) in wave.iter().enumerate() {
-                            with_span_context(w as u32, stream as u32, || {
-                                run_op::<T, V, C>(exec, &ctx, coll, &ops[ni], ip, st)
-                            });
-                        }
+                    self.exec.begin_wave();
+                    for &ni in wave {
+                        with_span_context(w as u32, || self.run_op(&ops[ni]));
                     }
                 }
+                self.plan = Some((self.variant, schedule));
             }
         }
-        drop(ctx);
 
         // The program addresses halves explicitly, so only the *net* parity
         // change is applied: level 0 swapped once, deeper levels 2^L times
@@ -594,51 +533,22 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
     }
 }
 
-/// Shared per-level views captured once per step; the double-buffer halves
-/// sit behind a [`SplitHalves`] handle so each kernel takes exactly the
-/// guard its declared accesses allow — a scheduling bug that pairs
-/// conflicting accesses within a wave panics deterministically instead of
-/// racing.
-struct LevelCtx<'a, T> {
-    grid: &'a SparseGrid,
-    flags: &'a Field<u8>,
-    block_flags: &'a [BlockFlags],
-    links: &'a [BlockLinks<T>],
-    acc: &'a AtomicF64Field,
-    offsets: &'a StreamOffsets,
-    gather: &'a [Vec<GatherEntry>],
-    acc_target: &'a [Option<Box<[u64]>>],
-    acc_dirs: &'a [Option<Box<[u32]>>],
-    stage: Option<&'a AccStage>,
-    halves: SplitHalves<'a, T>,
-    real: u64,
-    ghost: u64,
-    expl: u64,
-    coal: u64,
-}
-
-/// Executes one launch record of the step program.
-#[allow(clippy::too_many_arguments)]
-fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
-    exec: &Executor,
-    ctx: &[LevelCtx<'_, T>],
-    coll: &[C],
-    op: &StepOp,
-    interior_path: InteriorPath,
-    staged: bool,
-) {
-    let l = op.level;
-    let lv = &ctx[l];
-    let sh = op.src_half as usize;
-    let ch = op.coarse_half as usize;
-    let coarse = if l > 0 { Some(&ctx[l - 1]) } else { None };
-    // Guards are acquired only for the halves named by the op's declared
-    // accesses — within a wave the schedule admits no conflicting pair,
-    // and `src != dst` by construction; any violation panics in the guard.
-    let src = lv.halves.read(sh);
-    let accum = coarse.and_then(|c| {
-        if c.ghost > 0 {
-            let sink = match (staged, lv.stage) {
+impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
+    /// Executes one launch record of the step program. The op's level is
+    /// borrowed mutably and the coarser one shared (`split_at_mut`), and the
+    /// level's halves split into the op's source and destination
+    /// ([`lbm_sparse::DoubleBuffer::pair_mut`]), so the borrow checker
+    /// proves every write disjoint from every read.
+    fn run_op(&mut self, op: &StepOp) {
+        let exec = &self.exec;
+        let l = op.level;
+        let (coarser, rest) = self.grid.levels.split_at_mut(l);
+        let lv = &mut rest[0];
+        let coarse = coarser.last();
+        let (src, dst) = lv.f.pair_mut(op.src_half as usize);
+        let (real, ghost) = (lv.real_cells as u64, lv.ghost_cells as u64);
+        let accum = coarse.filter(|c| c.ghost_cells > 0).map(|c| {
+            let sink = match (self.staged, &lv.stage) {
                 // Deterministic parallel path: plain stores into the
                 // level's private slab; the AccMerge op folds it later.
                 (true, Some(st)) => kernels::AccSink::Staged {
@@ -647,130 +557,110 @@ fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
                 },
                 // Serial reference path: atomic scatter straight into the
                 // coarse accumulators.
-                _ => kernels::AccSink::Atomic(c.acc),
+                _ => kernels::AccSink::Atomic(&c.acc),
             };
-            Some(kernels::AccTables {
+            kernels::AccTables {
                 sink,
-                targets: lv.acc_target,
-                dirs: lv.acc_dirs,
-            })
-        } else {
-            None
-        }
-    });
-    // Acquire coarse-half guards only when this op's declared accesses
-    // include them: an undeclared acquisition could collide with a
-    // legitimate concurrent writer in the same wave (the schedule only
-    // separates *declared* conflicts).
-    let resolves_explosion = match op.kind {
-        OpKind::Stream { explosion, .. } => explosion && lv.expl > 0,
-        OpKind::Explosion => true,
-        OpKind::Fused { .. } => lv.expl > 0,
-        _ => false,
-    };
-    let coarse_src: Option<HalfReadGuard<'_, T>> = if resolves_explosion {
-        coarse.map(|c| c.halves.read(ch))
-    } else {
-        None
-    };
-    let inputs = StreamInputs {
-        grid: lv.grid,
-        flags: lv.flags,
-        block_flags: lv.block_flags,
-        links: lv.links,
-        src: &src,
-        acc: lv.acc,
-        coarse_src: coarse_src.as_deref(),
-        offsets: lv.offsets,
-        interior_path,
-    };
-
-    match op.kind {
-        OpKind::AccGather => {
-            let c = coarse.expect("AccGather needs a coarser level");
-            kernels::accumulate_gather::<T, V>(
-                exec,
-                names::A[l],
-                c.grid,
-                c.gather,
-                c.acc,
-                &src,
-                c.ghost,
-            );
-        }
-        OpKind::Stream {
-            explosion,
-            coalesce,
-            accumulate,
-        } => {
-            let mut dst = lv.halves.write(1 - sh);
-            let name = if explosion || coalesce {
-                names::SEO[l]
-            } else {
-                names::S[l]
-            };
-            kernels::stream::<T, V>(
-                exec,
-                name,
-                inputs,
-                &mut dst,
-                StreamOptions {
-                    explosion,
-                    coalesce,
-                },
-                if accumulate { accum } else { None },
-                lv.real,
-            );
-        }
-        OpKind::Explosion => {
-            let mut dst = lv.halves.write(1 - sh);
-            kernels::explosion::<T, V>(exec, names::E[l], inputs, &mut dst, lv.expl);
-        }
-        OpKind::Coalesce => {
-            let mut dst = lv.halves.write(1 - sh);
-            kernels::coalesce::<T, V>(exec, names::O[l], inputs, &mut dst, lv.coal);
-        }
-        OpKind::Collide => {
-            let mut dst = lv.halves.write(1 - sh);
-            kernels::collide(
-                exec,
-                names::C[l],
-                lv.grid,
-                lv.flags,
-                &coll[l],
-                &mut dst,
-                lv.real,
-            );
-        }
-        OpKind::Fused { accumulate } => {
-            let mut dst = lv.halves.write(1 - sh);
-            kernels::fused_stream_collide(
-                exec,
-                names::CASE[l],
-                inputs,
-                &coll[l],
-                &mut dst,
-                if accumulate { accum } else { None },
-                lv.real,
-            );
-        }
-        OpKind::AccMerge => {
-            // Skip when the level has no accumulating cells (then the
-            // scatter deposited nothing and there is no slab).
-            if let (Some(c), Some(st)) = (coarse, lv.stage) {
-                kernels::accumulate_merge(exec, names::M[l], st, c.acc);
+                targets: &lv.acc_target,
+                dirs: &lv.acc_dirs,
             }
-        }
-        OpKind::Reset => {
-            kernels::reset_accumulators(
-                exec,
-                names::R[l],
-                lv.grid,
-                lv.gather,
-                lv.acc,
-                lv.ghost,
-                V::Q,
-            );
+        });
+        let inputs = StreamInputs {
+            grid: &lv.grid,
+            flags: &lv.flags,
+            block_flags: &lv.block_flags,
+            links: &lv.links,
+            src,
+            acc: &lv.acc,
+            coarse_src: coarse.map(|c| c.f.half(op.coarse_half as usize)),
+            offsets: &lv.offsets,
+            interior_path: self.interior_path,
+        };
+
+        match op.kind {
+            OpKind::AccGather => {
+                let c = coarse.expect("AccGather needs a coarser level");
+                kernels::accumulate_gather::<T, V>(
+                    exec,
+                    names::A[l],
+                    &c.grid,
+                    &c.gather,
+                    &c.acc,
+                    src,
+                    c.ghost_cells as u64,
+                );
+            }
+            OpKind::Stream {
+                explosion,
+                coalesce,
+                accumulate,
+            } => {
+                let name = if explosion || coalesce {
+                    names::SEO[l]
+                } else {
+                    names::S[l]
+                };
+                kernels::stream::<T, V>(
+                    exec,
+                    name,
+                    inputs,
+                    dst,
+                    StreamOptions {
+                        explosion,
+                        coalesce,
+                    },
+                    if accumulate { accum } else { None },
+                    real,
+                );
+            }
+            OpKind::Explosion => {
+                let cells = self.explosion_cells[l];
+                kernels::explosion::<T, V>(exec, names::E[l], inputs, dst, cells);
+            }
+            OpKind::Coalesce => {
+                let cells = self.coalesce_cells[l];
+                kernels::coalesce::<T, V>(exec, names::O[l], inputs, dst, cells);
+            }
+            OpKind::Collide => {
+                kernels::collide(
+                    exec,
+                    names::C[l],
+                    &lv.grid,
+                    &lv.flags,
+                    &self.ops[l],
+                    dst,
+                    real,
+                );
+            }
+            OpKind::Fused { accumulate } => {
+                kernels::fused_stream_collide(
+                    exec,
+                    names::CASE[l],
+                    inputs,
+                    &self.ops[l],
+                    dst,
+                    if accumulate { accum } else { None },
+                    real,
+                );
+            }
+            OpKind::AccMerge => {
+                // Skip when the level has no accumulating cells (then the
+                // scatter deposited nothing and there is no slab).
+                if let (Some(c), Some(st)) = (coarse, &lv.stage) {
+                    kernels::accumulate_merge(exec, names::M[l], st, &c.acc);
+                }
+            }
+            OpKind::Reset => {
+                kernels::reset_accumulators(
+                    exec,
+                    names::R[l],
+                    &lv.grid,
+                    &lv.gather,
+                    &lv.acc,
+                    ghost,
+                    V::Q,
+                );
+            }
         }
     }
 }

@@ -48,7 +48,7 @@ fn random_case() -> impl Strategy<Value = Case> {
         1..3usize,
     )
         .prop_map(|((x, y, z), (sx, sy, sz), big_blocks, fused, omega0, (ux, uy), steps)| {
-            let b = if big_blocks { 8 } else { 4 } as i32;
+            let b: i32 = if big_blocks { 8 } else { 4 };
             let min_size = 3 * b / 2;
             let max_hi = 3 * b - 1;
             let clamp = |lo: i32, s: i32| (lo + min_size + s).min(max_hi);

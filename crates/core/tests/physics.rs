@@ -45,8 +45,8 @@ fn uniform_equilibrium_is_a_fixed_point() {
     ] {
         let (rho, u) = eng.grid.probe_finest(c).unwrap();
         assert!((rho - 1.0).abs() < 1e-12, "rho at {c:?} = {rho}");
-        for a in 0..3 {
-            assert!(u[a].abs() < 1e-12, "u[{a}] at {c:?} = {}", u[a]);
+        for (a, ua) in u.iter().enumerate() {
+            assert!(ua.abs() < 1e-12, "u[{a}] at {c:?} = {ua}");
         }
     }
 }

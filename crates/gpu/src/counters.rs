@@ -214,7 +214,7 @@ fn stall_bytes(cost: &LaunchCost) -> u64 {
 }
 
 /// One kernel execution interval captured while span tracing is enabled:
-/// what ran, when, where (wave/stream of the graph executor), and how much
+/// what ran, when, in which wave of the graph executor, and how much
 /// traffic it declared.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct KernelSpan {
@@ -223,8 +223,6 @@ pub struct KernelSpan {
     /// Wave index of the graph executor, if the launch was dispatched from
     /// a wave (eager launches record `None`).
     pub wave: Option<u32>,
-    /// Virtual stream id within the wave, if any.
-    pub stream: Option<u32>,
     /// Start time in microseconds since the profiler epoch.
     pub start_us: f64,
     /// Measured wall duration in microseconds.
@@ -236,16 +234,16 @@ pub struct KernelSpan {
 }
 
 thread_local! {
-    /// `(wave, stream)` of the kernel the current thread is dispatching.
-    static SPAN_CTX: Cell<Option<(u32, u32)>> = const { Cell::new(None) };
+    /// Wave of the kernel the current thread is dispatching.
+    static SPAN_CTX: Cell<Option<u32>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with the thread's span context set to `(wave, stream)`; any
-/// kernel launch recorded inside picks the ids up into its [`KernelSpan`].
-/// The previous context is restored on exit (dispatchers nest).
-pub fn with_span_context<R>(wave: u32, stream: u32, f: impl FnOnce() -> R) -> R {
+/// Runs `f` with the thread's span context set to `wave`; any kernel
+/// launch recorded inside picks the wave up into its [`KernelSpan`]. The
+/// previous context is restored on exit (dispatchers nest).
+pub fn with_span_context<R>(wave: u32, f: impl FnOnce() -> R) -> R {
     SPAN_CTX.with(|c| {
-        let prev = c.replace(Some((wave, stream)));
+        let prev = c.replace(Some(wave));
         let out = f();
         c.set(prev);
         out
@@ -314,11 +312,9 @@ impl Profiler {
         self.per_kernel.lock().entry(name).or_default().add(cost, wall_us);
         if self.tracing.load(Ordering::Relaxed) {
             let end_us = self.epoch.elapsed().as_secs_f64() * 1e6;
-            let ctx = SPAN_CTX.with(Cell::get);
             self.spans.lock().push(KernelSpan {
                 name,
-                wave: ctx.map(|(w, _)| w),
-                stream: ctx.map(|(_, s)| s),
+                wave: SPAN_CTX.with(Cell::get),
                 start_us: (end_us - wall_us).max(0.0),
                 dur_us: wall_us,
                 bytes: cost.traffic_bytes(),
@@ -352,8 +348,8 @@ impl Profiler {
         self.thread_blocks.lock().clone()
     }
 
-    /// Records the start of one executor wave (a group of kernels
-    /// dispatched concurrently by the graph executor). While any waves are
+    /// Records the start of one executor wave (a group of mutually
+    /// independent kernels of the graph executor). While any waves are
     /// recorded, [`Profiler::modeled_us`] charges launch overhead per
     /// *wave* instead of per launch — concurrent submissions overlap their
     /// launch latency on a real device.
@@ -423,10 +419,12 @@ impl Profiler {
     /// warp-underutilization stalls.
     ///
     /// When waves were recorded (graph execution), launch overhead is
-    /// charged once per wave: kernels of a wave are submitted to distinct
-    /// streams, so their launch latencies overlap. Bandwidth is shared
-    /// either way — total traffic divides by the same device bandwidth —
-    /// so the wave makespan equals overhead + summed transfer time.
+    /// charged once per wave: on the modeled device the kernels of a wave
+    /// go to distinct streams, so their launch latencies overlap (the host
+    /// runs them one after another; the overlap is a property of the model
+    /// only). Bandwidth is shared either way — total traffic divides by
+    /// the same device bandwidth — so the wave makespan equals overhead +
+    /// summed transfer time.
     pub fn modeled_us(&self, device: &DeviceModel) -> f64 {
         let t = self.total();
         let waves = self.waves();
@@ -442,8 +440,10 @@ impl Profiler {
 
     /// Serializes the recorded spans as chrome://tracing JSON (the "trace
     /// event format", `ph: "X"` complete events). Load the file at
-    /// `chrome://tracing` or <https://ui.perfetto.dev>. Rows (`tid`) are
-    /// virtual stream ids; timestamps are normalized to the earliest span.
+    /// `chrome://tracing` or <https://ui.perfetto.dev>. Kernels run one after
+    /// another, so every span sits on one row (`tid` 0) with its wave in
+    /// `args` (-1 for eager launches); timestamps are normalized to the
+    /// earliest span.
     pub fn chrome_trace_json(&self) -> String {
         let spans = self.spans();
         let t0 = spans
@@ -460,12 +460,11 @@ impl Profiler {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"kernel\",\"ph\":\"X\",\"ts\":{:.3},\
-                 \"dur\":{:.3},\"pid\":0,\"tid\":{},\"args\":{{\"wave\":{},\
+                 \"dur\":{:.3},\"pid\":0,\"tid\":0,\"args\":{{\"wave\":{},\
                  \"bytes\":{},\"cells\":{}}}}}",
                 s.name,
                 s.start_us - t0,
                 s.dur_us,
-                s.stream.unwrap_or(0),
                 wave,
                 s.bytes,
                 s.cells
@@ -561,25 +560,24 @@ mod tests {
         assert!(p.spans().is_empty(), "tracing off: no spans");
         p.set_tracing(true);
         p.record_launch("eager", c, 1.0);
-        with_span_context(3, 1, || p.record_launch("waved", c, 2.0));
+        with_span_context(3, || p.record_launch("waved", c, 2.0));
         let spans = p.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "eager");
         assert_eq!(spans[0].wave, None);
         assert_eq!(spans[1].name, "waved");
         assert_eq!(spans[1].wave, Some(3));
-        assert_eq!(spans[1].stream, Some(1));
         assert_eq!(spans[1].bytes, 10 * 3 * 8);
         assert_eq!(spans[1].cells, 10);
     }
 
     #[test]
     fn span_context_restores_on_exit() {
-        with_span_context(1, 0, || {
-            with_span_context(2, 5, || {
-                assert_eq!(SPAN_CTX.with(Cell::get), Some((2, 5)));
+        with_span_context(1, || {
+            with_span_context(2, || {
+                assert_eq!(SPAN_CTX.with(Cell::get), Some(2));
             });
-            assert_eq!(SPAN_CTX.with(Cell::get), Some((1, 0)));
+            assert_eq!(SPAN_CTX.with(Cell::get), Some(1));
         });
         assert_eq!(SPAN_CTX.with(Cell::get), None);
     }
@@ -589,13 +587,15 @@ mod tests {
         let p = Profiler::new();
         p.set_tracing(true);
         let c = LaunchCost::cells(4).loads(1).build();
-        with_span_context(0, 0, || p.record_launch("a", c, 1.0));
-        with_span_context(0, 1, || p.record_launch("b", c, 1.0));
+        with_span_context(0, || p.record_launch("a", c, 1.0));
+        with_span_context(1, || p.record_launch("b", c, 1.0));
         let json = p.chrome_trace_json();
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"a\""));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"tid\":1"));
+        // One row for every span; the wave travels in `args`.
+        assert_eq!(json.matches("\"tid\":0").count(), 2);
+        assert!(json.contains("\"wave\":1"));
         // Timestamps normalize: earliest span starts at ts 0.
         assert!(json.contains("\"ts\":0.000"));
     }

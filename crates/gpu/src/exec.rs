@@ -23,11 +23,11 @@
 //!
 //! The pool only changes *which thread* executes a block, never what the
 //! block computes. Kernels whose blocks write disjoint state (all gather
-//! kernels under the `split_mut()` guard API) are therefore bit-identical
-//! for every thread count by construction. The one scatter kernel in the
-//! method — the fine→coarse Accumulate — must instead go through the staged
-//! slab + ordered-merge path (see `lbm_core`'s kernel docs) whenever the
-//! pool has more than one thread.
+//! kernels, each writing its own blocks of one destination half) are
+//! therefore bit-identical for every thread count by construction. The one
+//! scatter kernel in the method — the fine→coarse Accumulate — must instead
+//! go through the staged slab + ordered-merge path (see `lbm_core`'s kernel
+//! docs) whenever the pool has more than one thread.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -429,9 +429,10 @@ impl Executor {
         self.profiler.record_sync();
     }
 
-    /// Marks the start of one wave of concurrently-dispatched kernels (graph
-    /// execution). Pure accounting: once any wave is recorded, the profiler's
-    /// cost model charges launch overhead per wave instead of per launch.
+    /// Marks the start of one wave of mutually independent kernels (graph
+    /// execution). Pure accounting: the kernels still run one after
+    /// another, but once any wave is recorded the profiler's cost model
+    /// charges launch overhead per wave instead of per launch.
     pub fn begin_wave(&self) {
         self.profiler.record_wave();
     }

@@ -71,8 +71,8 @@ mod tests {
     fn conserves_mass_and_momentum() {
         let op = Bgk::new(1.3_f64);
         let mut f = [0.0; MAX_Q];
-        for i in 0..D3Q19::Q {
-            f[i] = D3Q19::W[i] * (1.0 + 0.1 * ((i * 7 % 5) as f64 - 2.0));
+        for (i, fi) in f.iter_mut().enumerate().take(D3Q19::Q) {
+            *fi = D3Q19::W[i] * (1.0 + 0.1 * ((i * 7 % 5) as f64 - 2.0));
         }
         let (rho0, u0) = density_velocity::<f64, D3Q19>(&f[..]);
         Collision::<f64, D3Q19>::collide(&op, &mut f);
@@ -90,8 +90,8 @@ mod tests {
         crate::equilibrium::equilibrium::<f64, D3Q27>(1.0, [0.03, 0.02, -0.04], &mut f);
         let before = f;
         Collision::<f64, D3Q27>::collide(&op, &mut f);
-        for i in 0..D3Q27::Q {
-            assert!((f[i] - before[i]).abs() < 1e-14);
+        for (a, b) in f.iter().zip(&before).take(D3Q27::Q) {
+            assert!((a - b).abs() < 1e-14);
         }
     }
 
@@ -99,15 +99,15 @@ mod tests {
     fn omega_one_jumps_to_equilibrium() {
         let op = Bgk::new(1.0_f64);
         let mut f = [0.0; MAX_Q];
-        for i in 0..D3Q19::Q {
-            f[i] = D3Q19::W[i] + 0.01 * ((i % 3) as f64 - 1.0) * D3Q19::W[i];
+        for (i, fi) in f.iter_mut().enumerate().take(D3Q19::Q) {
+            *fi = D3Q19::W[i] + 0.01 * ((i % 3) as f64 - 1.0) * D3Q19::W[i];
         }
         let (rho, u) = density_velocity::<f64, D3Q19>(&f[..]);
         Collision::<f64, D3Q19>::collide(&op, &mut f);
         let mut feq = [0.0; MAX_Q];
         crate::equilibrium::equilibrium::<f64, D3Q19>(rho, u, &mut feq);
-        for i in 0..D3Q19::Q {
-            assert!((f[i] - feq[i]).abs() < 1e-14);
+        for (a, b) in f.iter().zip(&feq).take(D3Q19::Q) {
+            assert!((a - b).abs() < 1e-14);
         }
     }
 

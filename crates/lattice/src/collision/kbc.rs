@@ -171,8 +171,8 @@ mod tests {
 
     fn perturbed() -> [f64; MAX_Q] {
         let mut f = [0.0; MAX_Q];
-        for i in 0..D3Q27::Q {
-            f[i] = D3Q27::W[i] * (1.0 + 0.05 * ((i * 13 % 7) as f64 - 3.0));
+        for (i, fi) in f.iter_mut().enumerate().take(D3Q27::Q) {
+            *fi = D3Q27::W[i] * (1.0 + 0.05 * ((i * 13 % 7) as f64 - 3.0));
         }
         f
     }
@@ -250,9 +250,9 @@ mod tests {
             Collision::<f64, D3Q27>::collide(&kbc, &mut f);
             // Without streaming this should converge toward equilibrium.
         }
-        for i in 0..D3Q27::Q {
-            assert!(f[i].is_finite());
-            assert!(f[i] > 0.0, "population {i} went non-positive: {}", f[i]);
+        for (i, &fi) in f.iter().enumerate().take(D3Q27::Q) {
+            assert!(fi.is_finite());
+            assert!(fi > 0.0, "population {i} went non-positive: {fi}");
         }
     }
 }

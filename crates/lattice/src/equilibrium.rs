@@ -129,8 +129,8 @@ mod tests {
     fn rest_state_equals_weights() {
         let mut feq = [0.0; MAX_Q];
         equilibrium::<f64, D3Q19>(1.0, [0.0; 3], &mut feq);
-        for i in 0..D3Q19::Q {
-            assert!((feq[i] - D3Q19::W[i]).abs() < 1e-16);
+        for (f, w) in feq.iter().zip(D3Q19::W) {
+            assert!((f - w).abs() < 1e-16);
         }
     }
 
@@ -140,8 +140,8 @@ mod tests {
         let u = [0.04, 0.01, -0.06];
         let mut feq = [0.0; MAX_Q];
         equilibrium::<f64, D3Q27>(rho, u, &mut feq);
-        for i in 0..D3Q27::Q {
-            assert!((equilibrium_dir::<f64, D3Q27>(i, rho, u) - feq[i]).abs() < 1e-15);
+        for (i, f) in feq.iter().enumerate().take(D3Q27::Q) {
+            assert!((equilibrium_dir::<f64, D3Q27>(i, rho, u) - f).abs() < 1e-15);
         }
     }
 

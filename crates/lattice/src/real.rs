@@ -213,8 +213,8 @@ mod tests {
         // NaN payloads survive (a float conversion would not guarantee it).
         let weird = f64::from_bits(0x7ff8_0000_dead_beef);
         assert_eq!(f64::from_bits64(weird.to_bits64()).to_bits(), weird.to_bits());
-        assert_eq!(f64::BITS, 64);
-        assert_eq!(f32::BITS, 32);
+        assert_eq!(<f64 as Real>::BITS, 64);
+        assert_eq!(<f32 as Real>::BITS, 32);
     }
 
     #[test]

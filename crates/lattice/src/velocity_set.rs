@@ -227,7 +227,7 @@ mod tests {
                     assert!(m3.abs() < 1e-14, "third moment [{a}{b}{c}] = {m3}");
                     for d in 0..3 {
                         // Skip components involving z for 2D lattices.
-                        if V::D == 2 && [a, b, c, d].iter().any(|&x| x == 2) {
+                        if V::D == 2 && [a, b, c, d].contains(&2) {
                             continue;
                         }
                         let m4: f64 = (0..q)

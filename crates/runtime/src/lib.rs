@@ -2,8 +2,8 @@
 //!
 //! Neon-style programming-model runtime (paper §V-C): kernels declare which
 //! fields they read/write/atomically-accumulate; the runtime extracts the
-//! data-dependency graph, schedules independent kernels concurrently, and
-//! places synchronization points only where necessary.
+//! data-dependency graph, groups independent kernels into waves, and
+//! places synchronization points only between waves.
 //!
 //! - [`graph`]: field registry, kernel nodes, dependency extraction, Fig. 2
 //!   DOT export, kernel/sync counting;

@@ -3,9 +3,13 @@
 //! Neon runs independent kernels concurrently and synchronizes between
 //! dependent groups. The [`Schedule`] materializes that plan: kernels
 //! grouped into waves, one synchronization point between consecutive waves.
-//! `lbm-core` replays the plan on the virtual GPU executor, calling
-//! `Executor::sync()` exactly `sync_count` times per step so the cost model
-//! charges synchronization the way the real runtime would.
+//! `lbm-core` replays the plan on the virtual GPU executor: it opens each
+//! wave with `Executor::begin_wave()` (the cost model then charges one
+//! launch overhead per wave, the modeled launch overlap) and calls
+//! `Executor::sync()` exactly `sync_count` times per step, so the model
+//! charges synchronization the way the real runtime would. The host runs a
+//! wave's kernels one after another in ascending node order, each kernel
+//! block-parallel on the executor's pool.
 
 use crate::graph::TaskGraph;
 
@@ -26,37 +30,11 @@ impl Schedule {
             .map(|&n| Vec::with_capacity(n))
             .collect();
         // Node indices ascend within each wave: program order, which the
-        // sequential executor relies on for deterministic replay.
+        // engine's dispatch relies on for deterministic replay.
         for (node, &w) in graph.waves().iter().enumerate() {
             waves[w].push(node);
         }
         Self { waves }
-    }
-
-    /// Stream id of `node`: its position within its wave. Virtual streams
-    /// are numbered per wave; concurrent kernels of one wave occupy
-    /// distinct streams.
-    pub fn stream_of(&self, node: usize) -> Option<usize> {
-        self.waves
-            .iter()
-            .find_map(|w| w.iter().position(|&n| n == node))
-    }
-
-    /// Partitions wave `w`'s nodes across at most `max_streams` virtual
-    /// streams (round-robin), preserving ascending node order within each
-    /// stream. The executor dispatches one thread per stream; with
-    /// `max_streams == 1` the whole wave runs on one stream in program
-    /// order. Returns no more groups than the wave has nodes, and never an
-    /// empty group.
-    pub fn stream_partition(&self, w: usize, max_streams: usize) -> Vec<Vec<usize>> {
-        let wave = &self.waves[w];
-        let k = max_streams.max(1).min(wave.len().max(1));
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (i, &node) in wave.iter().enumerate() {
-            groups[i % k].push(node);
-        }
-        groups.retain(|g| !g.is_empty());
-        groups
     }
 
     /// Number of synchronization points (between consecutive waves).
@@ -115,29 +93,6 @@ mod tests {
         assert_eq!(s.sync_count(), 2);
         assert_eq!(s.kernel_count(), 4);
         assert_eq!(s.sync_count(), g.sync_count());
-    }
-
-    #[test]
-    fn stream_partition_round_robins_in_order() {
-        let mut g = TaskGraph::new();
-        // Five independent writers land in one wave.
-        for i in 0..5 {
-            g.push(node(&format!("k{i}"), &[], &[i]));
-        }
-        let s = Schedule::from_graph(&g);
-        assert_eq!(s.waves.len(), 1);
-        assert_eq!(s.stream_partition(0, 1), vec![vec![0, 1, 2, 3, 4]]);
-        assert_eq!(
-            s.stream_partition(0, 2),
-            vec![vec![0, 2, 4], vec![1, 3]],
-            "round-robin keeps each stream ascending"
-        );
-        // More streams than nodes: one node per stream, no empty groups.
-        assert_eq!(
-            s.stream_partition(0, 8),
-            vec![vec![0], vec![1], vec![2], vec![3], vec![4]]
-        );
-        assert_eq!(s.stream_partition(0, 0), vec![vec![0, 1, 2, 3, 4]]);
     }
 
     #[test]

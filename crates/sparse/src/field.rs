@@ -8,9 +8,6 @@
 //! are contiguous, which guarantees coalesced accesses on real hardware and
 //! cache-line-friendly sweeps here.
 
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicIsize, Ordering};
-
 use crate::grid::{BlockIdx, SparseGrid};
 
 /// A `q`-component field over the active blocks of a sparse grid.
@@ -166,14 +163,16 @@ impl<T: Copy> DoubleBuffer<T> {
         }
     }
 
-    /// Both buffers at once: `(src, dst)`, for kernels that read the source
-    /// of all blocks while writing their own block of the destination.
+    /// Both halves at once: half `src` (0 or 1) to read and the other half
+    /// to write, irrespective of parity. The borrow checker keeps the two
+    /// disjoint, so a kernel can gather from every block of `src` while it
+    /// writes its own blocks of the destination.
     #[inline(always)]
-    pub fn pair_mut(&mut self) -> (&Field<T>, &mut Field<T>) {
-        if self.flipped {
-            (&self.b, &mut self.a)
-        } else {
+    pub fn pair_mut(&mut self, src: usize) -> (&Field<T>, &mut Field<T>) {
+        if src == 0 {
             (&self.a, &mut self.b)
+        } else {
+            (&self.b, &mut self.a)
         }
     }
 
@@ -246,135 +245,9 @@ impl<T: Copy> DoubleBuffer<T> {
         self.flipped = parity == 1;
     }
 
-    /// Splits the buffer into independently borrowable halves for
-    /// executors that dispatch kernels touching specific halves
-    /// concurrently (graph waves). The returned handle borrows the buffer
-    /// exclusively; within it, [`SplitHalves::read`] and
-    /// [`SplitHalves::write`] hand out per-half guards with runtime
-    /// borrow checking — a schedule that lets a reader and a writer of the
-    /// same half overlap panics deterministically instead of racing.
-    pub fn split_mut(&mut self) -> SplitHalves<'_, T> {
-        SplitHalves {
-            halves: [&mut self.a as *mut _, &mut self.b as *mut _],
-            state: [AtomicIsize::new(0), AtomicIsize::new(0)],
-            _borrow: PhantomData,
-        }
-    }
-
     /// Heap bytes of both buffers.
     pub fn heap_bytes(&self) -> usize {
         self.a.heap_bytes() + self.b.heap_bytes()
-    }
-}
-
-/// Exclusive handle over the two halves of a [`DoubleBuffer`], allowing
-/// concurrent kernels to borrow *different* halves (or share read access to
-/// the same half) with the aliasing rules enforced at runtime.
-///
-/// Per half, the state counter is a classic read/write lock without
-/// blocking: `0` free, `> 0` that many readers, `−1` one writer. A
-/// conflicting acquisition is a bug in the caller's dependency schedule and
-/// panics rather than waiting — the schedule is supposed to have proven the
-/// conflict impossible.
-pub struct SplitHalves<'a, T> {
-    halves: [*mut Field<T>; 2],
-    state: [AtomicIsize; 2],
-    _borrow: PhantomData<&'a mut DoubleBuffer<T>>,
-}
-
-// SAFETY: the handle owns an exclusive borrow of the buffer; all concurrent
-// access goes through the guard methods, which enforce the single-writer /
-// multi-reader discipline with the per-half state counters.
-unsafe impl<T: Send> Send for SplitHalves<'_, T> {}
-unsafe impl<T: Send + Sync> Sync for SplitHalves<'_, T> {}
-
-impl<'a, T> SplitHalves<'a, T> {
-    /// Shared access to half `h`.
-    ///
-    /// # Panics
-    /// If a write guard for the same half is live (schedule bug).
-    pub fn read(&self, h: usize) -> HalfReadGuard<'_, T> {
-        let state = &self.state[h];
-        state
-            .fetch_update(Ordering::Acquire, Ordering::Relaxed, |s| {
-                (s >= 0).then_some(s + 1)
-            })
-            .unwrap_or_else(|_| {
-                panic!("half {h} is being written by a concurrent kernel (schedule bug)")
-            });
-        HalfReadGuard {
-            // SAFETY: state transition above excludes any live writer.
-            field: unsafe { &*self.halves[h] },
-            state,
-        }
-    }
-
-    /// Exclusive access to half `h`.
-    ///
-    /// # Panics
-    /// If any guard for the same half is live (schedule bug).
-    pub fn write(&self, h: usize) -> HalfWriteGuard<'_, T> {
-        let state = &self.state[h];
-        state
-            .compare_exchange(0, -1, Ordering::Acquire, Ordering::Relaxed)
-            .unwrap_or_else(|_| {
-                panic!("half {h} is borrowed by a concurrent kernel (schedule bug)")
-            });
-        HalfWriteGuard {
-            field: self.halves[h],
-            state,
-            _marker: PhantomData,
-        }
-    }
-}
-
-/// Shared guard over one half (see [`SplitHalves::read`]).
-pub struct HalfReadGuard<'s, T> {
-    field: &'s Field<T>,
-    state: &'s AtomicIsize,
-}
-
-impl<T> std::ops::Deref for HalfReadGuard<'_, T> {
-    type Target = Field<T>;
-    #[inline(always)]
-    fn deref(&self) -> &Field<T> {
-        self.field
-    }
-}
-
-impl<T> Drop for HalfReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.state.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// Exclusive guard over one half (see [`SplitHalves::write`]).
-pub struct HalfWriteGuard<'s, T> {
-    field: *mut Field<T>,
-    state: &'s AtomicIsize,
-    _marker: PhantomData<&'s mut Field<T>>,
-}
-
-impl<T> std::ops::Deref for HalfWriteGuard<'_, T> {
-    type Target = Field<T>;
-    #[inline(always)]
-    fn deref(&self) -> &Field<T> {
-        // SAFETY: the −1 state excludes every other guard for this half.
-        unsafe { &*self.field }
-    }
-}
-
-impl<T> std::ops::DerefMut for HalfWriteGuard<'_, T> {
-    #[inline(always)]
-    fn deref_mut(&mut self) -> &mut Field<T> {
-        // SAFETY: as in Deref.
-        unsafe { &mut *self.field }
-    }
-}
-
-impl<T> Drop for HalfWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.state.store(0, Ordering::Release);
     }
 }
 
@@ -502,7 +375,7 @@ mod tests {
         assert_eq!(db.src().get(0, 0, 0), 0.0);
         db.swap();
         assert_eq!(db.src().get(0, 0, 0), 5.0);
-        let (src, dst) = db.pair_mut();
+        let (src, dst) = db.pair_mut(db.parity());
         assert_eq!(src.get(0, 0, 0), 5.0);
         dst.set(0, 0, 0, 7.0);
         db.swap();
@@ -510,43 +383,21 @@ mod tests {
     }
 
     #[test]
-    fn split_halves_allow_disjoint_and_shared_reads() {
+    fn pair_mut_reads_one_half_and_writes_the_other() {
         let g = grid();
         let mut db = DoubleBuffer::<f64>::new(&g, 1, 0.0);
-        db.src_mut().set(0, 0, 0, 3.0);
-        let halves = db.split_mut();
-        let r0 = halves.read(0);
-        let r0b = halves.read(0); // shared readers are fine
-        let mut w1 = halves.write(1);
-        w1.set(0, 0, 0, r0.get(0, 0, 0) * 2.0);
-        drop((r0, r0b));
-        drop(w1);
-        // Guards released: any access pattern is legal again.
-        let _w0 = halves.write(0);
-        let _r1 = halves.read(1);
-        drop((_w0, _r1));
-        drop(halves);
+        db.half_mut(0).set(0, 0, 0, 3.0);
+        db.half_mut(1).set(0, 0, 0, 5.0);
+        for src in 0..2 {
+            let (from, to) = db.pair_mut(src);
+            let v = from.get(0, 0, 0);
+            to.set(0, 0, 0, v * 2.0);
+            // Parity is untouched: the caller names the halves.
+            assert_eq!(db.parity(), 0);
+        }
+        // Half 0 → half 1 (3·2 = 6), then half 1 → half 0 (6·2 = 12).
         assert_eq!(db.half(1).get(0, 0, 0), 6.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "schedule bug")]
-    fn split_halves_catch_read_write_conflict() {
-        let g = grid();
-        let mut db = DoubleBuffer::<f64>::new(&g, 1, 0.0);
-        let halves = db.split_mut();
-        let _r = halves.read(0);
-        let _w = halves.write(0); // same half: must panic
-    }
-
-    #[test]
-    #[should_panic(expected = "schedule bug")]
-    fn split_halves_catch_double_write() {
-        let g = grid();
-        let mut db = DoubleBuffer::<f64>::new(&g, 1, 0.0);
-        let halves = db.split_mut();
-        let _w = halves.write(1);
-        let _w2 = halves.write(1);
+        assert_eq!(db.half(0).get(0, 0, 0), 12.0);
     }
 
     #[test]

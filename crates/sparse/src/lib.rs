@@ -28,7 +28,7 @@ pub mod sfc;
 
 pub use bitmask::BitMask;
 pub use coords::{Box3, Coord};
-pub use field::{DoubleBuffer, Field, HalfReadGuard, HalfWriteGuard, SplitHalves};
+pub use field::{DoubleBuffer, Field};
 pub use grid::{dir_slot, Block, BlockIdx, CellRef, GridBuilder, SparseGrid, INVALID_BLOCK};
 pub use offsets::{CopyRun, DirOffsets, DirRegion, StreamOffsets, CENTER_SLOT};
 pub use partition::{chunk_granularity, OwnerMap, NO_OWNER};

@@ -156,7 +156,9 @@ fn lid_box_digest<V: VelocitySet>(block_size: usize) -> u64 {
 fn golden_digests_of_the_lid_driven_box() {
     // Pinned final-state digests of the block-SoA engine. Any change to
     // kernel arithmetic, scatter order or population indexing moves them.
-    let cases: [(fn(usize) -> u64, usize, &str); 4] = [
+    // (digest function, block size B, expected digest)
+    type Case = (fn(usize) -> u64, usize, &'static str);
+    let cases: [Case; 4] = [
         (lid_box_digest::<D3Q19>, 4, "f56c29a849c37c4d"),
         (lid_box_digest::<D3Q27>, 4, "b27a57622eb50e49"),
         (lid_box_digest::<D3Q19>, 8, "aad1ee9d95c96895"),

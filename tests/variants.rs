@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{assert_bits_identical, mode_engine};
+use common::{assert_bits_identical, mode_engine, seeded_engine_with, EngineOpts};
 use lbm_refinement::core::{Engine, ExecMode, MultiGrid, Variant};
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, VelocitySet, D3Q19, D3Q27};
@@ -208,6 +208,45 @@ fn graph_mode_sync_count_matches_schedule() {
         assert!(
             trace.starts_with("{\"traceEvents\":[{"),
             "{}: chrome trace has no span entries: {trace}",
+            variant.name()
+        );
+
+        // Dispatch is deterministic: at any pool width the spans of one
+        // step follow the schedule, span `i` carrying the wave of the
+        // `i`-th scheduled node, and the kernel names come in the same
+        // order. The Accumulate path is pinned to the staged split so both
+        // widths run the same program.
+        let traced_at = |threads: usize| {
+            let opts = EngineOpts {
+                mode: ExecMode::Graph,
+                threads: Some(threads),
+                staged: Some(true),
+                health: None,
+            };
+            let mut eng = seeded_engine_with::<D3Q19>(7, variant, opts);
+            let (_, schedule) = eng.step_task_graph();
+            let scheduled: Vec<Option<u32>> = schedule
+                .waves
+                .iter()
+                .enumerate()
+                .flat_map(|(w, wave)| std::iter::repeat_n(Some(w as u32), wave.len()))
+                .collect();
+            eng.exec.profiler().set_tracing(true);
+            eng.step();
+            let spans = eng.exec.profiler().spans();
+            let waves: Vec<Option<u32>> = spans.iter().map(|s| s.wave).collect();
+            assert_eq!(
+                waves,
+                scheduled,
+                "{} at {threads} threads: spans follow the schedule",
+                variant.name()
+            );
+            spans.iter().map(|s| s.name).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            traced_at(8),
+            traced_at(1),
+            "{}: the span sequence does not depend on the pool width",
             variant.name()
         );
     }
