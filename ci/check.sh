@@ -2,10 +2,10 @@
 # Tier-1 gate: everything CI runs, runnable locally with `ci/check.sh`.
 #
 # 1. release build + the test suite of every workspace crate. The tests are
-#    the correctness contract: bit-identity across interior paths, fusion
-#    variants, exec modes, thread counts and restart, pinned golden digests,
-#    conservation, and the graph-mode sync/wave counts (DESIGN.md §4, §8,
-#    §10, §11);
+#    the correctness contract: the streaming gather against a per-cell
+#    oracle, bit-identity across fusion variants, exec modes, thread counts
+#    and restart, pinned golden digests, conservation, and the graph-mode
+#    sync/wave counts (DESIGN.md §4, §8, §10, §11);
 # 2. clippy with warnings denied, test targets included;
 # 3. rustdoc with warnings denied, so no doc link dangles;
 # 4. the cheapest `report` experiment, so the paper-figure binary still runs;

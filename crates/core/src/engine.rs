@@ -44,7 +44,7 @@ use crate::checkpoint::{
     RecoveryPoint,
 };
 use crate::graphs;
-use crate::kernels::{self, InteriorPath, StreamInputs, StreamOptions};
+use crate::kernels::{self, StreamInputs, StreamOptions};
 use crate::links::LinkKind;
 use crate::multigrid::MultiGrid;
 use crate::program::{self, LevelTopo, OpKind, StepOp};
@@ -112,7 +112,6 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     coarse_steps: u64,
     explosion_cells: Vec<u64>,
     coalesce_cells: Vec<u64>,
-    interior_path: InteriorPath,
     exec_mode: ExecMode,
     /// Whether the Accumulate scatter runs through the deterministic
     /// staging-slab + ordered-merge path (DESIGN.md §10). Defaults to
@@ -146,7 +145,6 @@ pub struct EngineBuilder<T: Real, V: VelocitySet, C = ()> {
     grid: MultiGrid<T, V>,
     op: C,
     variant: Variant,
-    interior_path: InteriorPath,
     exec_mode: ExecMode,
     staged: Option<bool>,
     health: Option<HealthGuard>,
@@ -154,14 +152,12 @@ pub struct EngineBuilder<T: Real, V: VelocitySet, C = ()> {
 
 impl<T: Real, V: VelocitySet> Engine<T, V, ()> {
     /// Starts building an engine over `grid`. Defaults: the paper's most
-    /// optimized variant ([`Variant::FusedAll`]), the default interior fast
-    /// path, eager execution.
+    /// optimized variant ([`Variant::FusedAll`]) and eager execution.
     pub fn builder(grid: MultiGrid<T, V>) -> EngineBuilder<T, V> {
         EngineBuilder {
             grid,
             op: (),
             variant: Variant::FusedAll,
-            interior_path: InteriorPath::default(),
             exec_mode: ExecMode::Eager,
             staged: None,
             health: None,
@@ -173,15 +169,6 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
     /// Sets the execution variant (fusion configuration).
     pub fn variant(mut self, v: Variant) -> Self {
         self.variant = v;
-        self
-    }
-
-    /// Selects the implementation eligible interior blocks use in the
-    /// streaming-family kernels (both paths are bit-identical;
-    /// [`InteriorPath::General`] exists for equivalence testing and
-    /// benchmarking).
-    pub fn interior_path(mut self, p: InteriorPath) -> Self {
-        self.interior_path = p;
         self
     }
 
@@ -215,7 +202,6 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
             grid: self.grid,
             op,
             variant: self.variant,
-            interior_path: self.interior_path,
             exec_mode: self.exec_mode,
             staged: self.staged,
             health: self.health,
@@ -256,7 +242,6 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
             coarse_steps: 0,
             explosion_cells,
             coalesce_cells,
-            interior_path: self.interior_path,
             exec_mode: self.exec_mode,
             staged,
             plan: None,
@@ -278,11 +263,6 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
     /// The executor's kernel-execution thread count.
     pub fn thread_count(&self) -> usize {
         self.exec.thread_count()
-    }
-
-    /// The currently selected interior fast path.
-    pub fn interior_path(&self) -> InteriorPath {
-        self.interior_path
     }
 
     /// The current execution mode.
@@ -568,13 +548,12 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         let inputs = StreamInputs {
             grid: &lv.grid,
             flags: &lv.flags,
-            block_flags: &lv.block_flags,
+            all_real: &lv.all_real,
             links: &lv.links,
             src,
             acc: &lv.acc,
             coarse_src: coarse.map(|c| c.f.half(op.coarse_half as usize)),
             offsets: &lv.offsets,
-            interior_path: self.interior_path,
         };
 
         match op.kind {

@@ -1,4 +1,4 @@
-//! Per-cell and per-block classification flags.
+//! Per-cell classification flags.
 //!
 //! Every active cell of a level's sparse grid is either a **real** cell
 //! (collides and streams) or a **ghost** cell (paper §IV-A: the single
@@ -42,7 +42,7 @@ impl CellFlags {
         self.has(Self::GHOST)
     }
 
-    /// True when the streaming fast path (all-26-same-level) cannot be used.
+    /// True when some streaming direction resolves through a link.
     #[inline(always)]
     pub fn is_exceptional(self) -> bool {
         self.has(Self::EXCEPTIONAL)
@@ -52,37 +52,6 @@ impl CellFlags {
     #[inline(always)]
     pub fn accumulates(self) -> bool {
         self.has(Self::ACCUMULATES)
-    }
-}
-
-/// Block-level summary used to pick kernel fast paths.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct BlockFlags(pub u8);
-
-impl BlockFlags {
-    /// Every cell slot in the block is an interior real cell (full bitmask,
-    /// no exceptions, no accumulation) *and* all 26 neighbor blocks exist —
-    /// the branch-free streaming fast path applies.
-    pub const FULLY_INTERIOR: u8 = 1 << 0;
-    /// Block contains at least one real cell.
-    pub const HAS_REAL: u8 = 1 << 1;
-    /// Block contains at least one ghost cell.
-    pub const HAS_GHOST: u8 = 1 << 2;
-    /// Block contains at least one accumulating cell.
-    pub const HAS_ACCUMULATORS: u8 = 1 << 3;
-    /// Every neighbor slot read by the level's streaming offset tables
-    /// ([`lbm_sparse::StreamOffsets::needed_slots`]) maps to an existing
-    /// block — the precondition of the direction-major gather, which
-    /// indexes the neighbor table unconditionally. Set together with
-    /// [`BlockFlags::FULLY_INTERIOR`] by the builder (an interior block
-    /// with a missing neighbor would be a construction bug); kept separate
-    /// so the invariant is explicit and testable.
-    pub const STENCIL_COMPLETE: u8 = 1 << 4;
-
-    /// True if `bit` is set.
-    #[inline(always)]
-    pub fn has(self, bit: u8) -> bool {
-        self.0 & bit != 0
     }
 }
 
@@ -114,13 +83,5 @@ mod tests {
         assert!(!f.is_ghost());
         assert!(!f.is_exceptional());
         assert!(f.accumulates());
-    }
-
-    #[test]
-    fn block_flag_queries() {
-        let f = BlockFlags(BlockFlags::FULLY_INTERIOR | BlockFlags::HAS_REAL);
-        assert!(f.has(BlockFlags::FULLY_INTERIOR));
-        assert!(f.has(BlockFlags::HAS_REAL));
-        assert!(!f.has(BlockFlags::HAS_GHOST));
     }
 }

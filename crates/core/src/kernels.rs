@@ -8,40 +8,28 @@
 //! scatter is the optimized Accumulate, which uses atomic adds into the
 //! coarse ghost layer exactly as the paper prescribes (§IV-A).
 //!
+//! Every block streams through one gather, `stream_block`, built from
+//! precomputed tables only (paper §V-B): it replays the level's
+//! [`StreamOffsets`] copy-run plan, overwrites the block's linked
+//! `(cell, direction)` pairs from its [`BlockLinks`] list, scatters
+//! Accumulate by the per-cell direction masks, and keeps the bits of ghost
+//! and inactive slots. A fully-interior block is the case with no links,
+//! no masks and no slots to keep. No kernel branches on a cell's position
+//! or looks its links up by cell.
+//!
 //! Kernel launches go through the virtual GPU [`Executor`]; each declares
 //! its honest per-cell traffic so the device model can price it.
 
 use lbm_gpu::{AtomicF64Field, Executor, LaunchCost};
 use lbm_lattice::{Collision, Real, VelocitySet, MAX_Q};
-use lbm_sparse::{Field, SparseGrid, StreamOffsets, CENTER_SLOT};
+use lbm_sparse::{Block, Field, SparseGrid, StreamOffsets, INVALID_BLOCK};
 
-use crate::flags::{BlockFlags, CellFlags};
+use crate::flags::CellFlags;
 use crate::links::{decode_ref, BlockLinks, LinkKind, NO_TARGET};
 
 /// Value-size in bytes of the population scalar.
 fn value_bytes<T>() -> u64 {
     std::mem::size_of::<T>() as u64
-}
-
-/// Which implementation eligible (fully-interior, stencil-complete) blocks
-/// use in the streaming-family kernels. Frontier/interface blocks always
-/// take the general per-cell path regardless of this setting.
-///
-/// Both paths are bit-identical by construction (they read the same source
-/// addresses); the equivalence proptest in
-/// `crates/core/tests/fastpath_equivalence.rs` pins that down. [`General`]
-/// forces the link-resolving path everywhere: it is the reference the fast
-/// path is tested and benchmarked against.
-///
-/// [`General`]: InteriorPath::General
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum InteriorPath {
-    /// Direction-major traversal over precomputed [`StreamOffsets`] copy
-    /// runs: branch-free contiguous-run copies (the optimized path).
-    #[default]
-    DirMajor,
-    /// No fast path: every block runs the general link-resolving loop.
-    General,
 }
 
 /// Read-only views of one level needed by the streaming-family kernels.
@@ -51,8 +39,8 @@ pub struct StreamInputs<'a, T> {
     pub grid: &'a SparseGrid,
     /// Per-cell flags.
     pub flags: &'a Field<u8>,
-    /// Per-block summaries.
-    pub block_flags: &'a [crate::flags::BlockFlags],
+    /// Per block: every slot is active and real ([`crate::Level::all_real`]).
+    pub all_real: &'a [bool],
     /// Per-block link tables.
     pub links: &'a [BlockLinks<T>],
     /// Own-level post-collision populations (gather source).
@@ -65,8 +53,6 @@ pub struct StreamInputs<'a, T> {
     /// Precomputed per-direction gather plans for this level's block size
     /// (shared per `(block_size, velocity set)` pair).
     pub offsets: &'a StreamOffsets,
-    /// Fast-path selection for eligible interior blocks.
-    pub interior_path: InteriorPath,
 }
 
 /// Where the Accumulate scatter deposits a cell's crossing populations.
@@ -111,10 +97,12 @@ pub struct AccTables<'a> {
 }
 
 impl AccTables<'_> {
-    /// Deposits the crossing populations of one cell (read from `src`, the
-    /// pre-streaming post-collision buffer) toward its parent ghost —
-    /// directly ([`AccSink::Atomic`]) or via the staging slab
-    /// ([`AccSink::Staged`]).
+    /// Deposits the crossing populations of one block's accumulating cells
+    /// (read from `src`, the pre-streaming post-collision buffer) toward
+    /// their parent ghosts — directly ([`AccSink::Atomic`]) or via the
+    /// staging slab ([`AccSink::Staged`]). A cell accumulates iff its
+    /// direction mask is non-zero; cells go in ascending order, the order
+    /// the staged merge plan replays.
     ///
     /// Timing matters: the populations that cross the interface during a
     /// fine substep are the post-collision values *being streamed*, i.e.
@@ -122,34 +110,40 @@ impl AccTables<'_> {
     /// output instead would lag the coarse Coalescence by one substep and
     /// break exact interface conservation.
     #[inline(always)]
-    pub fn scatter_from<T: Real>(&self, src: &Field<T>, block: u32, cell: u32) {
+    pub fn scatter_block<T: Real>(&self, src: &Field<T>, block: u32) {
         let (Some(tt), Some(dd)) = (
             self.targets[block as usize].as_deref(),
             self.dirs[block as usize].as_deref(),
         ) else {
             return;
         };
-        let mut mask = dd[cell as usize];
-        if mask == 0 {
-            return;
-        }
-        debug_assert_ne!(tt[cell as usize], NO_TARGET);
-        match self.sink {
-            AccSink::Atomic(acc) => {
-                let parent = decode_ref(tt[cell as usize]);
-                while mask != 0 {
-                    let i = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    acc.add(parent.block, i, parent.cell, src.get(block, i, cell).to_f64());
-                }
+        for (cell, (&target, &dirs)) in tt.iter().zip(dd).enumerate() {
+            let (cell, mut mask) = (cell as u32, dirs);
+            if mask == 0 {
+                continue;
             }
-            AccSink::Staged { slab, dense } => {
-                let sb = dense[block as usize];
-                debug_assert_ne!(sb, lbm_sparse::NO_OWNER, "staged scatter from unmapped block");
-                while mask != 0 {
-                    let i = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    slab.store(sb, i, cell, src.get(block, i, cell).to_f64());
+            debug_assert_ne!(target, NO_TARGET);
+            match self.sink {
+                AccSink::Atomic(acc) => {
+                    let parent = decode_ref(target);
+                    while mask != 0 {
+                        let i = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        acc.add(parent.block, i, parent.cell, src.get(block, i, cell).to_f64());
+                    }
+                }
+                AccSink::Staged { slab, dense } => {
+                    let sb = dense[block as usize];
+                    debug_assert_ne!(
+                        sb,
+                        lbm_sparse::NO_OWNER,
+                        "staged scatter from unmapped block"
+                    );
+                    while mask != 0 {
+                        let i = mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        slab.store(sb, i, cell, src.get(block, i, cell).to_f64());
+                    }
                 }
             }
         }
@@ -158,7 +152,8 @@ impl AccTables<'_> {
 
 /// Which link families the streaming kernel resolves inline. The families
 /// it does *not* handle are left for the separate Explosion / Coalescence
-/// kernels of the unfused variants (Fig. 4b/4c).
+/// kernels of the unfused variants (Fig. 4b/4c), which overwrite those
+/// `(cell, direction)` pairs before anything reads them.
 #[derive(Copy, Clone, Debug)]
 pub struct StreamOptions {
     /// Resolve Explosion links inline (fused SE, Fig. 4d).
@@ -167,136 +162,122 @@ pub struct StreamOptions {
     pub coalesce: bool,
 }
 
-/// Per-block gather context: resolves same-level pull sources with pure
-/// integer adds and compares (no divisions, no `Coord` arithmetic),
-/// reading through the raw per-block slice (`comp·B³ + cell` within a
-/// block). This is the hot path of every streaming-family kernel.
-struct BlockGather<'a, T> {
-    src_all: &'a [T],
-    block_base: usize,
-    stride: usize,
-    cpb: usize,
-    bsz: i32,
-    neighbors: &'a [lbm_sparse::BlockIdx; lbm_sparse::grid::NEIGHBOR_SLOTS],
-}
-
-impl<'a, T: Real> BlockGather<'a, T> {
-    #[inline(always)]
-    fn new(grid: &'a SparseGrid, src: &'a Field<T>, b: u32) -> Self {
-        let stride = src.block_stride();
-        Self {
-            src_all: src.as_slice(),
-            block_base: b as usize * stride,
-            stride,
-            cpb: src.cells_per_block(),
-            bsz: grid.block_size() as i32,
-            neighbors: &grid.block(b).neighbors,
-        }
-    }
-
-    /// Pulls direction `i` for the cell at local coords `(lx, ly, lz)`:
-    /// reads `src[x − e_i][i]`, following the precomputed neighbor-block
-    /// table when the source leaves the block. The grid construction
-    /// guarantees the source block exists for every non-linked direction.
-    #[inline(always)]
-    fn pull(&self, lx: i32, ly: i32, lz: i32, i: usize, c: [i32; 3]) -> T {
-        let b = self.bsz;
-        let sx = lx - c[0];
-        let sy = ly - c[1];
-        let sz = lz - c[2];
-        let (ox, wx) = if sx < 0 {
-            (-1, sx + b)
-        } else if sx >= b {
-            (1, sx - b)
-        } else {
-            (0, sx)
-        };
-        let (oy, wy) = if sy < 0 {
-            (-1, sy + b)
-        } else if sy >= b {
-            (1, sy - b)
-        } else {
-            (0, sy)
-        };
-        let (oz, wz) = if sz < 0 {
-            (-1, sz + b)
-        } else if sz >= b {
-            (1, sz - b)
-        } else {
-            (0, sz)
-        };
-        let scell = (wx + b * (wy + b * wz)) as usize;
-        let base = if ox == 0 && oy == 0 && oz == 0 {
-            self.block_base
-        } else {
-            let slot = ((ox + 1) + 3 * (oy + 1) + 9 * (oz + 1)) as usize;
-            let nb = self.neighbors[slot];
-            debug_assert_ne!(nb, lbm_sparse::INVALID_BLOCK, "gather into missing block");
-            nb as usize * self.stride
-        };
-        self.src_all[base + i * self.cpb + scell]
-    }
-
-    /// Direction-major interior gather: for every direction `i`, executes
-    /// the precomputed cell-space [`CopyRun`](lbm_sparse::CopyRun) plan into
-    /// `out`, offset by the component base `i·B³`. Reads exactly the
-    /// addresses the per-cell [`BlockGather::pull`] would read (the tables
-    /// are the closed form of its branch chains), so the result is
-    /// bit-identical — but the inner loop is a straight `copy_from_slice`
-    /// with no per-cell branching; the rest direction is a single `B³`
-    /// memcpy. Callers must only use this on blocks whose needed neighbor
-    /// slots all exist ([`BlockFlags::STENCIL_COMPLETE`]).
-    #[inline(always)]
-    fn gather_dir_major(&self, offsets: &StreamOffsets, q: usize, out: &mut [T]) {
-        for i in 0..q {
-            let comp = i * self.cpb;
-            for e in &offsets.dir(i).runs {
-                let src_block = if e.slot == CENTER_SLOT {
-                    self.block_base
-                } else {
-                    let nb = self.neighbors[e.slot as usize];
-                    debug_assert_ne!(
-                        nb,
-                        lbm_sparse::INVALID_BLOCK,
-                        "dir-major gather into missing block"
-                    );
-                    nb as usize * self.stride
-                };
-                let (mut dst, mut src) = (
-                    comp + e.dst_base as usize,
-                    src_block + comp + e.src_base as usize,
-                );
-                let (len, stride) = (e.len as usize, e.stride as usize);
-                if len == 1 {
-                    // One-cell spill columns (e.g. the x-face of the block):
-                    // a strided scalar loop beats per-element memcpy calls.
-                    for _ in 0..e.count {
-                        out[dst] = self.src_all[src];
-                        dst += stride;
-                        src += stride;
-                    }
-                } else {
-                    for _ in 0..e.count {
-                        out[dst..dst + len].copy_from_slice(&self.src_all[src..src + len]);
-                        dst += stride;
-                        src += stride;
-                    }
+/// Replays the copy-run plan of every direction into `out`, the block's
+/// `q·B³` chunk of the destination field, at component base `i·B³`. A run
+/// whose source block is missing is skipped: grid construction asserts
+/// that every cell it covers is non-real or linked in that direction
+/// (`MultiGrid::build`), so [`stream_block`] overwrites or restores it.
+/// Every other cell reads exactly `src[x − e_i][i]` (the plan is the closed
+/// form of the per-cell pull), through straight `copy_from_slice` runs
+/// with no per-cell branching; the rest direction is a single `B³` memcpy.
+#[inline(always)]
+fn replay_runs<T: Real>(
+    offsets: &StreamOffsets,
+    src: &Field<T>,
+    neighbors: &[lbm_sparse::BlockIdx],
+    q: usize,
+    out: &mut [T],
+) {
+    let (src_all, stride, cpb) = (src.as_slice(), src.block_stride(), src.cells_per_block());
+    for i in 0..q {
+        let comp = i * cpb;
+        for e in &offsets.dir(i).runs {
+            // The center slot holds the block itself.
+            let nb = neighbors[e.slot as usize];
+            if nb == INVALID_BLOCK {
+                continue;
+            }
+            let (mut dst, mut src) = (
+                comp + e.dst_base as usize,
+                nb as usize * stride + comp + e.src_base as usize,
+            );
+            let (len, stride) = (e.len as usize, e.stride as usize);
+            if len == 1 {
+                // One-cell spill columns (e.g. the x-face of the block):
+                // a strided scalar loop beats per-element memcpy calls.
+                for _ in 0..e.count {
+                    out[dst] = src_all[src];
+                    dst += stride;
+                    src += stride;
+                }
+            } else {
+                for _ in 0..e.count {
+                    out[dst..dst + len].copy_from_slice(&src_all[src..src + len]);
+                    dst += stride;
+                    src += stride;
                 }
             }
         }
     }
 }
 
-/// Direction components `e_i` copied into a stack array once per kernel
-/// block, so the per-cell loops index a local instead of re-loading through
-/// the `V::C` static on every cell.
+/// True for a slot that holds a real cell: active and flagged real.
 #[inline(always)]
-fn dir_table<V: VelocitySet>() -> [[i32; 3]; MAX_Q] {
-    let mut c = [[0i32; 3]; MAX_Q];
-    c[..V::Q].copy_from_slice(&V::C[..V::Q]);
-    c
+fn is_real(blk: &Block, flags: &[u8], cell: usize) -> bool {
+    blk.active.get(cell) && CellFlags(flags[cell]).is_real()
 }
 
+/// Overwrites the linked `(cell, direction)` pairs of block `b` whose link
+/// kind `handled` accepts, walking the block's link list.
+#[inline(always)]
+fn patch_links<T: Real>(
+    inp: &StreamInputs<'_, T>,
+    b: u32,
+    out: &mut [T],
+    handled: impl Fn(&LinkKind<T>) -> bool,
+) {
+    let cpb = inp.grid.cells_per_block();
+    for set in &inp.links[b as usize].cells {
+        for l in &set.links {
+            if handled(&l.kind) {
+                out[l.dir as usize * cpb + set.cell as usize] =
+                    resolve_link(&l.kind, inp, b, set.cell, l.dir as usize);
+            }
+        }
+    }
+}
+
+/// The streaming gather of one block into `out`, the same for every block:
+/// deposit Accumulate (`accumulate`), replay the copy-run plan
+/// ([`replay_runs`]), and patch the linked pairs `opts` resolves. A block
+/// with ghost or inactive slots replays into a tile and stores only its
+/// real cells, so those slots keep their prior bits. Pairs whose links
+/// `opts` excludes hold unspecified values until the separate Explosion or
+/// Coalescence kernel fills them.
+#[inline(always)]
+fn stream_block<T: Real, V: VelocitySet>(
+    inp: &StreamInputs<'_, T>,
+    b: u32,
+    out: &mut [T],
+    opts: StreamOptions,
+    accumulate: Option<AccTables<'_>>,
+) {
+    let cpb = inp.grid.cells_per_block();
+    if let Some(t) = accumulate {
+        t.scatter_block(inp.src, b);
+    }
+    let blk = inp.grid.block(b);
+    if inp.all_real[b as usize] {
+        replay_runs(inp.offsets, inp.src, &blk.neighbors, V::Q, out);
+    } else {
+        let mut tile = vec![T::ZERO; V::Q * cpb];
+        replay_runs(inp.offsets, inp.src, &blk.neighbors, V::Q, &mut tile);
+        let flags = inp.flags.component(b, 0);
+        let real: Vec<usize> = (0..cpb).filter(|&c| is_real(blk, flags, c)).collect();
+        for (col, from) in out.chunks_exact_mut(cpb).zip(tile.chunks_exact(cpb)) {
+            for &c in &real {
+                col[c] = from[c];
+            }
+        }
+    }
+    patch_links(inp, b, out, |k| match k {
+        LinkKind::Explosion { .. } => opts.explosion,
+        LinkKind::Coalesce { .. } => opts.coalesce,
+        _ => true, // boundaries always resolve in S
+    });
+}
+
+/// The value link `kind` gives direction `dir` of `cell` in `block`.
 #[inline(always)]
 fn resolve_link<T: Real>(
     kind: &LinkKind<T>,
@@ -322,10 +303,8 @@ fn resolve_link<T: Real>(
 }
 
 /// Streaming kernel (paper "S"): `dst[x][i] = src[x − e_i][i]` with link
-/// resolution per [`StreamOptions`]. Ghost cells are skipped. Directions
-/// whose links are excluded by the options are left untouched in `dst` (the
-/// separate kernel fills them).
-#[allow(clippy::too_many_arguments)]
+/// resolution per [`StreamOptions`], through `stream_block`. Ghost and
+/// inactive slots keep their contents.
 pub fn stream<T: Real, V: VelocitySet>(
     exec: &Executor,
     name: &'static str,
@@ -346,95 +325,8 @@ pub fn stream<T: Real, V: VelocitySet>(
         .thread_block(cpb)
         .build();
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
-            BlockGather::new(inp.grid, inp.src, b).gather_dir_major(inp.offsets, q, out);
-        } else {
-            gather_block::<T, V>(&inp, b, out, opts, accumulate);
-        }
+        stream_block::<T, V>(&inp, b, out, opts, accumulate);
     });
-}
-
-/// The general, link-resolving gather of one block into `out`: for every
-/// real cell it deposits the cell's crossing populations (`accumulate`),
-/// copies the rest population, and pulls or resolves every other
-/// direction. Directions whose links `opts` excludes are left untouched,
-/// and so are the slots of ghost and inactive cells.
-#[inline(always)]
-fn gather_block<T: Real, V: VelocitySet>(
-    inp: &StreamInputs<'_, T>,
-    b: u32,
-    out: &mut [T],
-    opts: StreamOptions,
-    accumulate: Option<AccTables<'_>>,
-) {
-    let q = V::Q;
-    let grid = inp.grid;
-    let cpb = grid.cells_per_block();
-    let g = BlockGather::new(grid, inp.src, b);
-    let bsz = grid.block_size() as i32;
-    let cdir = dir_table::<V>();
-    let blk = grid.block(b);
-    let links = &inp.links[b as usize];
-    let flags = inp.flags.component(b, 0);
-    let tables = accumulate.filter(|t| t.targets[b as usize].is_some());
-    let mut cell = 0usize;
-    for lz in 0..bsz {
-        for ly in 0..bsz {
-            for lx in 0..bsz {
-                let cf = CellFlags(flags[cell]);
-                if !blk.active.get(cell) || !cf.is_real() {
-                    cell += 1;
-                    continue;
-                }
-                if let Some(t) = &tables {
-                    if cf.accumulates() {
-                        t.scatter_from(inp.src, b, cell as u32);
-                    }
-                }
-                out[cell] = g.src_all[g.block_base + cell]; // rest
-                match links.of(cell as u32) {
-                    None => {
-                        for i in 1..q {
-                            out[i * cpb + cell] = g.pull(lx, ly, lz, i, cdir[i]);
-                        }
-                    }
-                    Some(set) => {
-                        let mut li = 0usize;
-                        for i in 1..q {
-                            let linked = li < set.links.len() && set.links[li].dir as usize == i;
-                            if linked {
-                                let kind = &set.links[li].kind;
-                                li += 1;
-                                let handled = match kind {
-                                    LinkKind::Explosion { .. } => opts.explosion,
-                                    LinkKind::Coalesce { .. } => opts.coalesce,
-                                    _ => true, // boundaries always resolve in S
-                                };
-                                if handled {
-                                    out[i * cpb + cell] =
-                                        resolve_link(kind, inp, b, cell as u32, i);
-                                }
-                            } else {
-                                out[i * cpb + cell] = g.pull(lx, ly, lz, i, cdir[i]);
-                            }
-                        }
-                    }
-                }
-                cell += 1;
-            }
-        }
-    }
-}
-
-/// True when `block` may skip the general link-resolving loop under the
-/// selected path: it must be fully interior *and* have every neighbor slot
-/// the offset tables read (the two flags are set together by the builder;
-/// requiring both keeps the invariant explicit at the use site).
-#[inline(always)]
-fn interior_fast_path(bf: BlockFlags, path: InteriorPath) -> bool {
-    path != InteriorPath::General
-        && bf.has(BlockFlags::FULLY_INTERIOR)
-        && bf.has(BlockFlags::STENCIL_COMPLETE)
 }
 
 /// Separate Explosion kernel (paper "E", baseline variants): fills the
@@ -461,19 +353,8 @@ pub fn explosion<T: Real, V: VelocitySet>(
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
         .build();
-    // Unlike stream/fused_stream_collide there is no `V::C` table to hoist
-    // here: the kernel walks precomputed link sets and never consults
-    // direction components.
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let links = &inp.links[b as usize];
-        for set in &links.cells {
-            for l in &set.links {
-                if matches!(l.kind, LinkKind::Explosion { .. }) {
-                    out[l.dir as usize * cpb + set.cell as usize] =
-                        resolve_link(&l.kind, &inp, b, set.cell, l.dir as usize);
-                }
-            }
-        }
+        patch_links(&inp, b, out, |k| matches!(k, LinkKind::Explosion { .. }));
     });
 }
 
@@ -497,15 +378,7 @@ pub fn coalesce<T: Real, V: VelocitySet>(
         .thread_block(cpb)
         .build();
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let links = &inp.links[b as usize];
-        for set in &links.cells {
-            for l in &set.links {
-                if let LinkKind::Coalesce { src, inv_count } = l.kind {
-                    out[l.dir as usize * cpb + set.cell as usize] =
-                        T::from_f64(inp.acc.load(src.block, l.dir as usize, src.cell)) * inv_count;
-                }
-            }
-        }
+        patch_links(&inp, b, out, |k| matches!(k, LinkKind::Coalesce { .. }));
     });
 }
 
@@ -544,7 +417,7 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
 const LANES: usize = 8;
 
 /// Collides the real cells of one block in place, `LANES` cells at a time.
-/// With `cells = None` every cell is real (a fully-interior block) and each
+/// With `cells = None` every slot is real ([`crate::Level::all_real`]) and each
 /// group is stored whole. Otherwise `cells` holds the block's active mask
 /// and cell flags: groups without a real cell are skipped, and a group's
 /// store writes only its real cells, so ghost and inactive slots keep
@@ -554,14 +427,14 @@ fn collide_block<T: Real, V: VelocitySet, C: Collision<T, V>>(
     op: &C,
     out: &mut [T],
     cpb: usize,
-    cells: Option<(&lbm_sparse::Block, &[u8])>,
+    cells: Option<(&Block, &[u8])>,
 ) {
     debug_assert_eq!(cpb % LANES, 0, "partial lane group");
     for base in (0..cpb).step_by(LANES) {
         let mut real = [true; LANES];
         if let Some((blk, flags)) = cells {
             for (l, r) in real.iter_mut().enumerate() {
-                *r = blk.active.get(base + l) && CellFlags(flags[base + l]).is_real();
+                *r = is_real(blk, flags, base + l);
             }
             if !real.contains(&true) {
                 continue;
@@ -672,9 +545,8 @@ pub fn accumulate_gather<T: Real, V: VelocitySet>(
 
 /// The fully fused kernel of Fig. 4f ("CASE"): streaming gather (with
 /// Explosion and Coalescence inline), collision, and Accumulate, in one
-/// launch. Each block is gathered into `dst` and then collided there in
-/// `LANES`-cell groups while it is still in cache.
-#[allow(clippy::too_many_arguments)]
+/// launch. Each block is gathered into `dst` by `stream_block` and then
+/// collided there in `LANES`-cell groups while it is still in cache.
 pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     exec: &Executor,
     name: &'static str,
@@ -699,19 +571,11 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         coalesce: true,
     };
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        if interior_fast_path(inp.block_flags[b as usize], inp.interior_path) {
-            // Fully-interior blocks hold only real cells with no links and
-            // no accumulating cells (their `acc_target` entry is `None`),
-            // so the fused kernel reduces to gather + in-place collide.
-            BlockGather::new(inp.grid, inp.src, b).gather_dir_major(inp.offsets, q, out);
-            collide_block::<T, V, C>(op, out, cpb, None);
-        } else {
-            // Frontier blocks: gather every real cell into `out` first,
-            // then collide them in lane groups, storing only real cells.
-            gather_block::<T, V>(&inp, b, out, all, accumulate);
-            let cells = (inp.grid.block(b), inp.flags.component(b, 0));
-            collide_block::<T, V, C>(op, out, cpb, Some(cells));
-        }
+        stream_block::<T, V>(&inp, b, out, all, accumulate);
+        // Blocks with ghost or inactive slots store only their real cells.
+        let cells = (!inp.all_real[b as usize])
+            .then(|| (inp.grid.block(b), inp.flags.component(b, 0)));
+        collide_block::<T, V, C>(op, out, cpb, cells);
     });
 }
 

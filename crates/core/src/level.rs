@@ -9,10 +9,10 @@ use std::sync::Arc;
 use lbm_gpu::AtomicF64Field;
 use lbm_lattice::Real;
 use lbm_sparse::{
-    BlockIdx, CellRef, Coord, DoubleBuffer, Field, OwnerMap, SparseGrid, StreamOffsets,
+    CellRef, Coord, DoubleBuffer, Field, OwnerMap, SparseGrid, StreamOffsets,
 };
 
-use crate::flags::{BlockFlags, CellFlags};
+use crate::flags::CellFlags;
 use crate::links::BlockLinks;
 
 /// One ghost cell's fine children, for the gather-style Accumulate of the
@@ -103,8 +103,11 @@ pub struct Level<T> {
     pub grid: SparseGrid,
     /// Per-cell [`CellFlags`] bits.
     pub flags: Field<u8>,
-    /// Per-block fast-path summary.
-    pub block_flags: Vec<BlockFlags>,
+    /// Per block: every cell slot is active and real. Such a block has no
+    /// ghost or inactive slot to keep, so the streaming gather replays
+    /// straight into the destination and the collide stores whole lane
+    /// groups (DESIGN.md §4).
+    pub all_real: Vec<bool>,
     /// Per-block exception link tables.
     pub links: Vec<BlockLinks<T>>,
     /// Per-block Accumulate targets: for each cell slot, the encoded
@@ -183,11 +186,5 @@ impl<T: Real> Level<T> {
             .iter_active()
             .filter(|(r, _)| self.cell_flags(*r).accumulates())
             .count()
-    }
-
-    /// True if `block` may take the branch-free interior fast path.
-    #[inline(always)]
-    pub fn block_fully_interior(&self, block: BlockIdx) -> bool {
-        self.block_flags[block as usize].has(BlockFlags::FULLY_INTERIOR)
     }
 }

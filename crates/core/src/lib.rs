@@ -44,7 +44,6 @@ pub use checkpoint::{
 };
 pub use engine::{Engine, EngineBuilder, ExecMode};
 pub use graphs::{alg1_graph, step_graph, step_graph_for};
-pub use kernels::InteriorPath;
 pub use level::Level;
 pub use memory_report::{plan_hypothetical, report, MemoryReport};
 pub use multigrid::{MultiGrid, Probe};

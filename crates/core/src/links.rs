@@ -1,13 +1,15 @@
 //! Precomputed per-(cell, direction) exception links.
 //!
-//! Streaming is a pull: `f_i(x, t+Δt) = f*_i(x − e_i, t)`. For interior
-//! cells every source is an active same-level cell and the kernel takes a
-//! branch-free gather path. Every other case — domain boundaries, the
+//! Streaming is a pull: `f_i(x, t+Δt) = f*_i(x − e_i, t)`. Where the
+//! source is an active same-level cell, the streaming gather's copy-run
+//! replay reads it. Every other case — domain boundaries, the
 //! coarse-to-fine **Explosion** (paper Eq. 10), the fine-to-coarse
 //! **Coalescence** read (paper Eq. 11), periodic wrapping — is resolved at
-//! grid-construction time into an explicit link. Kernels then never consult
-//! geometry, ownership functions, or hash maps: exactly the precomputed-
-//! index philosophy of the paper's data structure (§V-B).
+//! grid-construction time into an explicit link, and the kernels walk a
+//! block's link list to overwrite those `(cell, direction)` pairs. Kernels
+//! never consult geometry, ownership functions, hash maps or a per-cell
+//! lookup: exactly the precomputed-index philosophy of the paper's data
+//! structure (§V-B).
 
 use lbm_sparse::CellRef;
 
@@ -68,10 +70,8 @@ pub struct Link<T> {
 /// All exceptional cells of one block.
 #[derive(Clone, Debug, Default)]
 pub struct BlockLinks<T> {
-    /// For each cell slot of the block: index into `cells`, or `u16::MAX`
-    /// if the cell has no exceptional directions.
-    pub exc_of: Vec<u16>,
-    /// Exceptional cells, each with its links sorted by direction.
+    /// Exceptional cells in ascending cell order, each with its links
+    /// sorted by direction.
     pub cells: Vec<CellLinkSet<T>>,
 }
 
@@ -84,38 +84,19 @@ pub struct CellLinkSet<T> {
     pub links: Vec<Link<T>>,
 }
 
-/// Sentinel marking a non-exceptional cell in [`BlockLinks::exc_of`].
-pub const NO_LINKS: u16 = u16::MAX;
-
 impl<T: Copy> BlockLinks<T> {
-    /// Empty table for a block of `cells_per_block` slots.
-    pub fn new(cells_per_block: usize) -> Self {
-        Self {
-            exc_of: vec![NO_LINKS; cells_per_block],
-            cells: Vec::new(),
-        }
-    }
-
-    /// Registers `links` (must be sorted by dir) for `cell`.
+    /// Registers `links` (must be sorted by dir) for `cell`. Cells must
+    /// arrive in ascending order, so each is registered at most once.
     pub fn insert(&mut self, cell: u32, links: Vec<Link<T>>) {
         debug_assert!(links.windows(2).all(|w| w[0].dir < w[1].dir));
-        debug_assert_eq!(self.exc_of[cell as usize], NO_LINKS, "cell registered twice");
+        debug_assert!(
+            self.cells.last().is_none_or(|c| c.cell < cell),
+            "cell registered twice or out of order"
+        );
         if links.is_empty() {
             return;
         }
-        self.exc_of[cell as usize] = self.cells.len() as u16;
         self.cells.push(CellLinkSet { cell, links });
-    }
-
-    /// The link set of `cell`, if it is exceptional.
-    #[inline(always)]
-    pub fn of(&self, cell: u32) -> Option<&CellLinkSet<T>> {
-        let idx = self.exc_of[cell as usize];
-        if idx == NO_LINKS {
-            None
-        } else {
-            Some(&self.cells[idx as usize])
-        }
     }
 
     /// Total number of links stored in the block.
@@ -148,7 +129,8 @@ mod tests {
 
     #[test]
     fn insert_and_lookup() {
-        let mut b = BlockLinks::<f64>::new(64);
+        let mut b = BlockLinks::<f64>::default();
+        b.insert(4, vec![]);
         b.insert(
             5,
             vec![
@@ -162,8 +144,8 @@ mod tests {
                 },
             ],
         );
-        assert!(b.of(4).is_none());
-        let set = b.of(5).unwrap();
+        assert_eq!(b.cells.len(), 1);
+        let set = &b.cells[0];
         assert_eq!(set.cell, 5);
         assert_eq!(set.links.len(), 2);
         assert_eq!(b.link_count(), 2);
@@ -171,9 +153,9 @@ mod tests {
 
     #[test]
     fn empty_insert_is_noop() {
-        let mut b = BlockLinks::<f64>::new(8);
+        let mut b = BlockLinks::<f64>::default();
         b.insert(3, vec![]);
-        assert!(b.of(3).is_none());
+        assert!(b.cells.is_empty());
         assert_eq!(b.link_count(), 0);
     }
 
@@ -192,7 +174,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn debug_rejects_double_insert() {
         // debug_assert fires in dev test builds only.
-        let mut b = BlockLinks::<f64>::new(8);
+        let mut b = BlockLinks::<f64>::default();
         let l = vec![Link {
             dir: 1,
             kind: LinkKind::BounceBack { opp: 2 },

@@ -22,11 +22,11 @@ use std::marker::PhantomData;
 use lbm_gpu::AtomicF64Field;
 use lbm_lattice::{equilibrium, moments, omega_at_level, Real, VelocitySet, MAX_Q};
 use lbm_sparse::{
-    Coord, DoubleBuffer, Field, GridBuilder, OwnerMap, SparseGrid, StreamOffsets,
+    Coord, DoubleBuffer, Field, GridBuilder, OwnerMap, SparseGrid, StreamOffsets, INVALID_BLOCK,
 };
 
 use crate::boundary::{Boundary, BoundarySpec};
-use crate::flags::{BlockFlags, CellFlags};
+use crate::flags::CellFlags;
 use crate::level::{AccStage, GatherEntry, Level, MergeBlockPlan, MergeSlotPlan};
 use crate::links::{decode_ref, encode_ref, BlockLinks, Link, LinkKind, NO_TARGET};
 use crate::spec::GridSpec;
@@ -139,9 +139,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             let fl = &flags[l as usize];
             let dom = spec.domain_at(l);
             let cpb = grid.cells_per_block();
-            let mut links: Vec<BlockLinks<T>> = (0..grid.num_blocks())
-                .map(|_| BlockLinks::new(cpb))
-                .collect();
+            let mut links: Vec<BlockLinks<T>> = vec![BlockLinks::default(); grid.num_blocks()];
             let mut acc_target: Vec<Option<Box<[u64]>>> = vec![None; grid.num_blocks()];
             let mut acc_dirs: Vec<Option<Box<[u32]>>> = vec![None; grid.num_blocks()];
             // Flag bits discovered in this pass, applied after the loop
@@ -160,7 +158,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                     if let Some(nref) = grid.neighbor(r, d) {
                         let nflags = CellFlags(fl.get(nref.block, 0, nref.cell));
                         if nflags.is_real() {
-                            continue; // fast-path same-level gather
+                            continue; // the copy-run replay reads it
                         }
                         // Ghost neighbor ⇒ Coalescence read (paper Eq. 11).
                         let g = grid.coord_of(nref);
@@ -328,56 +326,43 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             }
 
             // Block summaries. The streaming offset tables are shared
-            // process-wide per (block size, velocity set) pair; here they
-            // also supply the slot set for stencil-completeness tagging.
+            // process-wide per (block size, velocity set) pair.
             let offsets = StreamOffsets::cached(grid.block_size() as u32, V::C);
-            let mut block_flags = Vec::with_capacity(grid.num_blocks());
+            let mut all_real = Vec::with_capacity(grid.num_blocks());
             let mut real_cells = 0usize;
             let mut ghost_cells = 0usize;
             for (bi, blk) in grid.blocks().iter().enumerate() {
-                let mut bf = 0u8;
-                let mut interior = blk.active.all();
+                let mut every = blk.active.all();
+                let dirs = acc_dirs[bi].as_deref();
                 for cell in blk.active.iter_set() {
                     let cf = CellFlags(fl.get(bi as u32, 0, cell as u32));
                     if cf.is_real() {
-                        bf |= BlockFlags::HAS_REAL;
                         real_cells += 1;
+                    } else {
+                        every = false;
                     }
                     if cf.is_ghost() {
-                        bf |= BlockFlags::HAS_GHOST;
                         ghost_cells += 1;
-                        interior = false;
                     }
-                    if cf.accumulates() {
-                        bf |= BlockFlags::HAS_ACCUMULATORS;
-                    }
-                    if cf.is_exceptional() || cf.accumulates() {
-                        interior = false;
-                    }
-                }
-                if offsets.stencil_complete(&blk.neighbors) {
-                    bf |= BlockFlags::STENCIL_COMPLETE;
-                }
-                if interior {
-                    bf |= BlockFlags::FULLY_INTERIOR;
-                    // An interior block pulls from all 26 neighbors with no
-                    // links to redirect a missing one — the grid
-                    // construction must have allocated them.
-                    assert!(
-                        bf & BlockFlags::STENCIL_COMPLETE != 0,
-                        "fully-interior block {bi} at level {l} has a missing stencil neighbor"
+                    // The scatter and the staged merge plan select
+                    // accumulating cells by a non-zero mask alone.
+                    debug_assert_eq!(
+                        dirs.is_some_and(|d| d[cell] != 0),
+                        cf.is_real() && cf.accumulates(),
+                        "Accumulate mask out of step with the cell flags"
                     );
                 }
-                block_flags.push(BlockFlags(bf));
+                all_real.push(every);
+                Self::assert_skipped_runs_linked(grid, fl, &links[bi], &offsets, bi as u32, l);
             }
 
             let f = DoubleBuffer::<T>::new(grid, V::Q, T::ZERO);
             let acc = AtomicF64Field::new(grid.num_blocks(), V::Q, cpb);
-            let stage = Self::acc_stage_plan(grid, fl, &acc_target, &acc_dirs, cpb);
+            let stage = Self::acc_stage_plan(&acc_target, &acc_dirs, cpb);
             levels.push(Level {
                 grid: grids[l as usize].clone(),
                 flags: flags[l as usize].clone(),
-                block_flags,
+                all_real,
                 links,
                 acc_target,
                 acc_dirs,
@@ -405,18 +390,16 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     /// merge with each slot's contributions in the exact order the serial
     /// atomic scatter adds them — fine block ascending, cell ascending,
     /// direction bit ascending — so the staged fold is bit-identical to the
-    /// serial reference for every thread count. The cell predicate below
-    /// replicates the scatter kernel's exactly (active ∧ real ∧ accumulates
-    /// ∧ nonzero direction mask): a slot the scatter never writes must not
-    /// be read by the merge, or stale slab contents would leak in.
+    /// serial reference for every thread count. A cell contributes iff its
+    /// direction mask is non-zero, the scatter kernel's rule: a slot the
+    /// scatter never writes must not be read by the merge, or stale slab
+    /// contents would leak in.
     fn acc_stage_plan(
-        grid: &SparseGrid,
-        fl: &Field<u8>,
         acc_target: &[Option<Box<[u64]>>],
         acc_dirs: &[Option<Box<[u32]>>],
         cpb: usize,
     ) -> Option<AccStage> {
-        let owners = OwnerMap::build(grid.num_blocks(), |b| acc_target[b].is_some());
+        let owners = OwnerMap::build(acc_target.len(), |b| acc_target[b].is_some());
         if owners.is_empty() {
             return None;
         }
@@ -429,17 +412,9 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             let tgt = acc_target[b as usize].as_deref().unwrap();
             let dirs = acc_dirs[b as usize].as_deref().unwrap();
             let dense = owners.dense_of(b).unwrap();
-            let blk = &grid.blocks()[b as usize];
             for cell in 0..cpb as u32 {
-                if !blk.active.get(cell as usize) {
-                    continue;
-                }
-                let cf = CellFlags(fl.get(b, 0, cell));
-                if !cf.is_real() || !cf.accumulates() {
-                    continue;
-                }
                 let mut mask = dirs[cell as usize];
-                if mask == 0 || tgt[cell as usize] == NO_TARGET {
+                if mask == 0 {
                     continue;
                 }
                 let parent = decode_ref(tgt[cell as usize]);
@@ -481,6 +456,50 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             slots,
             contrib,
         })
+    }
+
+    /// Asserts the invariant that lets the streaming gather skip the
+    /// copy runs whose source block is missing (DESIGN.md §4): every cell
+    /// such a run covers is non-real or linked in the run's direction, so
+    /// the link patch overwrites it or the gather restores it.
+    fn assert_skipped_runs_linked(
+        grid: &SparseGrid,
+        fl: &Field<u8>,
+        links: &BlockLinks<T>,
+        offsets: &StreamOffsets,
+        b: u32,
+        l: u32,
+    ) {
+        let blk = grid.block(b);
+        if !blk.neighbors.contains(&INVALID_BLOCK) {
+            return;
+        }
+        // Per-cell bitmask of the directions the block's links cover.
+        let mut linked = vec![0u32; grid.cells_per_block()];
+        for set in &links.cells {
+            for lk in &set.links {
+                linked[set.cell as usize] |= 1 << lk.dir;
+            }
+        }
+        for i in 0..V::Q {
+            for e in &offsets.dir(i).runs {
+                if blk.neighbors[e.slot as usize] != INVALID_BLOCK {
+                    continue;
+                }
+                for k in 0..e.count {
+                    for x in 0..e.len {
+                        let cell = e.dst_base + k * e.stride + x;
+                        let real = blk.active.get(cell as usize)
+                            && CellFlags(fl.get(b, 0, cell)).is_real();
+                        assert!(
+                            !real || linked[cell as usize] & (1 << i) != 0,
+                            "invalid grid: level {l} block {b} cell {cell} pulls direction \
+                             {i} from a missing neighbor block without a link"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Bitmask of directions along which the level-`lf` cell `cc` sends
@@ -857,7 +876,8 @@ mod tests {
         let mg = MG::build(two_level_spec(), &AllWalls, 1.5);
         let l1 = &mg.levels[1];
         for (r, x) in l1.iter_real() {
-            if let Some(set) = l1.links[r.block as usize].of(r.cell) {
+            let cells = &l1.links[r.block as usize].cells;
+            if let Some(set) = cells.iter().find(|s| s.cell == r.cell) {
                 for lk in &set.links {
                     if let LinkKind::Explosion { src } = lk.kind {
                         let d = Coord::from_array(D3Q19::C[lk.dir as usize]).scale(-1);
@@ -896,12 +916,11 @@ mod tests {
         assert_eq!(l0.real_cells, 16 * 16 * 16);
         assert_eq!(l0.ghost_cells, 0);
         assert_eq!(l0.accumulator_cells(), 0);
-        // Interior blocks take the fast path.
-        let interior = (0..l0.grid.num_blocks())
-            .filter(|&b| l0.block_fully_interior(b as u32))
-            .count();
-        // 4³ blocks of 4³ cells: the inner 2×2×2 blocks are fully interior.
-        assert_eq!(interior, 8);
+        // Every slot is real; of the 4³ blocks of 4³ cells, only the inner
+        // 2×2×2 have no wall links.
+        assert!(l0.all_real.iter().all(|&r| r));
+        let linkless = l0.links.iter().filter(|b| b.cells.is_empty()).count();
+        assert_eq!(linkless, 8);
     }
 
     #[test]

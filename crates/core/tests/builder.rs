@@ -3,8 +3,8 @@
 //! exactly as the same setting made after it, down to the last bit of state.
 
 use lbm_core::{
-    AllWalls, Engine, EngineBuilder, ExecMode, GridSpec, HealthGuard, HealthPolicy, InteriorPath,
-    MultiGrid, Variant,
+    AllWalls, Engine, EngineBuilder, ExecMode, GridSpec, HealthGuard, HealthPolicy, MultiGrid,
+    Variant,
 };
 use lbm_gpu::{DeviceModel, Executor};
 use lbm_lattice::{Bgk, D3Q19};
@@ -16,17 +16,13 @@ type Eng = Engine<f64, D3Q19, Bgk<f64>>;
 #[derive(Copy, Clone, Debug)]
 struct Settings {
     variant: Variant,
-    path: InteriorPath,
     mode: ExecMode,
     staged: Option<bool>,
     health: Option<HealthGuard>,
 }
 
 fn apply<C>(s: Settings, b: EngineBuilder<f64, D3Q19, C>) -> EngineBuilder<f64, D3Q19, C> {
-    let mut b = b
-        .variant(s.variant)
-        .interior_path(s.path)
-        .exec_mode(s.mode);
+    let mut b = b.variant(s.variant).exec_mode(s.mode);
     if let Some(on) = s.staged {
         b = b.staged_accumulate(on);
     }
@@ -62,7 +58,6 @@ fn run(mut eng: Eng) -> Eng {
 
 fn assert_carried(s: Settings, threads: usize, eng: &Eng, what: &str) {
     assert_eq!(eng.variant, s.variant, "{what}: variant");
-    assert_eq!(eng.interior_path(), s.path, "{what}: interior path");
     assert_eq!(eng.exec_mode(), s.mode, "{what}: exec mode");
     assert_eq!(eng.thread_count(), threads, "{what}: threads");
     assert_eq!(
@@ -86,7 +81,6 @@ fn setters_before_and_after_collision_build_the_same_engine() {
         (
             Settings {
                 variant: Variant::ModifiedBaseline,
-                path: InteriorPath::General,
                 mode: ExecMode::Graph,
                 staged: None,
                 health: Some(guard),
@@ -96,7 +90,6 @@ fn setters_before_and_after_collision_build_the_same_engine() {
         (
             Settings {
                 variant: Variant::FullyFused,
-                path: InteriorPath::DirMajor,
                 mode: ExecMode::Eager,
                 staged: Some(true),
                 health: None,

@@ -137,7 +137,7 @@ impl SphereFlow {
     }
 
     /// Like [`SphereFlow::engine`] but lets the caller adjust the builder
-    /// (interior path, Accumulate path, execution mode, …) before assembly.
+    /// (Accumulate path, execution mode, …) before assembly.
     pub fn engine_with(
         &self,
         variant: Variant,

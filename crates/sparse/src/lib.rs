@@ -11,7 +11,7 @@
 //! - [`field`]: per-block component-major field storage and double
 //!   buffering;
 //! - [`offsets`]: precomputed per-direction streaming source decompositions
-//!   (the branch-free direction-major gather tables);
+//!   (the copy-run plans every block's streaming gather replays);
 //! - [`partition`]: block partitioning for intra-kernel parallelism —
 //!   work-stealing chunk granularity and stable owner maps for
 //!   deterministic staged reductions.

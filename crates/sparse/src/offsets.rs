@@ -24,8 +24,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::grid::NEIGHBOR_SLOTS;
-
 /// The neighbor-table slot of the block itself (`dir_slot([0, 0, 0])`).
 pub const CENTER_SLOT: u8 = 13;
 
@@ -142,7 +140,6 @@ pub struct DirOffsets {
 pub struct StreamOffsets {
     block_size: u32,
     dirs: Vec<DirOffsets>,
-    needed_slots: u32,
 }
 
 /// One axis of a direction's source cube: a span staying in the block plus
@@ -167,7 +164,6 @@ impl StreamOffsets {
     pub fn build(block_size: u32, dirs: &[[i32; 3]]) -> Self {
         assert!(block_size >= 2, "offset tables need block_size >= 2");
         let b = block_size;
-        let mut needed_slots = 0u32;
         let tables = dirs
             .iter()
             .map(|c| {
@@ -176,7 +172,6 @@ impl StreamOffsets {
                     for &(oy, dy, sy, ny) in &axis_spans(b, c[1]) {
                         for &(ox, dx, sx, nx) in &axis_spans(b, c[0]) {
                             let slot = ((ox + 1) + 3 * (oy + 1) + 9 * (oz + 1)) as u8;
-                            needed_slots |= 1 << slot;
                             regions.push(DirRegion {
                                 slot,
                                 dst_base: dx + b * (dy + b * dz),
@@ -210,7 +205,6 @@ impl StreamOffsets {
         Self {
             block_size,
             dirs: tables,
-            needed_slots,
         }
     }
 
@@ -241,29 +235,6 @@ impl StreamOffsets {
     #[inline(always)]
     pub fn dir(&self, i: usize) -> &DirOffsets {
         &self.dirs[i]
-    }
-
-    /// Bitmask over the 27 neighbor slots of every block the gather reads
-    /// (bit [`CENTER_SLOT`] is always set). A block may take the
-    /// direction-major path only if every set slot maps to an existing
-    /// block in its neighbor table.
-    pub fn needed_slots(&self) -> u32 {
-        self.needed_slots
-    }
-
-    /// True if every neighbor slot the gather needs exists
-    /// (`neighbors[slot] != INVALID_BLOCK` for all set bits except the
-    /// center, which is the block itself).
-    pub fn stencil_complete(&self, neighbors: &[crate::BlockIdx; NEIGHBOR_SLOTS]) -> bool {
-        let mut mask = self.needed_slots & !(1 << CENTER_SLOT);
-        while mask != 0 {
-            let slot = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            if neighbors[slot] == crate::INVALID_BLOCK {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -409,37 +380,6 @@ mod tests {
         assert_eq!((t.dir(3).runs[0].dst_base, t.dir(3).runs[0].src_base), (8, 0));
     }
 
-    /// needed_slots matches the union of region slots; a full 27-direction
-    /// stencil needs all 27 slots.
-    #[test]
-    fn needed_slots_union() {
-        let mut dirs = Vec::new();
-        for z in -1..=1 {
-            for y in -1..=1 {
-                for x in -1..=1 {
-                    dirs.push([x, y, z]);
-                }
-            }
-        }
-        let t = StreamOffsets::build(4, &dirs);
-        assert_eq!(t.needed_slots(), (1 << 27) - 1);
-        // Face-only stencil touches face slots + center only.
-        let faces = StreamOffsets::build(4, &[[0, 0, 0], [1, 0, 0], [0, -1, 0]]);
-        let expect = (1 << CENTER_SLOT) | (1 << 12) | (1 << 16);
-        assert_eq!(faces.needed_slots(), expect);
-    }
-
-    #[test]
-    fn stencil_complete_checks_only_needed_slots() {
-        let t = StreamOffsets::build(4, &[[0, 0, 0], [1, 0, 0]]);
-        let mut neighbors = [crate::INVALID_BLOCK; NEIGHBOR_SLOTS];
-        neighbors[CENTER_SLOT as usize] = 0;
-        // Direction +x pulls from the −x neighbor: slot (−1+1)+3+9 = 12.
-        assert!(!t.stencil_complete(&neighbors));
-        neighbors[12] = 7;
-        assert!(t.stencil_complete(&neighbors));
-    }
-
     #[test]
     fn cache_shares_tables() {
         static DIRS: [[i32; 3]; 2] = [[0, 0, 0], [0, 0, 1]];
@@ -451,7 +391,7 @@ mod tests {
     }
 
     /// Executing the copy runs **in order** at component base `i·B³` —
-    /// exactly what the direction-major gather does on a `q·B³` block
+    /// exactly what the streaming gather does on a `q·B³` block
     /// chunk — writes every element of component `i` and nothing else, each
     /// from the `(slot, i·B³ + src cell)` the per-cell pull computes, for
     /// all 27 directions and several block sizes.
