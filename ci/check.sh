@@ -9,7 +9,13 @@
 # 2. clippy with warnings denied, test targets included;
 # 3. rustdoc with warnings denied, so no doc link dangles;
 # 4. the cheapest `report` experiment, so the paper-figure binary still runs;
-# 5. the self-tests of the benchmark's analysis code (`perfbench/`). Timing
+# 5. on x86-64, a codegen guard: every `collide_block_wide` and
+#    `fused_block_wide` symbol of the release `report` binary must contain
+#    `zmm` (AVX-512) instructions. A refactor that turns a block fn back
+#    into a closure compiles it for the baseline ISA and silently loses the
+#    wide instance (DESIGN.md §4, "Lane-parallel collision"). Needs
+#    `objdump` (binutils);
+# 6. the self-tests of the benchmark's analysis code (`perfbench/`). Timing
 #    itself lives in `perfbench/run.py` and is not gated here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,6 +25,18 @@ cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -q -p lbm-bench --bin report -- fig2
+if [ "$(uname -m)" = x86_64 ]; then
+    objdump -d -C target/release/report | awk '
+        /^[0-9a-f]+ <.*(collide|fused)_block_wide.*>:$/ { sym = $0; seen++; zmm[sym] = 0; next }
+        /^[0-9a-f]+ </ { sym = "" }
+        sym != "" && /zmm/ { zmm[sym]++ }
+        END {
+            if (seen == 0) { print "codegen guard: no *_block_wide symbol in report"; exit 1 }
+            for (s in zmm) if (zmm[s] == 0) { print "codegen guard: no zmm in " s; bad = 1 }
+            if (bad) exit 1
+            print "codegen guard: " seen " wide block fns, all use zmm"
+        }'
+fi
 python3 -m unittest discover -s perfbench/tests
 
 echo "ci/check.sh: all checks passed"

@@ -26,6 +26,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
     let paper_scale = args.iter().any(|a| a == "--paper-scale");
+    // Measured times depend on which instance of the collide sites ran.
+    println!("collide lane ISA: {}", lbm_core::kernels::lane_isa());
 
     match what {
         "fig2" => fig2(),

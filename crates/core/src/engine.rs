@@ -50,21 +50,24 @@ use crate::multigrid::MultiGrid;
 use crate::program::{self, LevelTopo, OpKind, StepOp};
 use crate::variant::Variant;
 
-/// Kernel-name families for profiler breakdowns (per level, levels 0–7).
+/// Kernel-name families for profiler breakdowns, one name per level up to
+/// [`MAX_LEVELS`](crate::spec::MAX_LEVELS).
 mod names {
-    pub const S: [&str; 8] = ["S0", "S1", "S2", "S3", "S4", "S5", "S6", "S7"];
-    pub const SEO: [&str; 8] = [
+    use crate::spec::MAX_LEVELS;
+
+    pub const S: [&str; MAX_LEVELS] = ["S0", "S1", "S2", "S3", "S4", "S5", "S6", "S7"];
+    pub const SEO: [&str; MAX_LEVELS] = [
         "SEO0", "SEO1", "SEO2", "SEO3", "SEO4", "SEO5", "SEO6", "SEO7",
     ];
-    pub const E: [&str; 8] = ["E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7"];
-    pub const O: [&str; 8] = ["O0", "O1", "O2", "O3", "O4", "O5", "O6", "O7"];
-    pub const C: [&str; 8] = ["C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7"];
-    pub const A: [&str; 8] = ["A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7"];
-    pub const CASE: [&str; 8] = [
+    pub const E: [&str; MAX_LEVELS] = ["E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7"];
+    pub const O: [&str; MAX_LEVELS] = ["O0", "O1", "O2", "O3", "O4", "O5", "O6", "O7"];
+    pub const C: [&str; MAX_LEVELS] = ["C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7"];
+    pub const A: [&str; MAX_LEVELS] = ["A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7"];
+    pub const CASE: [&str; MAX_LEVELS] = [
         "CASE0", "CASE1", "CASE2", "CASE3", "CASE4", "CASE5", "CASE6", "CASE7",
     ];
-    pub const M: [&str; 8] = ["M0", "M1", "M2", "M3", "M4", "M5", "M6", "M7"];
-    pub const R: [&str; 8] = ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7"];
+    pub const M: [&str; MAX_LEVELS] = ["M0", "M1", "M2", "M3", "M4", "M5", "M6", "M7"];
+    pub const R: [&str; MAX_LEVELS] = ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7"];
 }
 
 /// How [`Engine::step`] executes the step program.

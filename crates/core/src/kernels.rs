@@ -403,8 +403,18 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
         .build();
+    #[cfg(target_arch = "x86_64")]
+    let wide = std::arch::is_x86_feature_detected!("avx512f");
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        collide_block::<T, V, C>(op, out, cpb, Some((grid.block(b), flags.component(b, 0))));
+        let cells = Some((grid.block(b), flags.component(b, 0)));
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            // SAFETY: `wide` is `is_x86_feature_detected!("avx512f")`, so
+            // this host executes AVX-512F instructions.
+            unsafe { collide_block_wide::<T, V, C>(op, out, cpb, cells) };
+            return;
+        }
+        collide_block::<T, V, C>(op, out, cpb, cells);
     });
 }
 
@@ -459,6 +469,32 @@ fn collide_block<T: Real, V: VelocitySet, C: Collision<T, V>>(
             }
         }
     }
+}
+
+/// [`collide_block`] compiled for AVX-512F: eight `f64` lanes fill one
+/// `zmm` register. The arithmetic is the portable instance's, so the bits
+/// are too (DESIGN.md §4, "Lane-parallel collision").
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn collide_block_wide<T: Real, V: VelocitySet, C: Collision<T, V>>(
+    op: &C,
+    out: &mut [T],
+    cpb: usize,
+    cells: Option<(&Block, &[u8])>,
+) {
+    collide_block::<T, V, C>(op, out, cpb, cells);
+}
+
+/// The instance of the collide sites ([`collide`], [`fused_stream_collide`])
+/// this host runs: `"avx512f"` when the CPU has AVX-512F, else
+/// `"baseline"`, the portable build of the same lane body. Both give the
+/// same bits; only the speed differs.
+pub fn lane_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        return "avx512f";
+    }
+    "baseline"
 }
 
 /// Staged-Accumulate merge (label "M", the second half of the
@@ -565,18 +601,53 @@ pub fn fused_stream_collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
         .value_bytes(value_bytes::<T>())
         .thread_block(cpb)
         .build();
-    // Every link family resolves inline.
+    #[cfg(target_arch = "x86_64")]
+    let wide = std::arch::is_x86_feature_detected!("avx512f");
+    exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            // SAFETY: `wide` is `is_x86_feature_detected!("avx512f")`, so
+            // this host executes AVX-512F instructions.
+            unsafe { fused_block_wide::<T, V, C>(&inp, op, b, out, accumulate) };
+            return;
+        }
+        fused_block::<T, V, C>(&inp, op, b, out, accumulate);
+    });
+}
+
+/// The per-block body of [`fused_stream_collide`]: `stream_block` with
+/// every link family inline, then [`collide_block`]. Blocks with ghost or
+/// inactive slots store only their real cells.
+#[inline(always)]
+fn fused_block<T: Real, V: VelocitySet, C: Collision<T, V>>(
+    inp: &StreamInputs<'_, T>,
+    op: &C,
+    b: u32,
+    out: &mut [T],
+    accumulate: Option<AccTables<'_>>,
+) {
     let all = StreamOptions {
         explosion: true,
         coalesce: true,
     };
-    exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        stream_block::<T, V>(&inp, b, out, all, accumulate);
-        // Blocks with ghost or inactive slots store only their real cells.
-        let cells = (!inp.all_real[b as usize])
-            .then(|| (inp.grid.block(b), inp.flags.component(b, 0)));
-        collide_block::<T, V, C>(op, out, cpb, cells);
-    });
+    stream_block::<T, V>(inp, b, out, all, accumulate);
+    let cells = (!inp.all_real[b as usize]).then(|| (inp.grid.block(b), inp.flags.component(b, 0)));
+    collide_block::<T, V, C>(op, out, inp.grid.cells_per_block(), cells);
+}
+
+/// [`fused_block`] compiled for AVX-512F: eight `f64` lanes fill one `zmm`
+/// register. The arithmetic is the portable instance's, so the bits are
+/// too (DESIGN.md §4, "Lane-parallel collision").
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fused_block_wide<T: Real, V: VelocitySet, C: Collision<T, V>>(
+    inp: &StreamInputs<'_, T>,
+    op: &C,
+    b: u32,
+    out: &mut [T],
+    accumulate: Option<AccTables<'_>>,
+) {
+    fused_block::<T, V, C>(inp, op, b, out, accumulate);
 }
 
 /// Resets the ghost accumulators of a level after Coalescence consumed them
@@ -603,4 +674,193 @@ pub fn reset_accumulators(
             }
         }
     });
+}
+
+#[cfg(test)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code, unused_imports))]
+mod tests {
+    //! The AVX-512F instances of the collide sites against the portable
+    //! ones, block by block, bit for bit. Together with the golden digests
+    //! this pins both instances without a knob that forces one.
+
+    use super::*;
+    use crate::{AllWalls, GridSpec, MultiGrid};
+    use lbm_lattice::{equilibrium, Bgk, Kbc, D3Q19, D3Q27};
+    use lbm_sparse::Box3;
+
+    /// A deterministic stream of jitters in `[0, 1)`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 40) as f64 / (1u64 << 24) as f64
+        }
+
+        fn below(&mut self, n: i32) -> i32 {
+            (self.next() * n as f64) as i32
+        }
+    }
+
+    /// The uniform flow every slot starts from.
+    const U0: [f64; 3] = [0.02, -0.01, 0.01];
+
+    /// A 2-level grid drawn the way `tests/stream_oracle.rs` draws its
+    /// cases: a coarse level of 5 blocks of size `b` per axis and a refined
+    /// box of at least `3b/2` coarse cells, so both levels hold all-real
+    /// and frontier blocks. Every slot of both halves is jittered, except
+    /// the active cells of three adjacent x-planes per level, which keep
+    /// the exact equilibrium of the uniform flow: an interior real cell of
+    /// the middle plane collides, and gathers, exactly that equilibrium
+    /// (the KBC `γ = 2` branch) in the same lane group as jittered cells.
+    fn random_grid<V: VelocitySet>(rng: &mut Lcg, b: i32, omega0: f64) -> MultiGrid<f64, V> {
+        let lo = [2 + rng.below(3), 2 + rng.below(3), 2 + rng.below(3)];
+        let hi = lo.map(|c| (c + 3 * b / 2 + rng.below(4)).min(3 * b - 1));
+        let d = 10 * b as usize;
+        let spec = GridSpec::new(2, Box3::from_dims(d, d, d), move |l, p| {
+            l == 0
+                && (lo[0]..hi[0]).contains(&p.x)
+                && (lo[1]..hi[1]).contains(&p.y)
+                && (lo[2]..hi[2]).contains(&p.z)
+        })
+        .with_block_size(b as usize);
+        let mut grid = MultiGrid::<f64, V>::build(spec, &AllWalls, omega0);
+        grid.init_equilibrium(|_, _| 1.0, |_, _| U0);
+        let mut feq = [0.0; MAX_Q];
+        equilibrium::<f64, V>(1.0, U0, &mut feq);
+        for lv in &mut grid.levels {
+            let xs = lv.grid.iter_active().map(|(_, p)| p.x);
+            let (min, max) = xs.fold((i32::MAX, i32::MIN), |(a, z), x| (a.min(x), z.max(x)));
+            let mid = (min + max) / 2;
+            let plain: Vec<_> = lv
+                .grid
+                .iter_active()
+                .filter(|(_, p)| (p.x - mid).abs() <= 1)
+                .map(|(r, _)| r)
+                .collect();
+            for h in 0..2 {
+                let f = lv.f.half_mut(h);
+                for v in f.as_mut_slice() {
+                    let j = rng.next();
+                    *v = if *v == 0.0 {
+                        0.1 + j
+                    } else {
+                        *v * (1.0 + 0.1 * (j - 0.5))
+                    };
+                }
+                for r in &plain {
+                    for (i, &w) in feq.iter().enumerate().take(V::Q) {
+                        f.set(r.block, i, r.cell, w);
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    /// True when some lane group of some block mixes real and non-real
+    /// cells, so the partial store of [`collide_block`] runs.
+    fn has_mixed_group<V: VelocitySet>(grid: &MultiGrid<f64, V>) -> bool {
+        grid.levels.iter().any(|lv| {
+            (0..lv.grid.num_blocks() as u32).any(|b| {
+                let (blk, flags) = (lv.grid.block(b), lv.flags.component(b, 0));
+                (0..lv.grid.cells_per_block()).step_by(LANES).any(|base| {
+                    let real = (base..base + LANES).filter(|&c| is_real(blk, flags, c));
+                    (1..LANES).contains(&real.count())
+                })
+            })
+        })
+    }
+
+    /// Runs both instances of both block fns on every block of both levels
+    /// of four random grids (block sizes 4 and 8) and compares every slot.
+    #[cfg(target_arch = "x86_64")]
+    fn instances_agree<V: VelocitySet, C: Collision<f64, V>>(op: fn(f64) -> C) {
+        let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
+        for case in 0..4 {
+            let b = if case % 2 == 0 { 4 } else { 8 };
+            let omega0 = 0.6 + 1.2 * rng.next();
+            let grid = random_grid::<V>(&mut rng, b, omega0);
+            assert!(has_mixed_group(&grid), "case {case}: no mixed lane group");
+            for (l, lv) in grid.levels.iter().enumerate() {
+                assert!(lv.all_real.contains(&true) && lv.all_real.contains(&false));
+                let coll = op(lv.omega);
+                let cpb = lv.grid.cells_per_block();
+                let stride = lv.f.half(0).block_stride();
+                let inp = StreamInputs {
+                    grid: &lv.grid,
+                    flags: &lv.flags,
+                    all_real: &lv.all_real,
+                    links: &lv.links,
+                    src: lv.f.half(0),
+                    acc: &lv.acc,
+                    coarse_src: l.checked_sub(1).map(|c| grid.levels[c].f.half(0)),
+                    offsets: &lv.offsets,
+                };
+                let acc = lv.stage.as_ref().map(|st| AccTables {
+                    sink: AccSink::Staged {
+                        slab: &st.slab,
+                        dense: st.owners.dense(),
+                    },
+                    targets: &lv.acc_target,
+                    dirs: &lv.acc_dirs,
+                });
+                for b in 0..lv.grid.num_blocks() as u32 {
+                    let chunk = |h: usize| {
+                        lv.f.half(h).as_slice()[b as usize * stride..][..stride].to_vec()
+                    };
+                    let cells = Some((lv.grid.block(b), lv.flags.component(b, 0)));
+                    let (mut portable, mut wide) = (chunk(0), chunk(0));
+                    collide_block::<f64, V, C>(&coll, &mut portable, cpb, cells);
+                    // SAFETY: the caller checked
+                    // `is_x86_feature_detected!("avx512f")`.
+                    unsafe { collide_block_wide::<f64, V, C>(&coll, &mut wide, cpb, cells) };
+                    assert_same(
+                        &portable,
+                        &wide,
+                        &format!("collide, case {case} level {l} block {b}"),
+                    );
+
+                    let (mut portable, mut wide) = (chunk(1), chunk(1));
+                    fused_block::<f64, V, C>(&inp, &coll, b, &mut portable, acc);
+                    // SAFETY: as above.
+                    unsafe { fused_block_wide::<f64, V, C>(&inp, &coll, b, &mut wide, acc) };
+                    assert_same(
+                        &portable,
+                        &wide,
+                        &format!("fused, case {case} level {l} block {b}"),
+                    );
+                }
+            }
+        }
+    }
+
+    fn assert_same(portable: &[f64], wide: &[f64], what: &str) {
+        for (k, (p, w)) in portable.iter().zip(wide).enumerate() {
+            assert_eq!(p.to_bits(), w.to_bits(), "{what}: slot {k}: {p:e} vs {w:e}");
+        }
+    }
+
+    const SKIPPED: &str = "skipped: this host has no AVX-512F, only the portable instance runs";
+
+    #[test]
+    fn wide_instances_match_the_portable_ones_d3q19_bgk() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return instances_agree::<D3Q19, _>(Bgk::new);
+        }
+        println!("{SKIPPED}");
+    }
+
+    #[test]
+    fn wide_instances_match_the_portable_ones_d3q27_kbc() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return instances_agree::<D3Q27, _>(Kbc::new);
+        }
+        println!("{SKIPPED}");
+    }
 }

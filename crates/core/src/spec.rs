@@ -17,6 +17,10 @@ pub type RefineFn = dyn Fn(u32, Coord) -> bool + Send + Sync;
 /// Solid predicate: `(level, level-local cell coordinate) → is obstacle?`.
 pub type SolidFn = dyn Fn(u32, Coord) -> bool + Send + Sync;
 
+/// The most levels a [`GridSpec`] may have. The engine's per-level kernel
+/// name tables have exactly this many entries.
+pub const MAX_LEVELS: usize = 8;
+
 /// Specification of a multi-resolution grid.
 pub struct GridSpec {
     /// Number of levels `L_max` (level 0 = coarsest).
@@ -89,7 +93,10 @@ impl GridSpec {
 
     fn validate(&self) {
         assert!(self.levels >= 1, "need at least one level");
-        assert!(self.levels <= 8, "more than 8 levels is surely a mistake");
+        assert!(
+            self.levels as usize <= MAX_LEVELS,
+            "more than {MAX_LEVELS} levels is surely a mistake"
+        );
         let f = 1i32 << (self.levels - 1);
         let e = self.finest_domain.extent();
         for (a, &ext) in e.iter().enumerate() {

@@ -6,7 +6,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lbm_refinement::core::{memory_report, AllWalls, Engine, GridSpec, MultiGrid, Variant};
+use lbm_refinement::core::{
+    kernels, memory_report, AllWalls, Engine, GridSpec, MultiGrid, Variant,
+};
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Bgk, D3Q19};
 use lbm_refinement::problems::diagnostics;
@@ -66,6 +68,7 @@ fn main() {
         "measured MLUPS:      {:.1}",
         engine.mlups_measured(steps as u64, wall)
     );
+    println!("collide lane ISA:    {}", kernels::lane_isa());
     println!(
         "modeled A100 MLUPS:  {:.1}",
         engine.mlups_modeled(steps as u64)
