@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything CI runs, runnable locally with `ci/check.sh`.
 #
-# 1. release build + the test suite of every workspace crate. The tests are
+# 1. release build + the test suite of every workspace crate, run twice:
+#    once with the default kernel pool, once with `LBM_THREADS=8`, which
+#    widens every default executor's pool (the gate of the in-place
+#    Accumulate, whose bits must not depend on the width). The tests are
 #    the correctness contract: the streaming gather against a per-cell
 #    oracle, bit-identity across fusion variants, exec modes, thread counts
 #    and restart, pinned golden digests, conservation, and the graph-mode
@@ -22,6 +25,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --workspace -q
+LBM_THREADS=8 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -q -p lbm-bench --bin report -- fig2

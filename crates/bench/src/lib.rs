@@ -90,16 +90,13 @@ where
 }
 
 /// Runs the flow-over-sphere workload (Table I / Fig. 9) for one size and
-/// variant. Uses the paper's KBC/D3Q27 configuration. The Accumulate path
-/// is pinned to the paper's atomic scatter so the modeled Table I / Fig. 9
-/// shapes don't shift with the host pool width (`LBM_THREADS`) — the
-/// staged split is a host-determinism device, not part of the modeled
-/// GPU algorithm (DESIGN.md §10).
+/// variant. Uses the paper's KBC/D3Q27 configuration. The program, and so
+/// the modeled Table I / Fig. 9 shapes, is the same at every host pool
+/// width (`LBM_THREADS`): the Accumulate scatter adds in place at every
+/// width and launches no extra kernel (DESIGN.md §10).
 pub fn sphere_case(size: [usize; 3], variant: Variant, warmup: usize, steps: usize) -> CaseResult {
     let flow = SphereFlow::new(SphereConfig::for_size(size));
-    let mut eng = flow.engine_with(variant, Executor::new(DeviceModel::a100_40gb()), |b| {
-        b.staged_accumulate(false)
-    });
+    let mut eng = flow.engine(variant, Executor::new(DeviceModel::a100_40gb()));
     time_engine(
         format!(
             "sphere {}x{}x{} {}",

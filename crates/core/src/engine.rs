@@ -31,7 +31,8 @@
 //! The population buffers use the post-collision convention, which is what
 //! lets Fig. 4f's single fused kernel exist: one gather (streaming +
 //! Explosion + Coalescence), collision in registers, one store, plus the
-//! atomic Accumulate scatter.
+//! Accumulate scatter (in place: one writer block per accumulator slot,
+//! DESIGN.md §10).
 
 use std::time::{Duration, Instant};
 
@@ -44,8 +45,7 @@ use crate::checkpoint::{
     RecoveryPoint,
 };
 use crate::graphs;
-use crate::kernels::{self, StreamInputs, StreamOptions};
-use crate::links::LinkKind;
+use crate::kernels::{self, AccTables, StreamInputs, StreamOptions};
 use crate::multigrid::MultiGrid;
 use crate::program::{self, LevelTopo, OpKind, StepOp};
 use crate::variant::Variant;
@@ -66,7 +66,6 @@ mod names {
     pub const CASE: [&str; MAX_LEVELS] = [
         "CASE0", "CASE1", "CASE2", "CASE3", "CASE4", "CASE5", "CASE6", "CASE7",
     ];
-    pub const M: [&str; MAX_LEVELS] = ["M0", "M1", "M2", "M3", "M4", "M5", "M6", "M7"];
     pub const R: [&str; MAX_LEVELS] = ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7"];
 }
 
@@ -113,14 +112,7 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     pub variant: Variant,
     ops: Vec<C>,
     coarse_steps: u64,
-    explosion_cells: Vec<u64>,
-    coalesce_cells: Vec<u64>,
     exec_mode: ExecMode,
-    /// Whether the Accumulate scatter runs through the deterministic
-    /// staging-slab + ordered-merge path (DESIGN.md §10). Defaults to
-    /// `exec.thread_count() > 1` — the serial atomic scatter is only
-    /// order-deterministic on one thread.
-    staged: bool,
     /// Cached wave schedule, keyed by the variant it was built for. The
     /// wave partition is invariant under buffer parity, so one schedule
     /// serves every step.
@@ -149,7 +141,6 @@ pub struct EngineBuilder<T: Real, V: VelocitySet, C = ()> {
     op: C,
     variant: Variant,
     exec_mode: ExecMode,
-    staged: Option<bool>,
     health: Option<HealthGuard>,
 }
 
@@ -162,7 +153,6 @@ impl<T: Real, V: VelocitySet> Engine<T, V, ()> {
             op: (),
             variant: Variant::FusedAll,
             exec_mode: ExecMode::Eager,
-            staged: None,
             health: None,
         }
     }
@@ -178,14 +168,6 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
     /// Sets the execution mode (eager or wave-scheduled graph execution).
     pub fn exec_mode(mut self, mode: ExecMode) -> Self {
         self.exec_mode = mode;
-        self
-    }
-
-    /// Overrides the Accumulate path: `true` forces the deterministic
-    /// staging-slab + ordered-merge split, `false` forces the serial atomic
-    /// scatter. Default: staged iff the executor runs more than one thread.
-    pub fn staged_accumulate(mut self, on: bool) -> Self {
-        self.staged = Some(on);
         self
     }
 
@@ -206,7 +188,6 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
             op,
             variant: self.variant,
             exec_mode: self.exec_mode,
-            staged: self.staged,
             health: self.health,
         }
     }
@@ -217,36 +198,18 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
     /// engine's kernel thread count).
     pub fn build(self, exec: Executor) -> Engine<T, V, C> {
         let grid = self.grid;
-        let staged = self.staged.unwrap_or(exec.thread_count() > 1);
         let ops = grid
             .levels
             .iter()
             .map(|lv| self.op.with_omega(T::from_f64(lv.omega)))
             .collect();
-        let count_links = |pred: &dyn Fn(&LinkKind<T>) -> bool| -> Vec<u64> {
-            grid.levels
-                .iter()
-                .map(|lv| {
-                    lv.links
-                        .iter()
-                        .flat_map(|b| &b.cells)
-                        .filter(|c| c.links.iter().any(|l| pred(&l.kind)))
-                        .count() as u64
-                })
-                .collect()
-        };
-        let explosion_cells = count_links(&|k| matches!(k, LinkKind::Explosion { .. }));
-        let coalesce_cells = count_links(&|k| matches!(k, LinkKind::Coalesce { .. }));
         Engine {
             grid,
             exec,
             variant: self.variant,
             ops,
             coarse_steps: 0,
-            explosion_cells,
-            coalesce_cells,
             exec_mode: self.exec_mode,
-            staged,
             plan: None,
             health: self.health,
             recovery: None,
@@ -258,11 +221,6 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
 }
 
 impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
-    /// Whether the deterministic staged Accumulate path is active.
-    pub fn staged_accumulate(&self) -> bool {
-        self.staged
-    }
-
     /// The executor's kernel-execution thread count.
     pub fn thread_count(&self) -> usize {
         self.exec.thread_count()
@@ -297,8 +255,8 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
             .map(|l| LevelTopo {
                 ghosts: levels[l].ghost_cells > 0,
                 coarse_ghosts: l > 0 && levels[l - 1].ghost_cells > 0,
-                explodes: self.explosion_cells[l] > 0,
-                coalesces: self.coalesce_cells[l] > 0,
+                explodes: levels[l].links.explosion_cells > 0,
+                coalesces: levels[l].links.coalesce_cells > 0,
             })
             .collect()
     }
@@ -312,7 +270,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
             .iter()
             .map(|lv| lv.f.parity() as u8)
             .collect();
-        program::step_ops(&self.topology(), self.variant, &halves, self.staged)
+        program::step_ops(&self.topology(), self.variant, &halves)
     }
 
     /// The dependency graph and wave schedule of the next coarse step —
@@ -326,7 +284,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
             .iter()
             .map(|lv| lv.f.parity() as u8)
             .collect();
-        let g = graphs::step_graph_for(&topo, self.variant, &halves, self.staged);
+        let g = graphs::step_graph_for(&topo, self.variant, &halves);
         let s = Schedule::from_graph(&g);
         (g, s)
     }
@@ -530,23 +488,9 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         let coarse = coarser.last();
         let (src, dst) = lv.f.pair_mut(op.src_half as usize);
         let (real, ghost) = (lv.real_cells as u64, lv.ghost_cells as u64);
-        let accum = coarse.filter(|c| c.ghost_cells > 0).map(|c| {
-            let sink = match (self.staged, &lv.stage) {
-                // Deterministic parallel path: plain stores into the
-                // level's private slab; the AccMerge op folds it later.
-                (true, Some(st)) => kernels::AccSink::Staged {
-                    slab: &st.slab,
-                    dense: st.owners.dense(),
-                },
-                // Serial reference path: atomic scatter straight into the
-                // coarse accumulators.
-                _ => kernels::AccSink::Atomic(&c.acc),
-            };
-            kernels::AccTables {
-                sink,
-                targets: &lv.acc_target,
-                dirs: &lv.acc_dirs,
-            }
+        let accum = coarse.filter(|c| c.ghost_cells > 0).map(|c| AccTables {
+            acc: &c.acc,
+            deposits: &lv.deposits,
         });
         let inputs = StreamInputs {
             grid: &lv.grid,
@@ -596,11 +540,11 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                 );
             }
             OpKind::Explosion => {
-                let cells = self.explosion_cells[l];
+                let cells = lv.links.explosion_cells;
                 kernels::explosion::<T, V>(exec, names::E[l], inputs, dst, cells);
             }
             OpKind::Coalesce => {
-                let cells = self.coalesce_cells[l];
+                let cells = lv.links.coalesce_cells;
                 kernels::coalesce::<T, V>(exec, names::O[l], inputs, dst, cells);
             }
             OpKind::Collide => {
@@ -624,13 +568,6 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                     if accumulate { accum } else { None },
                     real,
                 );
-            }
-            OpKind::AccMerge => {
-                // Skip when the level has no accumulating cells (then the
-                // scatter deposited nothing and there is no slab).
-                if let (Some(c), Some(st)) = (coarse, &lv.stage) {
-                    kernels::accumulate_merge(exec, names::M[l], st, &c.acc);
-                }
             }
             OpKind::Reset => {
                 kernels::reset_accumulators(

@@ -100,23 +100,15 @@ pub fn alg1_graph(levels: u32) -> TaskGraph {
 pub fn step_graph(levels: u32, variant: Variant) -> TaskGraph {
     assert!(levels >= 1);
     let topo = program::generic_topology(levels);
-    step_graph_for(&topo, variant, &vec![0u8; levels as usize], false)
+    step_graph_for(&topo, variant, &vec![0u8; levels as usize])
 }
 
 /// Graph of one coarse step for an arbitrary level topology and starting
-/// buffer parities (see [`crate::program::step_ops`]). `staged` renders the
-/// deterministic scatter+merge Accumulate split instead of the atomic
-/// scatter; the canonical Fig.-2 graphs pass `false`.
-pub fn step_graph_for(
-    topo: &[LevelTopo],
-    variant: Variant,
-    start_halves: &[u8],
-    staged: bool,
-) -> TaskGraph {
-    let ops = program::step_ops(topo, variant, start_halves, staged);
+/// buffer parities (see [`crate::program::step_ops`]).
+pub fn step_graph_for(topo: &[LevelTopo], variant: Variant, start_halves: &[u8]) -> TaskGraph {
     let mut g = TaskGraph::new();
-    for op in &ops {
-        g.push(program::kernel_node(op, topo, staged));
+    for op in &program::step_ops(topo, variant, start_halves) {
+        g.push(program::kernel_node(op, topo));
     }
     g
 }
@@ -181,19 +173,6 @@ mod tests {
         let full = step_graph(3, Variant::FullyFused).kernel_count();
         let ours = step_graph(3, Variant::FusedAll).kernel_count();
         assert!(full <= ours);
-    }
-
-    #[test]
-    fn staged_graph_adds_merge_nodes_only() {
-        let topo = program::generic_topology(2);
-        let halves = [0u8, 0];
-        let serial = step_graph_for(&topo, Variant::FusedAll, &halves, false);
-        let staged = step_graph_for(&topo, Variant::FusedAll, &halves, true);
-        // Two fine substeps each gain one M node; the canonical count is
-        // untouched (pinned by `optimized_counts`).
-        assert_eq!(staged.kernel_count(), serial.kernel_count() + 2);
-        let dot = staged.to_dot("staged");
-        assert!(dot.contains("M1"));
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! convention: `src()` holds post-collision populations at the level's
 //! current time; streaming writes post-streaming values into `dst`, and
 //! collision transforms `dst` in place (or fuses with the gather). The only
-//! scatter is the optimized Accumulate, which uses atomic adds into the
-//! coarse ghost layer exactly as the paper prescribes (§IV-A).
+//! scatter is the optimized Accumulate into the coarse ghost layer (paper
+//! §IV-A). The GPU needs `atomicAdd` there because a ghost cell's 2³
+//! children run as different threads; here a launch item runs a whole
+//! block on one thread and every ghost's children share one fine block, so
+//! each accumulator slot has one writer per launch and the deposit is a
+//! plain load, add and store (DESIGN.md §10).
 //!
 //! Every block streams through one gather, `stream_block`, built from
 //! precomputed tables only (paper §V-B): it replays the level's
 //! [`StreamOffsets`] copy-run plan, overwrites the block's linked
-//! `(cell, direction)` pairs from its [`BlockLinks`] list, scatters
-//! Accumulate by the per-cell direction masks, and keeps the bits of ghost
-//! and inactive slots. A fully-interior block is the case with no links,
-//! no masks and no slots to keep. No kernel branches on a cell's position
-//! or looks its links up by cell.
+//! `(cell, direction)` pairs from the per-kind index lists of its
+//! [`LinkTable`], deposits Accumulate through its [`Deposit`] list, and
+//! keeps the bits of ghost and inactive slots. A fully-interior block is
+//! the case with empty lists and no slots to keep. No kernel branches on a
+//! cell's position or a link's kind, or looks a link up by cell.
 //!
 //! Kernel launches go through the virtual GPU [`Executor`]; each declares
 //! its honest per-cell traffic so the device model can price it.
@@ -25,7 +29,7 @@ use lbm_lattice::{Collision, Real, VelocitySet, MAX_Q};
 use lbm_sparse::{Block, Field, SparseGrid, StreamOffsets, INVALID_BLOCK};
 
 use crate::flags::CellFlags;
-use crate::links::{decode_ref, BlockLinks, LinkKind, NO_TARGET};
+use crate::links::{decode_ref, Deposit, LinkTable, PerBlock};
 
 /// Value-size in bytes of the population scalar.
 fn value_bytes<T>() -> u64 {
@@ -41,8 +45,8 @@ pub struct StreamInputs<'a, T> {
     pub flags: &'a Field<u8>,
     /// Per block: every slot is active and real ([`crate::Level::all_real`]).
     pub all_real: &'a [bool],
-    /// Per-block link tables.
-    pub links: &'a [BlockLinks<T>],
+    /// The level's exception links.
+    pub links: &'a LinkTable<T>,
     /// Own-level post-collision populations (gather source).
     pub src: &'a Field<T>,
     /// Own-level ghost accumulators (Coalescence source).
@@ -55,54 +59,26 @@ pub struct StreamInputs<'a, T> {
     pub offsets: &'a StreamOffsets,
 }
 
-/// Where the Accumulate scatter deposits a cell's crossing populations.
-///
-/// The two arms are the two halves of the determinism strategy (DESIGN.md
-/// §10): the serial reference path adds straight into the coarse ghost
-/// accumulators; the parallel path stores into a private per-fine-block
-/// staging slab whose contents [`accumulate_merge`] later folds into the
-/// same accumulators in a fixed order, making the float sum independent of
-/// which pool thread ran which block.
-#[derive(Copy, Clone)]
-pub enum AccSink<'a> {
-    /// CUDA-style `atomicAdd` directly into the coarse ghost accumulators.
-    /// Deterministic only under single-thread execution (program-order
-    /// arrival); this is the serial reference the staged path is pinned
-    /// against.
-    Atomic(&'a AtomicF64Field),
-    /// Plain stores into the fine level's staging slab, addressed by the
-    /// block's dense rank (`dense`, from
-    /// [`crate::level::AccStage::owners`]). No atomics: every `(block,
-    /// dir, cell)` slab slot has exactly one writer.
-    Staged {
-        /// The fine level's private staging slab.
-        slab: &'a AtomicF64Field,
-        /// Fine block → dense slab rank ([`lbm_sparse::NO_OWNER`] where
-        /// the block does not accumulate).
-        dense: &'a [u32],
-    },
-}
-
-/// Accumulate tables of a (fine) level: the scatter destination plus the
-/// per-cell parent targets and crossing-direction masks computed at grid
-/// construction.
+/// Accumulate tables of a (fine) level: the next-coarser level's ghost
+/// accumulators and the fine level's deposit lists.
 #[derive(Copy, Clone)]
 pub struct AccTables<'a> {
-    /// Scatter destination (serial atomic or staged slab).
-    pub sink: AccSink<'a>,
-    /// Per-block, per-cell encoded parent [`lbm_sparse::CellRef`]s.
-    pub targets: &'a [Option<Box<[u64]>>],
-    /// Per-block, per-cell crossing-direction bitmasks.
-    pub dirs: &'a [Option<Box<[u32]>>],
+    /// The next-coarser level's ghost accumulators.
+    pub acc: &'a AtomicF64Field,
+    /// The fine level's deposits ([`crate::Level::deposits`]).
+    pub deposits: &'a PerBlock<Deposit>,
 }
 
 impl AccTables<'_> {
-    /// Deposits the crossing populations of one block's accumulating cells
-    /// (read from `src`, the pre-streaming post-collision buffer) toward
-    /// their parent ghosts — directly ([`AccSink::Atomic`]) or via the
-    /// staging slab ([`AccSink::Staged`]). A cell accumulates iff its
-    /// direction mask is non-zero; cells go in ascending order, the order
-    /// the staged merge plan replays.
+    /// Deposits the crossing populations of one block (read from `src`,
+    /// the pre-streaming post-collision buffer) into their parent ghosts'
+    /// accumulators, in place: a relaxed load, an add and a store per
+    /// deposit. `MultiGrid::build` asserts that every accumulator slot has
+    /// one depositing block, and a launch item runs a whole block, so no
+    /// other thread touches the slot during the launch. The deposits go in
+    /// ascending cell, then direction order, the addition chain of a serial
+    /// scatter over the blocks in order, so the sums have the same bits at
+    /// every pool width.
     ///
     /// Timing matters: the populations that cross the interface during a
     /// fine substep are the post-collision values *being streamed*, i.e.
@@ -111,48 +87,17 @@ impl AccTables<'_> {
     /// break exact interface conservation.
     #[inline(always)]
     pub fn scatter_block<T: Real>(&self, src: &Field<T>, block: u32) {
-        let (Some(tt), Some(dd)) = (
-            self.targets[block as usize].as_deref(),
-            self.dirs[block as usize].as_deref(),
-        ) else {
-            return;
-        };
-        for (cell, (&target, &dirs)) in tt.iter().zip(dd).enumerate() {
-            let (cell, mut mask) = (cell as u32, dirs);
-            if mask == 0 {
-                continue;
-            }
-            debug_assert_ne!(target, NO_TARGET);
-            match self.sink {
-                AccSink::Atomic(acc) => {
-                    let parent = decode_ref(target);
-                    while mask != 0 {
-                        let i = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        acc.add(parent.block, i, parent.cell, src.get(block, i, cell).to_f64());
-                    }
-                }
-                AccSink::Staged { slab, dense } => {
-                    let sb = dense[block as usize];
-                    debug_assert_ne!(
-                        sb,
-                        lbm_sparse::NO_OWNER,
-                        "staged scatter from unmapped block"
-                    );
-                    while mask != 0 {
-                        let i = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        slab.store(sb, i, cell, src.get(block, i, cell).to_f64());
-                    }
-                }
-            }
+        let from = src.block(block);
+        for d in self.deposits.of(block) {
+            let v = self.acc.load_flat(d.dst) + from[d.src as usize].to_f64();
+            self.acc.store_flat(d.dst, v);
         }
     }
 }
 
-/// Which link families the streaming kernel resolves inline. The families
-/// it does *not* handle are left for the separate Explosion / Coalescence
-/// kernels of the unfused variants (Fig. 4b/4c), which overwrite those
+/// Which interface link lists the streaming kernel resolves inline. The
+/// lists it skips are left for the separate Explosion / Coalescence kernels
+/// of the unfused variants (Fig. 4b/4c), which overwrite those
 /// `(cell, direction)` pairs before anything reads them.
 #[derive(Copy, Clone, Debug)]
 pub struct StreamOptions {
@@ -217,33 +162,106 @@ fn is_real(blk: &Block, flags: &[u8], cell: usize) -> bool {
     blk.active.get(cell) && CellFlags(flags[cell]).is_real()
 }
 
-/// Overwrites the linked `(cell, direction)` pairs of block `b` whose link
-/// kind `handled` accepts, walking the block's link list.
+/// Which of the `LANES` cells from `base` on are real.
 #[inline(always)]
-fn patch_links<T: Real>(
-    inp: &StreamInputs<'_, T>,
-    b: u32,
-    out: &mut [T],
-    handled: impl Fn(&LinkKind<T>) -> bool,
-) {
-    let cpb = inp.grid.cells_per_block();
-    for set in &inp.links[b as usize].cells {
-        for l in &set.links {
-            if handled(&l.kind) {
-                out[l.dir as usize * cpb + set.cell as usize] =
-                    resolve_link(&l.kind, inp, b, set.cell, l.dir as usize);
+fn lane_mask(blk: &Block, flags: &[u8], base: usize) -> [bool; LANES] {
+    std::array::from_fn(|l| is_real(blk, flags, base + l))
+}
+
+/// Stores one lane group's column `from` into `col`: whole when every lane
+/// is real, else only the real lanes.
+#[inline(always)]
+fn store_lanes<T: Copy>(col: &mut [T], from: &[T], real: &[bool; LANES]) {
+    if !real.contains(&false) {
+        col.copy_from_slice(from);
+    } else {
+        for l in 0..LANES {
+            if real[l] {
+                col[l] = from[l];
             }
         }
     }
 }
 
+/// Overwrites the Explosion-linked pairs of block `b` from the coarser
+/// level's source half.
+#[inline(always)]
+fn explode_block<T: Real>(inp: &StreamInputs<'_, T>, b: u32, out: &mut [T]) {
+    let list = inp.links.explosion.of(b);
+    if list.is_empty() {
+        return;
+    }
+    let coarse = inp.coarse_src.expect("explosion link on level 0").as_slice();
+    for p in list {
+        out[p.dst as usize] = coarse[p.src];
+    }
+}
+
+/// Overwrites the Coalescence-linked pairs of block `b` from the level's
+/// ghost accumulators.
+#[inline(always)]
+fn coalesce_block<T: Real>(inp: &StreamInputs<'_, T>, b: u32, out: &mut [T]) {
+    for s in inp.links.coalesce.of(b) {
+        out[s.dst as usize] = T::from_f64(inp.acc.load_flat(s.src)) * s.scale;
+    }
+}
+
+/// Overwrites the linked `(cell, direction)` pairs of block `b`: the
+/// boundary lists always, the interface lists `opts` selects.
+#[inline(always)]
+fn patch_links<T: Real>(inp: &StreamInputs<'_, T>, b: u32, out: &mut [T], opts: StreamOptions) {
+    let (links, src) = (inp.links, inp.src.as_slice());
+    for p in links.copies.of(b) {
+        out[p.dst as usize] = src[p.src];
+    }
+    for w in links.walls.of(b) {
+        out[w.dst as usize] = src[w.src] + w.term;
+    }
+    for f in links.outflow.of(b) {
+        out[f.dst as usize] = f.value;
+    }
+    if opts.explosion {
+        explode_block(inp, b, out);
+    }
+    if opts.coalesce {
+        coalesce_block(inp, b, out);
+    }
+}
+
+thread_local! {
+    /// This thread's replay tile, kept from block to block so frontier
+    /// blocks allocate nothing once it has grown to `q·B³` values.
+    static TILE: std::cell::Cell<Option<Box<dyn std::any::Any>>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Takes this thread's replay tile, a `Vec<T>` grown to at least `len`
+/// values. The tile only moves in and out of its slot: the caller computes
+/// outside any closure, so a `#[target_feature]` caller keeps its
+/// instruction set, and hands the tile back with `TILE.set`.
+#[inline(always)]
+fn take_tile<T: Real>(len: usize) -> Box<dyn std::any::Any> {
+    let mut slot = TILE
+        .take()
+        .filter(|t| t.is::<Vec<T>>())
+        .unwrap_or_else(|| Box::new(Vec::<T>::new()));
+    if let Some(tile) = slot.downcast_mut::<Vec<T>>() {
+        if tile.len() < len {
+            tile.resize(len, T::ZERO);
+        }
+    }
+    slot
+}
+
 /// The streaming gather of one block into `out`, the same for every block:
 /// deposit Accumulate (`accumulate`), replay the copy-run plan
 /// ([`replay_runs`]), and patch the linked pairs `opts` resolves. A block
-/// with ghost or inactive slots replays into a tile and stores only its
-/// real cells, so those slots keep their prior bits. Pairs whose links
-/// `opts` excludes hold unspecified values until the separate Explosion or
-/// Coalescence kernel fills them.
+/// with ghost or inactive slots replays into this thread's tile and stores
+/// only its real cells, a lane group at a time, so those slots keep their
+/// prior bits. Tile slots the replay skips hold stale values, but they
+/// only reach non-real cells, which are not stored, or linked pairs, which
+/// the patch (or the separate Explosion or Coalescence kernel, for pairs
+/// `opts` excludes) overwrites.
 #[inline(always)]
 fn stream_block<T: Real, V: VelocitySet>(
     inp: &StreamInputs<'_, T>,
@@ -260,46 +278,23 @@ fn stream_block<T: Real, V: VelocitySet>(
     if inp.all_real[b as usize] {
         replay_runs(inp.offsets, inp.src, &blk.neighbors, V::Q, out);
     } else {
-        let mut tile = vec![T::ZERO; V::Q * cpb];
-        replay_runs(inp.offsets, inp.src, &blk.neighbors, V::Q, &mut tile);
+        let mut slot = take_tile::<T>(V::Q * cpb);
+        let tile: &mut Vec<T> = slot.downcast_mut().expect("a tile of T");
+        replay_runs(inp.offsets, inp.src, &blk.neighbors, V::Q, tile);
         let flags = inp.flags.component(b, 0);
-        let real: Vec<usize> = (0..cpb).filter(|&c| is_real(blk, flags, c)).collect();
-        for (col, from) in out.chunks_exact_mut(cpb).zip(tile.chunks_exact(cpb)) {
-            for &c in &real {
-                col[c] = from[c];
+        for base in (0..cpb).step_by(LANES) {
+            let real = lane_mask(blk, flags, base);
+            if !real.contains(&true) {
+                continue;
+            }
+            for i in 0..V::Q {
+                let at = i * cpb + base;
+                store_lanes(&mut out[at..][..LANES], &tile[at..][..LANES], &real);
             }
         }
+        TILE.set(Some(slot));
     }
-    patch_links(inp, b, out, |k| match k {
-        LinkKind::Explosion { .. } => opts.explosion,
-        LinkKind::Coalesce { .. } => opts.coalesce,
-        _ => true, // boundaries always resolve in S
-    });
-}
-
-/// The value link `kind` gives direction `dir` of `cell` in `block`.
-#[inline(always)]
-fn resolve_link<T: Real>(
-    kind: &LinkKind<T>,
-    inp: &StreamInputs<'_, T>,
-    block: u32,
-    cell: u32,
-    dir: usize,
-) -> T {
-    let src = inp.src;
-    match *kind {
-        LinkKind::BounceBack { opp } => src.get(block, opp as usize, cell),
-        LinkKind::MovingWall { opp, term } => src.get(block, opp as usize, cell) + term,
-        LinkKind::Outflow { weight } => weight,
-        LinkKind::Periodic { src: s } => src.get(s.block, dir, s.cell),
-        LinkKind::Explosion { src: s } => inp
-            .coarse_src
-            .expect("explosion link on level 0")
-            .get(s.block, dir, s.cell),
-        LinkKind::Coalesce { src: s, inv_count } => {
-            T::from_f64(inp.acc.load(s.block, dir, s.cell)) * inv_count
-        }
-    }
+    patch_links(inp, b, out, opts);
 }
 
 /// Streaming kernel (paper "S"): `dst[x][i] = src[x − e_i][i]` with link
@@ -354,7 +349,7 @@ pub fn explosion<T: Real, V: VelocitySet>(
         .thread_block(cpb)
         .build();
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        patch_links(&inp, b, out, |k| matches!(k, LinkKind::Explosion { .. }));
+        explode_block(&inp, b, out);
     });
 }
 
@@ -378,7 +373,7 @@ pub fn coalesce<T: Real, V: VelocitySet>(
         .thread_block(cpb)
         .build();
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        patch_links(&inp, b, out, |k| matches!(k, LinkKind::Coalesce { .. }));
+        coalesce_block(&inp, b, out);
     });
 }
 
@@ -441,32 +436,17 @@ fn collide_block<T: Real, V: VelocitySet, C: Collision<T, V>>(
 ) {
     debug_assert_eq!(cpb % LANES, 0, "partial lane group");
     for base in (0..cpb).step_by(LANES) {
-        let mut real = [true; LANES];
-        if let Some((blk, flags)) = cells {
-            for (l, r) in real.iter_mut().enumerate() {
-                *r = is_real(blk, flags, base + l);
-            }
-            if !real.contains(&true) {
-                continue;
-            }
+        let real = cells.map_or([true; LANES], |(blk, flags)| lane_mask(blk, flags, base));
+        if !real.contains(&true) {
+            continue;
         }
         let mut f = [[T::ZERO; LANES]; MAX_Q];
         for i in 0..V::Q {
             f[i].copy_from_slice(&out[i * cpb + base..][..LANES]);
         }
         op.collide_lanes(&mut f);
-        let whole = !real.contains(&false);
         for i in 0..V::Q {
-            let col = &mut out[i * cpb + base..][..LANES];
-            if whole {
-                col.copy_from_slice(&f[i]);
-            } else {
-                for l in 0..LANES {
-                    if real[l] {
-                        col[l] = f[i][l];
-                    }
-                }
-            }
+            store_lanes(&mut out[i * cpb + base..][..LANES], &f[i], &real);
         }
     }
 }
@@ -495,46 +475,6 @@ pub fn lane_isa() -> &'static str {
         return "avx512f";
     }
     "baseline"
-}
-
-/// Staged-Accumulate merge (label "M", the second half of the
-/// deterministic parallel Accumulate; DESIGN.md §10): folds the fine
-/// level's staging slab into the coarse ghost accumulators. One launch item
-/// owns one coarse block, so parallel items never share a destination; per
-/// slot the contributions are added in the plan's fixed serial order, so
-/// the resulting float sums are bit-identical to the serial atomic scatter
-/// for every thread count.
-///
-/// Reads **only** slots the staged scatter wrote this substep (the plan's
-/// predicate equals the scatter's), so no slab reset is needed between
-/// substeps — each deposit overwrites the previous one in place.
-pub fn accumulate_merge(
-    exec: &Executor,
-    name: &'static str,
-    stage: &crate::level::AccStage,
-    acc: &AtomicF64Field,
-) {
-    let slots = stage.slots.len() as u64;
-    let contribs = stage.contrib.len() as u64;
-    // Traffic: per destination slot, one accumulator load + store, plus one
-    // slab load per contribution. No lattice cells processed (the scatter
-    // already counted them) and no atomics — that is the point.
-    let cost = LaunchCost {
-        cells: 0,
-        bytes_read: (slots + contribs) * 8,
-        bytes_written: slots * 8,
-        ..LaunchCost::default()
-    };
-    exec.launch(name, stage.blocks.len(), cost, |b| {
-        let bp = &stage.blocks[b as usize];
-        for s in &stage.slots[bp.slots.0 as usize..bp.slots.1 as usize] {
-            let mut v = acc.load(bp.coarse_block, s.dir as usize, s.cell);
-            for &ci in &stage.contrib[s.start as usize..(s.start + s.len) as usize] {
-                v += stage.slab.load_flat(ci as usize);
-            }
-            acc.store(bp.coarse_block, s.dir as usize, s.cell, v);
-        }
-    });
 }
 
 /// Gather Accumulate (paper "A" of the *modified baseline*, Fig. 4b /
@@ -800,13 +740,12 @@ mod tests {
                     coarse_src: l.checked_sub(1).map(|c| grid.levels[c].f.half(0)),
                     offsets: &lv.offsets,
                 };
-                let acc = lv.stage.as_ref().map(|st| AccTables {
-                    sink: AccSink::Staged {
-                        slab: &st.slab,
-                        dense: st.owners.dense(),
-                    },
-                    targets: &lv.acc_target,
-                    dirs: &lv.acc_dirs,
+                // Deposit into a spare accumulator field of the coarse level's shape;
+                // the bits of the deposits are pinned by the stream oracle.
+                let spare = AtomicF64Field::new(grid.levels[0].grid.num_blocks(), V::Q, cpb);
+                let acc = (l > 0).then_some(AccTables {
+                    acc: &spare,
+                    deposits: &lv.deposits,
                 });
                 for b in 0..lv.grid.num_blocks() as u32 {
                     let chunk = |h: usize| {

@@ -7,7 +7,8 @@
 //! - **real** cells per level = owned octree leaves;
 //! - **ghost** cells per level = the single coarse layer inside the
 //!   next-finer region adjacent to real cells (paper §IV-A);
-//! - per-cell Accumulate targets (fine cell → parent ghost);
+//! - per-block Accumulate deposit lists (fine population → parent ghost
+//!   accumulator slot);
 //! - per-ghost gather lists (the modified baseline's coarse-initiated
 //!   Accumulate, paper §VI-B);
 //! - exception links for Explosion, Coalescence, bounce-back, moving walls,
@@ -21,14 +22,14 @@ use std::marker::PhantomData;
 
 use lbm_gpu::AtomicF64Field;
 use lbm_lattice::{equilibrium, moments, omega_at_level, Real, VelocitySet, MAX_Q};
-use lbm_sparse::{
-    Coord, DoubleBuffer, Field, GridBuilder, OwnerMap, SparseGrid, StreamOffsets, INVALID_BLOCK,
-};
+use lbm_sparse::{Coord, DoubleBuffer, Field, GridBuilder, SparseGrid, StreamOffsets, INVALID_BLOCK};
 
 use crate::boundary::{Boundary, BoundarySpec};
 use crate::flags::CellFlags;
-use crate::level::{AccStage, GatherEntry, Level, MergeBlockPlan, MergeSlotPlan};
-use crate::links::{decode_ref, encode_ref, BlockLinks, Link, LinkKind, NO_TARGET};
+use crate::level::{GatherEntry, Level};
+use crate::links::{
+    block_offset, encode_ref, flat_index, Deposit, LinkKind, LinkTable, PerBlock, NO_TARGET,
+};
 use crate::spec::GridSpec;
 
 /// The multi-resolution grid: a stack of levels, finest last.
@@ -139,9 +140,10 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             let fl = &flags[l as usize];
             let dom = spec.domain_at(l);
             let cpb = grid.cells_per_block();
-            let mut links: Vec<BlockLinks<T>> = vec![BlockLinks::default(); grid.num_blocks()];
-            let mut acc_target: Vec<Option<Box<[u64]>>> = vec![None; grid.num_blocks()];
-            let mut acc_dirs: Vec<Option<Box<[u32]>>> = vec![None; grid.num_blocks()];
+            let mut links = LinkTable::<T>::new(V::Q, cpb);
+            let mut deposits = PerBlock::<Deposit>::default();
+            // One cell's links, reused from cell to cell.
+            let mut cell_links: Vec<(u8, LinkKind<T>)> = Vec::with_capacity(V::Q);
             // Flag bits discovered in this pass, applied after the loop
             // (flags of other levels are read concurrently).
             let mut flag_updates: Vec<(u32, u32, u8)> = Vec::new();
@@ -152,7 +154,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 if !cf.is_real() {
                     continue;
                 }
-                let mut cell_links: Vec<Link<T>> = Vec::new();
+                cell_links.clear();
                 for i in 1..V::Q {
                     let d = Coord::from_array(V::C[i]).scale(-1); // pull source offset
                     if let Some(nref) = grid.neighbor(r, d) {
@@ -162,13 +164,8 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                         }
                         // Ghost neighbor ⇒ Coalescence read (paper Eq. 11).
                         let g = grid.coord_of(nref);
-                        cell_links.push(Link {
-                            dir: i as u8,
-                            kind: LinkKind::Coalesce {
-                                src: nref,
-                                inv_count: Self::coalesce_inv_count(&spec, &grids, &flags, l, g, i),
-                            },
-                        });
+                        let inv_count = Self::coalesce_inv_count(&spec, &grids, &flags, l, g, i);
+                        cell_links.push((i as u8, LinkKind::Coalesce { src: nref, inv_count }));
                         continue;
                     }
                     // Missing same-level source.
@@ -190,7 +187,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                                             ),
                                         }
                                     };
-                                    cell_links.push(Link { dir: i as u8, kind });
+                                    cell_links.push((i as u8, kind));
                                     continue;
                                 }
                                 None => {
@@ -208,10 +205,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                                     CellFlags(flags[(l - 1) as usize].get(pr.block, 0, pr.cell));
                                 if pflags.is_real() {
                                     // Explosion (paper Eq. 10).
-                                    cell_links.push(Link {
-                                        dir: i as u8,
-                                        kind: LinkKind::Explosion { src: pr },
-                                    });
+                                    cell_links.push((i as u8, LinkKind::Explosion { src: pr }));
                                     continue;
                                 }
                             } else if !spec.is_solid(l, s_w) && !spec.is_solid(l - 1, pp) {
@@ -223,22 +217,17 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                             }
                         }
                         // Solid surface (or unresolvable): boundary.
-                        cell_links.push(Link {
-                            dir: i as u8,
-                            kind: Self::boundary_link(&spec, bc, l, s_w, i),
-                        });
+                        cell_links.push((i as u8, Self::boundary_link(&spec, bc, l, s_w, i)));
                     } else {
                         // Outside the domain: boundary condition.
-                        cell_links.push(Link {
-                            dir: i as u8,
-                            kind: Self::boundary_link(&spec, bc, l, s_w, i),
-                        });
+                        cell_links.push((i as u8, Self::boundary_link(&spec, bc, l, s_w, i)));
                     }
                 }
 
-                // Accumulate target: parent ghost cell in the coarser grid,
-                // restricted to the directions that actually cross the
-                // interface (exact volumetric flux; see kernels.rs docs).
+                // Accumulate deposits: into the parent ghost cell in the
+                // coarser grid, restricted to the directions that actually
+                // cross the interface (exact volumetric flux; see kernels.rs
+                // docs), in ascending direction order.
                 let mut accumulates = false;
                 if l > 0 {
                     let pp = x.div_euclid(2);
@@ -247,15 +236,16 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                         let pflags = CellFlags(flags[(l - 1) as usize].get(pr.block, 0, pr.cell));
                         if pflags.is_ghost() {
                             let mask = Self::crossing_mask_at(&spec, &grids, &flags, l, x);
-                            if mask != 0 {
-                                accumulates = true;
-                                let tgt = acc_target[r.block as usize].get_or_insert_with(|| {
-                                    vec![NO_TARGET; cpb].into_boxed_slice()
-                                });
-                                tgt[r.cell as usize] = encode_ref(pr);
-                                let dm = acc_dirs[r.block as usize]
-                                    .get_or_insert_with(|| vec![0u32; cpb].into_boxed_slice());
-                                dm[r.cell as usize] = mask;
+                            accumulates = mask != 0;
+                            let mut m = mask;
+                            while m != 0 {
+                                let i = m.trailing_zeros() as usize;
+                                m &= m - 1;
+                                let deposit = Deposit {
+                                    src: block_offset(i, r.cell, cpb),
+                                    dst: flat_index(pr.block, i, pr.cell, V::Q, cpb),
+                                };
+                                deposits.push(r.block, deposit);
                             }
                         }
                     }
@@ -271,7 +261,12 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 if extra != 0 {
                     flag_updates.push((r.block, r.cell, extra));
                 }
-                links[r.block as usize].insert(r.cell, cell_links);
+                links.push_cell(r, &cell_links);
+            }
+            links.seal(grid.num_blocks());
+            deposits.seal(grid.num_blocks());
+            if l > 0 {
+                Self::assert_single_writer(&deposits, grids[(l - 1) as usize].num_blocks(), cpb);
             }
             {
                 let fl = &mut flags[l as usize];
@@ -333,7 +328,6 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             let mut ghost_cells = 0usize;
             for (bi, blk) in grid.blocks().iter().enumerate() {
                 let mut every = blk.active.all();
-                let dirs = acc_dirs[bi].as_deref();
                 for cell in blk.active.iter_set() {
                     let cf = CellFlags(fl.get(bi as u32, 0, cell as u32));
                     if cf.is_real() {
@@ -344,33 +338,23 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                     if cf.is_ghost() {
                         ghost_cells += 1;
                     }
-                    // The scatter and the staged merge plan select
-                    // accumulating cells by a non-zero mask alone.
-                    debug_assert_eq!(
-                        dirs.is_some_and(|d| d[cell] != 0),
-                        cf.is_real() && cf.accumulates(),
-                        "Accumulate mask out of step with the cell flags"
-                    );
                 }
                 all_real.push(every);
-                Self::assert_skipped_runs_linked(grid, fl, &links[bi], &offsets, bi as u32, l);
+                Self::assert_skipped_runs_linked(grid, fl, &links, &offsets, bi as u32, l);
             }
 
             let f = DoubleBuffer::<T>::new(grid, V::Q, T::ZERO);
             let acc = AtomicF64Field::new(grid.num_blocks(), V::Q, cpb);
-            let stage = Self::acc_stage_plan(&acc_target, &acc_dirs, cpb);
             levels.push(Level {
                 grid: grids[l as usize].clone(),
                 flags: flags[l as usize].clone(),
                 all_real,
                 links,
-                acc_target,
-                acc_dirs,
+                deposits,
                 gather,
                 offsets,
                 f,
                 acc,
-                stage,
                 omega: omega_at_level(omega0, l),
                 real_cells,
                 ghost_cells,
@@ -384,78 +368,29 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         }
     }
 
-    /// Builds the staged-Accumulate plan for one fine level (see
-    /// [`Level::stage`] and DESIGN.md §10): selects the accumulating blocks,
-    /// sizes their private staging slab, and lays out the per-coarse-block
-    /// merge with each slot's contributions in the exact order the serial
-    /// atomic scatter adds them — fine block ascending, cell ascending,
-    /// direction bit ascending — so the staged fold is bit-identical to the
-    /// serial reference for every thread count. A cell contributes iff its
-    /// direction mask is non-zero, the scatter kernel's rule: a slot the
-    /// scatter never writes must not be read by the merge, or stale slab
-    /// contents would leak in.
-    fn acc_stage_plan(
-        acc_target: &[Option<Box<[u64]>>],
-        acc_dirs: &[Option<Box<[u32]>>],
-        cpb: usize,
-    ) -> Option<AccStage> {
-        let owners = OwnerMap::build(acc_target.len(), |b| acc_target[b].is_some());
-        if owners.is_empty() {
-            return None;
-        }
-        let slab = AtomicF64Field::new(owners.len(), V::Q, cpb);
-        // (coarse block, dir, coarse cell) → contribution slab addresses,
-        // appended in serial scatter order.
-        let mut by_slot: std::collections::BTreeMap<(u32, u8, u32), Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for &b in owners.owners() {
-            let tgt = acc_target[b as usize].as_deref().unwrap();
-            let dirs = acc_dirs[b as usize].as_deref().unwrap();
-            let dense = owners.dense_of(b).unwrap();
-            for cell in 0..cpb as u32 {
-                let mut mask = dirs[cell as usize];
-                if mask == 0 {
-                    continue;
+    /// Asserts the invariant that makes the in-place Accumulate race-free
+    /// at every pool width (DESIGN.md §10): every coarse cell the fine
+    /// level's `deposits` reach is reached from one fine block only. A
+    /// launch item runs a whole block on one thread, so each accumulator
+    /// slot then has exactly one writer per launch. It holds because every
+    /// block size is even: a coarse cell's 2³ children share a fine block.
+    fn assert_single_writer(deposits: &PerBlock<Deposit>, coarse_blocks: usize, cpb: usize) {
+        let mut owner = vec![u32::MAX; coarse_blocks * cpb];
+        for b in 0..deposits.blocks() as u32 {
+            for d in deposits.of(b) {
+                let cell = d.dst / (V::Q * cpb) * cpb + d.dst % cpb;
+                let first = &mut owner[cell];
+                if *first == u32::MAX {
+                    *first = b;
                 }
-                let parent = decode_ref(tgt[cell as usize]);
-                while mask != 0 {
-                    let i = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    by_slot
-                        .entry((parent.block, i as u8, parent.cell))
-                        .or_default()
-                        .push(slab.flat_index(dense, i, cell) as u32);
-                }
+                assert!(
+                    *first == b,
+                    "invalid grid: coarse accumulator cell {cell} is deposited into by fine \
+                     blocks {} and {b}",
+                    *first
+                );
             }
         }
-        let mut blocks: Vec<MergeBlockPlan> = Vec::new();
-        let mut slots: Vec<MergeSlotPlan> = Vec::new();
-        let mut contrib: Vec<u32> = Vec::new();
-        for ((cb, dir, cell), list) in by_slot {
-            let start = contrib.len() as u32;
-            contrib.extend_from_slice(&list);
-            let si = slots.len() as u32;
-            match blocks.last_mut() {
-                Some(bp) if bp.coarse_block == cb => bp.slots.1 = si + 1,
-                _ => blocks.push(MergeBlockPlan {
-                    coarse_block: cb,
-                    slots: (si, si + 1),
-                }),
-            }
-            slots.push(MergeSlotPlan {
-                dir,
-                cell,
-                start,
-                len: list.len() as u32,
-            });
-        }
-        Some(AccStage {
-            owners,
-            slab,
-            blocks,
-            slots,
-            contrib,
-        })
     }
 
     /// Asserts the invariant that lets the streaming gather skip the
@@ -465,7 +400,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     fn assert_skipped_runs_linked(
         grid: &SparseGrid,
         fl: &Field<u8>,
-        links: &BlockLinks<T>,
+        links: &LinkTable<T>,
         offsets: &StreamOffsets,
         b: u32,
         l: u32,
@@ -476,10 +411,8 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         }
         // Per-cell bitmask of the directions the block's links cover.
         let mut linked = vec![0u32; grid.cells_per_block()];
-        for set in &links.cells {
-            for lk in &set.links {
-                linked[set.cell as usize] |= 1 << lk.dir;
-            }
+        for (cell, dir, _) in links.links_of(b) {
+            linked[cell as usize] |= 1 << dir;
         }
         for i in 0..V::Q {
             for e in &offsets.dir(i).runs {
@@ -830,43 +763,27 @@ mod tests {
         let mg = MG::build(two_level_spec(), &AllWalls, 1.5);
         let l0 = &mg.levels[0];
         let l1 = &mg.levels[1];
-        let mut explosion = 0usize;
-        let mut coalesce = 0usize;
-        let mut bb = 0usize;
-        for (bi, bl) in l1.links.iter().enumerate() {
-            let _ = bi;
-            for c in &bl.cells {
-                for lk in &c.links {
-                    match lk.kind {
-                        LinkKind::Explosion { .. } => explosion += 1,
-                        LinkKind::Coalesce { .. } => coalesce += 1,
-                        LinkKind::BounceBack { .. } => bb += 1,
-                        _ => {}
-                    }
-                }
-            }
-        }
-        assert!(explosion > 0, "fine boundary cells must explode from coarse");
-        assert_eq!(coalesce, 0, "fine level has no ghost neighbors");
-        assert_eq!(bb, 0, "fine region is interior, no walls touch it");
-        let mut coalesce0 = 0usize;
-        let mut bb0 = 0usize;
-        for bl in &l0.links {
-            for c in &bl.cells {
-                for lk in &c.links {
-                    match lk.kind {
-                        LinkKind::Coalesce { .. } => coalesce0 += 1,
-                        LinkKind::BounceBack { .. } => bb0 += 1,
-                        LinkKind::Explosion { .. } => {
-                            panic!("coarsest level cannot explode")
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        assert!(coalesce0 > 0, "coarse interface cells must coalesce");
+        assert!(
+            !l1.links.explosion.all().is_empty(),
+            "fine boundary cells must explode from coarse"
+        );
+        assert!(l1.links.coalesce.all().is_empty(), "fine level has no ghost neighbors");
+        assert!(
+            l1.links.copies.all().is_empty(),
+            "fine region is interior, no walls touch it"
+        );
+        assert!(l0.links.explosion.all().is_empty(), "coarsest level cannot explode");
+        assert!(
+            !l0.links.coalesce.all().is_empty(),
+            "coarse interface cells must coalesce"
+        );
+        let bb0 = (0..l0.grid.num_blocks() as u32)
+            .flat_map(|b| l0.links.links_of(b))
+            .filter(|(_, _, k)| matches!(k, LinkKind::BounceBack { .. }))
+            .count();
         assert!(bb0 > 0, "domain walls must bounce back");
+        assert_eq!(l0.links.explosion_cells, 0);
+        assert!(l0.links.coalesce_cells > 0 && l1.links.explosion_cells > 0);
     }
 
     #[test]
@@ -875,18 +792,19 @@ mod tests {
         // the same parent must reference the same coarse cell (Eq. 10).
         let mg = MG::build(two_level_spec(), &AllWalls, 1.5);
         let l1 = &mg.levels[1];
-        for (r, x) in l1.iter_real() {
-            let cells = &l1.links[r.block as usize].cells;
-            if let Some(set) = cells.iter().find(|s| s.cell == r.cell) {
-                for lk in &set.links {
-                    if let LinkKind::Explosion { src } = lk.kind {
-                        let d = Coord::from_array(D3Q19::C[lk.dir as usize]).scale(-1);
-                        let expect = (x + d).div_euclid(2);
-                        assert_eq!(mg.levels[0].grid.coord_of(src), expect);
-                    }
+        let mut seen = 0;
+        for b in 0..l1.grid.num_blocks() as u32 {
+            for (cell, dir, kind) in l1.links.links_of(b) {
+                if let LinkKind::Explosion { src } = kind {
+                    let x = l1.grid.coord_of(lbm_sparse::CellRef { block: b, cell });
+                    let d = Coord::from_array(D3Q19::C[dir as usize]).scale(-1);
+                    let expect = (x + d).div_euclid(2);
+                    assert_eq!(mg.levels[0].grid.coord_of(src), expect);
+                    seen += 1;
                 }
             }
         }
+        assert_eq!(seen, l1.links.explosion.all().len());
     }
 
     #[test]
@@ -919,8 +837,11 @@ mod tests {
         // Every slot is real; of the 4³ blocks of 4³ cells, only the inner
         // 2×2×2 have no wall links.
         assert!(l0.all_real.iter().all(|&r| r));
-        let linkless = l0.links.iter().filter(|b| b.cells.is_empty()).count();
+        let linkless = (0..l0.grid.num_blocks() as u32)
+            .filter(|&b| l0.links.links_of(b).next().is_none())
+            .count();
         assert_eq!(linkless, 8);
+        assert!(l0.deposits.all().is_empty());
     }
 
     #[test]
@@ -929,17 +850,16 @@ mod tests {
         let mg = MG::build(spec, &AllWalls, 1.0);
         let l0 = &mg.levels[0];
         let mut periodic = 0usize;
-        for bl in &l0.links {
-            for c in &bl.cells {
-                for lk in &c.links {
-                    match lk.kind {
-                        LinkKind::Periodic { .. } => periodic += 1,
-                        other => panic!("fully periodic box should only wrap, got {other:?}"),
-                    }
+        for b in 0..l0.grid.num_blocks() as u32 {
+            for (_, _, kind) in l0.links.links_of(b) {
+                match kind {
+                    LinkKind::Periodic { .. } => periodic += 1,
+                    other => panic!("fully periodic box should only wrap, got {other:?}"),
                 }
             }
         }
         assert!(periodic > 0);
+        assert_eq!(periodic, l0.links.len());
     }
 
     #[test]
@@ -958,6 +878,71 @@ mod tests {
         let (rho, u) = mg.probe_finest(Coord::new(16, 16, 16)).unwrap();
         assert!((rho - 1.0).abs() < 1e-12);
         assert!((u[0] - 0.02).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_deposit_targets_the_parent_ghost_in_cell_then_direction_order() {
+        let mg = MG::build(two_level_spec(), &AllWalls, 1.5);
+        let (l0, l1) = (&mg.levels[0], &mg.levels[1]);
+        let (q, cpb) = (D3Q19::Q, l1.grid.cells_per_block());
+        let mut count = 0;
+        for b in 0..l1.grid.num_blocks() as u32 {
+            let list = l1.deposits.of(b);
+            let key = |d: &Deposit| (d.src as usize % cpb, d.src as usize / cpb);
+            assert!(list.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+            for d in list {
+                let (cell, dir) = key(d);
+                let x = l1.grid.coord_of(lbm_sparse::CellRef {
+                    block: b,
+                    cell: cell as u32,
+                });
+                let parent = l0.grid.cell_ref(x.div_euclid(2)).unwrap();
+                assert!(l0.cell_flags(parent).is_ghost());
+                assert_eq!(d.dst, flat_index(parent.block, dir, parent.cell, q, cpb));
+                count += 1;
+            }
+        }
+        // Σ over the ghosts' children of their crossing directions.
+        let crossing: u32 = l0
+            .gather
+            .iter()
+            .flatten()
+            .flat_map(|e| e.masks)
+            .map(u32::count_ones)
+            .sum();
+        assert_eq!(count, crossing as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "deposited into by fine blocks 0 and 2")]
+    fn single_writer_guard_rejects_a_slot_shared_by_two_blocks() {
+        let (q, cpb) = (D3Q19::Q, 64);
+        let mut deposits = PerBlock::default();
+        deposits.push(0, Deposit {
+            src: 0,
+            dst: flat_index(1, 3, 9, q, cpb),
+        });
+        deposits.push(2, Deposit {
+            src: 5,
+            dst: flat_index(1, 3, 9, q, cpb),
+        });
+        deposits.seal(3);
+        MG::assert_single_writer(&deposits, 2, cpb);
+    }
+
+    #[test]
+    fn single_writer_guard_accepts_one_block_per_slot() {
+        let (q, cpb) = (D3Q19::Q, 64);
+        let mut deposits = PerBlock::default();
+        for (b, dir) in [(0, 1), (0, 2), (2, 1)] {
+            let cell = if b == 0 { 9 } else { 10 };
+            deposits.push(b, Deposit {
+                src: 0,
+                dst: flat_index(1, dir, cell, q, cpb),
+            });
+        }
+        deposits.seal(3);
+        MG::assert_single_writer(&deposits, 2, cpb);
     }
 
     #[test]

@@ -74,10 +74,6 @@ pub enum OpKind {
         /// Atomic Accumulate scatter fused in.
         accumulate: bool,
     },
-    /// Ordered merge of the staged Accumulate slab into the coarse
-    /// accumulators (deterministic parallel path; see DESIGN.md §10). Runs
-    /// on the fine level, one launch item per destination coarse block.
-    AccMerge,
     /// Accumulator reset after Coalescence consumed the charge.
     Reset,
 }
@@ -104,36 +100,20 @@ pub struct StepOp {
 /// `start_halves[l]` is the source half of level `l`'s double buffer when
 /// the step begins (`DoubleBuffer::parity`). After the program runs, level
 /// 0 has net-swapped once and deeper levels an even number of times.
-/// When `staged` is set, every atomic-scatter Accumulate is split into a
-/// plain-store scatter plus an ordered [`OpKind::AccMerge`] — the
-/// deterministic parallel path (DESIGN.md §10). The canonical Fig.-2 graphs
-/// pass `false`, keeping the paper's pinned kernel counts.
-pub fn step_ops(
-    topo: &[LevelTopo],
-    variant: Variant,
-    start_halves: &[u8],
-    staged: bool,
-) -> Vec<StepOp> {
+pub fn step_ops(topo: &[LevelTopo], variant: Variant, start_halves: &[u8]) -> Vec<StepOp> {
     assert!(!topo.is_empty());
     assert_eq!(topo.len(), start_halves.len());
     let mut flip: Vec<u8> = start_halves.to_vec();
     let mut ops = Vec::new();
-    rec(&mut ops, topo, variant, &mut flip, 0, staged);
+    rec(&mut ops, topo, variant, &mut flip, 0);
     ops
 }
 
-fn rec(
-    ops: &mut Vec<StepOp>,
-    topo: &[LevelTopo],
-    variant: Variant,
-    flip: &mut [u8],
-    l: usize,
-    staged: bool,
-) {
+fn rec(ops: &mut Vec<StepOp>, topo: &[LevelTopo], variant: Variant, flip: &mut [u8], l: usize) {
     if l + 1 < topo.len() {
         // Δt_{L+1} = Δt_L / 2: two fine substeps before this level streams.
-        rec(ops, topo, variant, flip, l + 1, staged);
-        rec(ops, topo, variant, flip, l + 1, staged);
+        rec(ops, topo, variant, flip, l + 1);
+        rec(ops, topo, variant, flip, l + 1);
     }
     let cfg = variant.config();
     let t = topo[l];
@@ -150,22 +130,15 @@ fn rec(
         ops.push(mk(OpKind::Fused {
             accumulate: t.coarse_ghosts,
         }));
-        if staged && t.coarse_ghosts {
-            ops.push(mk(OpKind::AccMerge));
-        }
     } else {
         if !cfg.collide_accumulate && t.coarse_ghosts {
             ops.push(mk(OpKind::AccGather));
         }
-        let scatter = cfg.collide_accumulate && t.coarse_ghosts;
         ops.push(mk(OpKind::Stream {
             explosion: cfg.stream_explosion,
             coalesce: cfg.stream_coalesce,
-            accumulate: scatter,
+            accumulate: cfg.collide_accumulate && t.coarse_ghosts,
         }));
-        if staged && scatter {
-            ops.push(mk(OpKind::AccMerge));
-        }
         if !cfg.stream_explosion && t.explodes {
             ops.push(mk(OpKind::Explosion));
         }
@@ -191,20 +164,15 @@ pub fn acc_id(level: usize, n_levels: usize) -> FieldId {
     FieldId(2 * n_levels + level)
 }
 
-/// Field id of level `l`'s private Accumulate staging slab (deterministic
-/// parallel path; disjoint from both buffer and accumulator ids).
-pub fn stage_id(level: usize, n_levels: usize) -> FieldId {
-    FieldId(3 * n_levels + level)
-}
-
 /// Renders one [`StepOp`] as a [`KernelNode`] with its declared accesses —
 /// the labels match the paper's Fig.-2/Fig.-4 nomenclature (`S`/`SE`/`SO`/
 /// `SEO`, `E`, `O`, `C`, `A`, `CASE`, `R`).
 ///
-/// `staged` must match the flag given to [`step_ops`]: it reroutes the
-/// Accumulate scatter from an atomic update of the coarse accumulators to a
-/// plain write of the level's staging slab (consumed by the `M` merge node).
-pub fn kernel_node(op: &StepOp, topo: &[LevelTopo], staged: bool) -> KernelNode {
+/// An Accumulate scatter declares the coarse accumulators as an atomic
+/// update, as on the GPU (paper §IV-A). On this substrate each slot has one
+/// writer block per launch, so the host adds in place (DESIGN.md §10); the
+/// declaration, and with it the Fig.-2 dependency graph, is the paper's.
+pub fn kernel_node(op: &StepOp, topo: &[LevelTopo]) -> KernelNode {
     let n = topo.len();
     let l = op.level;
     let t = topo[l];
@@ -236,16 +204,8 @@ pub fn kernel_node(op: &StepOp, topo: &[LevelTopo], staged: bool) -> KernelNode 
                 reads.push(acc_id(l, n));
             }
             label.push_str(&l.to_string());
-            let mut writes = vec![dst];
-            let atomics = match (accumulate, staged) {
-                (true, false) => vec![coarse_acc()],
-                (true, true) => {
-                    writes.push(stage_id(l, n));
-                    vec![]
-                }
-                (false, _) => vec![],
-            };
-            (label, reads, writes, atomics)
+            let atomics = if accumulate { vec![coarse_acc()] } else { vec![] };
+            (label, reads, vec![dst], atomics)
         }
         OpKind::Explosion => (format!("E{l}"), vec![coarse_src()], vec![dst], vec![]),
         OpKind::Coalesce => (
@@ -263,23 +223,9 @@ pub fn kernel_node(op: &StepOp, topo: &[LevelTopo], staged: bool) -> KernelNode 
             if t.coalesces {
                 reads.push(acc_id(l, n));
             }
-            let mut writes = vec![dst];
-            let atomics = match (accumulate, staged) {
-                (true, false) => vec![coarse_acc()],
-                (true, true) => {
-                    writes.push(stage_id(l, n));
-                    vec![]
-                }
-                (false, _) => vec![],
-            };
-            (format!("CASE{l}"), reads, writes, atomics)
+            let atomics = if accumulate { vec![coarse_acc()] } else { vec![] };
+            (format!("CASE{l}"), reads, vec![dst], atomics)
         }
-        OpKind::AccMerge => (
-            format!("M{l}"),
-            vec![stage_id(l, n), coarse_acc()],
-            vec![coarse_acc()],
-            vec![],
-        ),
         OpKind::Reset => (format!("R{l}"), vec![], vec![acc_id(l, n)], vec![]),
     };
     KernelNode {
@@ -299,7 +245,7 @@ mod tests {
     #[test]
     fn parities_net_out() {
         let topo = generic_topology(3);
-        let ops = step_ops(&topo, Variant::FusedAll, &[0, 0, 0], false);
+        let ops = step_ops(&topo, Variant::FusedAll, &[0, 0, 0]);
         // Level 2 runs 4 substeps, level 1 runs 2, level 0 runs 1:
         // src halves alternate within the step starting from the given
         // parity.
@@ -314,7 +260,7 @@ mod tests {
     #[test]
     fn coarse_half_tracks_enclosing_level() {
         let topo = generic_topology(2);
-        let ops = step_ops(&topo, Variant::ModifiedBaseline, &[1, 0], false);
+        let ops = step_ops(&topo, Variant::ModifiedBaseline, &[1, 0]);
         // Level 0 never swaps mid-step: every fine op sees coarse half 1.
         assert!(ops
             .iter()
@@ -325,7 +271,7 @@ mod tests {
     #[test]
     fn baseline_emits_gather_accumulate_before_stream() {
         let topo = generic_topology(2);
-        let ops = step_ops(&topo, Variant::ModifiedBaseline, &[0, 0], false);
+        let ops = step_ops(&topo, Variant::ModifiedBaseline, &[0, 0]);
         let fine: Vec<OpKind> = ops
             .iter()
             .filter(|o| o.level == 1)
@@ -357,43 +303,41 @@ mod tests {
     #[test]
     fn labels_resolve_against_topology() {
         let topo = generic_topology(2);
-        let ops = step_ops(&topo, Variant::FusedAll, &[0, 0], false);
+        let ops = step_ops(&topo, Variant::FusedAll, &[0, 0]);
         let labels: Vec<String> = ops
             .iter()
-            .map(|o| kernel_node(o, &topo, false).label)
+            .map(|o| kernel_node(o, &topo).label)
             .collect();
         // Level 0 has no explosion interface, so its inline stream is S+O.
         assert_eq!(labels, vec!["CASE1", "CASE1", "SO0", "C0", "R0"]);
     }
 
     #[test]
-    fn staged_program_splits_accumulate_into_scatter_plus_merge() {
+    fn accumulate_scatters_declare_the_coarse_accumulators_atomic() {
         let topo = generic_topology(2);
-        let serial = step_ops(&topo, Variant::FusedAll, &[0, 0], false);
-        let staged = step_ops(&topo, Variant::FusedAll, &[0, 0], true);
-        // One AccMerge per accumulate-carrying fused op; nothing else moves.
-        let merges: Vec<&StepOp> = staged
-            .iter()
-            .filter(|o| o.kind == OpKind::AccMerge)
-            .collect();
-        assert_eq!(merges.len(), 2);
-        assert!(merges.iter().all(|o| o.level == 1));
-        let without: Vec<StepOp> = staged
-            .iter()
-            .filter(|o| o.kind != OpKind::AccMerge)
-            .copied()
-            .collect();
-        assert_eq!(without, serial);
-        // Staged scatter writes the slab instead of atomically updating the
-        // coarse accumulators; the merge node carries that dependency.
-        let fused = staged.iter().find(|o| o.level == 1).unwrap();
-        let node = kernel_node(fused, &topo, true);
-        assert!(node.atomics.is_empty());
-        assert!(node.writes.contains(&stage_id(1, 2)));
-        let merge = kernel_node(merges[0], &topo, true);
-        assert_eq!(merge.label, "M1");
-        assert!(merge.reads.contains(&stage_id(1, 2)));
-        assert!(merge.reads.contains(&acc_id(0, 2)));
-        assert_eq!(merge.writes, vec![acc_id(0, 2)]);
+        for variant in [Variant::FusedAll, Variant::FusedCaSe] {
+            let ops = step_ops(&topo, variant, &[0, 0]);
+            let scatters: Vec<KernelNode> = ops
+                .iter()
+                .filter(|o| {
+                    matches!(
+                        o.kind,
+                        OpKind::Fused { accumulate: true }
+                            | OpKind::Stream {
+                                accumulate: true,
+                                ..
+                            }
+                    )
+                })
+                .map(|o| kernel_node(o, &topo))
+                .collect();
+            // One per fine substep, each an atomic update of the level-0
+            // accumulators (the Fig. 2 declaration) and nothing more.
+            assert_eq!(scatters.len(), 2, "{variant:?}");
+            for node in scatters {
+                assert_eq!(node.atomics, vec![acc_id(0, 2)], "{variant:?}");
+                assert_eq!(node.writes.len(), 1, "{variant:?}");
+            }
+        }
     }
 }

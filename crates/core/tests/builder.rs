@@ -17,15 +17,11 @@ type Eng = Engine<f64, D3Q19, Bgk<f64>>;
 struct Settings {
     variant: Variant,
     mode: ExecMode,
-    staged: Option<bool>,
     health: Option<HealthGuard>,
 }
 
 fn apply<C>(s: Settings, b: EngineBuilder<f64, D3Q19, C>) -> EngineBuilder<f64, D3Q19, C> {
     let mut b = b.variant(s.variant).exec_mode(s.mode);
-    if let Some(on) = s.staged {
-        b = b.staged_accumulate(on);
-    }
     if let Some(g) = s.health {
         b = b.health(g);
     }
@@ -60,11 +56,6 @@ fn assert_carried(s: Settings, threads: usize, eng: &Eng, what: &str) {
     assert_eq!(eng.variant, s.variant, "{what}: variant");
     assert_eq!(eng.exec_mode(), s.mode, "{what}: exec mode");
     assert_eq!(eng.thread_count(), threads, "{what}: threads");
-    assert_eq!(
-        eng.staged_accumulate(),
-        s.staged.unwrap_or(threads > 1),
-        "{what}: staged Accumulate"
-    );
     // The guard reports every 2 steps against an unreachable speed bound,
     // so 4 steps record exactly 2 events when it was installed.
     let events = if s.health.is_some() { 2 } else { 0 };
@@ -82,7 +73,6 @@ fn setters_before_and_after_collision_build_the_same_engine() {
             Settings {
                 variant: Variant::ModifiedBaseline,
                 mode: ExecMode::Graph,
-                staged: None,
                 health: Some(guard),
             },
             2,
@@ -91,7 +81,6 @@ fn setters_before_and_after_collision_build_the_same_engine() {
             Settings {
                 variant: Variant::FullyFused,
                 mode: ExecMode::Eager,
-                staged: Some(true),
                 health: None,
             },
             1,

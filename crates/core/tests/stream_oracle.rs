@@ -1,15 +1,20 @@
 //! Oracle test of the streaming gather: one `kernels::stream` launch must
 //! equal, slot for slot, a per-cell pull written here from public data
 //! only — `iter_active` coordinates, `SparseGrid::cell_ref` and the
-//! level's link lists. Real slots must match bitwise; ghost and inactive
-//! slots must keep their prior bits. The fused kernel must equal `stream`
-//! followed by `collide`, and the split S + E + O kernels must equal the
-//! inline resolution. Every check runs at pool widths 1 and 4.
+//! level's link lists, decoded entry by entry. Real slots must match
+//! bitwise; ghost and inactive slots must keep their prior bits. The
+//! in-place Accumulate deposits must equal a serial per-cell sum into the
+//! parent ghosts, computed from coordinates alone. The fused kernel must
+//! equal `stream` followed by `collide`, and the split S + E + O kernels
+//! must equal the inline resolution. Every check runs at pool widths 1
+//! and 4.
 
-use lbm_core::kernels::{self, AccSink, AccTables, StreamInputs, StreamOptions};
+use std::collections::HashMap;
+
+use lbm_core::kernels::{self, AccTables, StreamInputs, StreamOptions};
 use lbm_core::links::LinkKind;
 use lbm_core::{AllWalls, GridSpec, MultiGrid};
-use lbm_gpu::{DeviceModel, Executor};
+use lbm_gpu::{AtomicF64Field, DeviceModel, Executor};
 use lbm_lattice::{Bgk, Collision, Kbc, VelocitySet, D3Q19, D3Q27};
 use lbm_sparse::{Box3, Coord, Field, INVALID_BLOCK};
 use proptest::prelude::*;
@@ -123,17 +128,14 @@ fn inputs<'a, V: VelocitySet>(grid: &'a MultiGrid<f64, V>, l: usize) -> StreamIn
     }
 }
 
-/// The staged Accumulate tables of level `l`, when it accumulates.
-fn staged<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> Option<AccTables<'_>> {
+/// A fresh copy of level `l`'s ghost accumulators.
+fn acc_copy<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> AtomicF64Field {
     let lv = &grid.levels[l];
-    lv.stage.as_ref().map(|st| AccTables {
-        sink: AccSink::Staged {
-            slab: &st.slab,
-            dense: st.owners.dense(),
-        },
-        targets: &lv.acc_target,
-        dirs: &lv.acc_dirs,
-    })
+    let mut image = vec![0.0; lv.acc.len()];
+    lv.acc.copy_to_slice(&mut image);
+    let mut copy = AtomicF64Field::new(lv.grid.num_blocks(), V::Q, lv.grid.cells_per_block());
+    copy.copy_from_slice(&image);
+    copy
 }
 
 /// The per-cell pull: for every real cell and direction, the linked value
@@ -142,18 +144,20 @@ fn staged<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> Option<AccTable
 fn oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize, prior: &Field<f64>) -> Field<f64> {
     let lv = &grid.levels[l];
     let src = lv.f.half(0);
+    let mut links = HashMap::new();
+    for b in 0..lv.grid.num_blocks() as u32 {
+        for (cell, dir, kind) in lv.links.links_of(b) {
+            let twice = links.insert((b, cell, dir as usize), kind);
+            assert!(twice.is_none(), "level {l} block {b} cell {cell} dir {dir}: two links");
+        }
+    }
     let mut out = prior.clone();
     for (r, x) in lv.grid.iter_active() {
         if !lv.cell_flags(r).is_real() {
             continue;
         }
-        let set = lv.links[r.block as usize]
-            .cells
-            .iter()
-            .find(|s| s.cell == r.cell);
         for i in 0..V::Q {
-            let link = set.and_then(|s| s.links.iter().find(|k| k.dir as usize == i));
-            let v = match link.map(|k| k.kind) {
+            let v = match links.get(&(r.block, r.cell, i)).copied() {
                 None => {
                     let c = V::C[i];
                     let s = x - Coord::new(c[0], c[1], c[2]);
@@ -181,6 +185,53 @@ fn oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize, prior: &Field<f64>
     out
 }
 
+/// The coarser level's accumulators after one substep of level `l`
+/// (`l > 0`), summed serially cell by cell from coordinates alone: every
+/// real fine cell whose parent is a ghost adds, in ascending direction
+/// order, each population whose target is in the domain, not a real fine
+/// cell, and under a real coarse cell. Cells go in ascending `(block,
+/// cell)` order onto the seeded accumulator values.
+fn deposit_oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> Vec<f64> {
+    let (fine, coarse) = (&grid.levels[l], &grid.levels[l - 1]);
+    let domain = grid.spec.domain_at(l as u32);
+    let mut acc = vec![0.0; coarse.acc.len()];
+    coarse.acc.copy_to_slice(&mut acc);
+    let real_at = |lv: &lbm_core::Level<f64>, p: Coord| {
+        lv.grid.cell_ref(p).is_some_and(|r| lv.cell_flags(r).is_real())
+    };
+    let cpb = coarse.grid.cells_per_block();
+    for (r, x) in fine.grid.iter_active() {
+        let parent = coarse.grid.cell_ref(x.div_euclid(2));
+        let Some(p) = parent.filter(|&p| coarse.cell_flags(p).is_ghost()) else {
+            continue;
+        };
+        if !fine.cell_flags(r).is_real() {
+            continue;
+        }
+        for i in 1..V::Q {
+            let c = V::C[i];
+            let t = x + Coord::new(c[0], c[1], c[2]);
+            if domain.contains(t) && !real_at(fine, t) && real_at(coarse, t.div_euclid(2)) {
+                let slot = (p.block as usize * V::Q + i) * cpb + p.cell as usize;
+                acc[slot] += fine.f.half(0).get(r.block, i, r.cell);
+            }
+        }
+    }
+    acc
+}
+
+/// First accumulator slot whose bits differ from `want`.
+fn first_acc_diff(got: &AtomicF64Field, want: &[f64]) -> Option<(usize, f64, f64)> {
+    let mut image = vec![0.0; got.len()];
+    got.copy_to_slice(&mut image);
+    image
+        .iter()
+        .zip(want)
+        .enumerate()
+        .find(|(_, (x, y))| x.to_bits() != y.to_bits())
+        .map(|(k, (x, y))| (k, *x, *y))
+}
+
 /// First slot where two fields differ in their bits.
 fn first_diff(a: &Field<f64>, b: &Field<f64>) -> Option<(usize, f64, f64)> {
     a.as_slice()
@@ -193,10 +244,10 @@ fn first_diff(a: &Field<f64>, b: &Field<f64>) -> Option<(usize, f64, f64)> {
 
 /// Asserts the case reaches every step of the gather on some level:
 /// skipped runs, link patches of both interface families, Accumulate
-/// masks, and both all-real blocks and blocks with slots to keep.
+/// deposits, and both all-real blocks and blocks with slots to keep.
 fn assert_covers_every_step<V: VelocitySet>(grid: &MultiGrid<f64, V>) -> Result<(), String> {
     let (mut skipped, mut explosion, mut coalesce) = (false, false, false);
-    let (mut masks, mut whole, mut partial) = (false, false, false);
+    let (mut deposits, mut whole, mut partial) = (false, false, false);
     for lv in &grid.levels {
         for (b, blk) in lv.grid.blocks().iter().enumerate() {
             skipped |= (0..V::Q).any(|i| {
@@ -206,23 +257,20 @@ fn assert_covers_every_step<V: VelocitySet>(grid: &MultiGrid<f64, V>) -> Result<
                     .iter()
                     .any(|e| blk.neighbors[e.slot as usize] == INVALID_BLOCK)
             });
-            let kinds = lv.links[b].cells.iter().flat_map(|s| &s.links);
-            for k in kinds {
-                explosion |= matches!(k.kind, LinkKind::Explosion { .. });
-                coalesce |= matches!(k.kind, LinkKind::Coalesce { .. });
-            }
-            masks |= lv.acc_dirs[b]
-                .as_deref()
-                .is_some_and(|d| d.iter().any(|&m| m != 0));
+            let b = b as u32;
+            explosion |= !lv.links.explosion.of(b).is_empty();
+            coalesce |= !lv.links.coalesce.of(b).is_empty();
+            deposits |= !lv.deposits.of(b).is_empty();
+            let b = b as usize;
             whole |= lv.all_real[b];
             partial |= !lv.all_real[b];
         }
     }
-    let seen = [skipped, explosion, coalesce, masks, whole, partial];
+    let seen = [skipped, explosion, coalesce, deposits, whole, partial];
     if seen.contains(&false) {
         return Err(format!(
             "case misses a gather step \
-             (skipped runs, explosion, coalesce, masks, all-real, partial): {seen:?}"
+             (skipped runs, explosion, coalesce, deposits, all-real, partial): {seen:?}"
         ));
     }
     Ok(())
@@ -248,36 +296,27 @@ fn check<V: VelocitySet, C: Collision<f64, V>>(c: &Case, op: fn(f64) -> C) -> Re
             let inp = inputs(&grid, l);
             let at = |what: &str| format!("{what} (level {l}, {threads} threads, {c:?})");
 
-            // One `stream` launch against the per-cell pull, on an emptied
-            // staging slab.
-            if let Some(st) = &lv.stage {
-                st.slab.reset();
-            }
+            // One `stream` launch against the per-cell pull, depositing
+            // into a copy of the coarser level's accumulators.
+            let coarse_acc = l.checked_sub(1).map(|c| acc_copy(&grid, c));
+            let acc = coarse_acc.as_ref().map(|acc| AccTables {
+                acc,
+                deposits: &lv.deposits,
+            });
             let mut streamed = prior.clone();
-            kernels::stream::<f64, V>(&exec, "S", inp, &mut streamed, all, staged(&grid, l), real);
+            kernels::stream::<f64, V>(&exec, "S", inp, &mut streamed, all, acc, real);
             if let Some((k, x, y)) = first_diff(&streamed, &oracle(&grid, l, prior)) {
                 return Err(at(&format!(
                     "stream differs from the pull at slot {k}: {x:e} vs {y:e}"
                 )));
             }
-            // The staged scatter deposited each crossing population.
-            if let Some(st) = &lv.stage {
-                let dense = st.owners.dense();
-                for (b, dirs) in lv.acc_dirs.iter().enumerate() {
-                    let Some(dirs) = dirs.as_deref() else {
-                        continue;
-                    };
-                    for (cell, &mask) in dirs.iter().enumerate() {
-                        for i in (0..V::Q).filter(|i| mask >> i & 1 == 1) {
-                            let (b, cell) = (b as u32, cell as u32);
-                            let want = lv.f.half(0).get(b, i, cell);
-                            if st.slab.load(dense[b as usize], i, cell) != want {
-                                return Err(at(&format!(
-                                    "slab misses block {b} cell {cell} dir {i}"
-                                )));
-                            }
-                        }
-                    }
+            // The deposits against the serial per-cell sum.
+            let want = (l > 0).then(|| deposit_oracle(&grid, l));
+            if let (Some(got), Some(want)) = (&coarse_acc, &want) {
+                if let Some((k, x, y)) = first_acc_diff(got, want) {
+                    return Err(at(&format!(
+                        "deposits differ from the serial sum at slot {k}: {x:e} vs {y:e}"
+                    )));
                 }
             }
 
@@ -294,10 +333,23 @@ fn check<V: VelocitySet, C: Collision<f64, V>>(c: &Case, op: fn(f64) -> C) -> Re
                 )));
             }
 
-            // The fused kernel against stream followed by collide.
+            // The fused kernel against stream followed by collide, and its
+            // deposits against the serial sum.
             let coll = op(lv.omega);
             let mut fused = prior.clone();
-            kernels::fused_stream_collide(&exec, "CASE", inp, &coll, &mut fused, None, real);
+            let coarse_acc = l.checked_sub(1).map(|c| acc_copy(&grid, c));
+            let acc = coarse_acc.as_ref().map(|acc| AccTables {
+                acc,
+                deposits: &lv.deposits,
+            });
+            kernels::fused_stream_collide(&exec, "CASE", inp, &coll, &mut fused, acc, real);
+            if let (Some(got), Some(want)) = (&coarse_acc, &want) {
+                if let Some((k, x, y)) = first_acc_diff(got, want) {
+                    return Err(at(&format!(
+                        "fused deposits differ from the serial sum at slot {k}: {x:e} vs {y:e}"
+                    )));
+                }
+            }
             kernels::collide(&exec, "C", &lv.grid, &lv.flags, &coll, &mut streamed, real);
             if let Some((k, x, y)) = first_diff(&fused, &streamed) {
                 return Err(at(&format!(

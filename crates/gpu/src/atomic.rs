@@ -1,22 +1,16 @@
-//! Atomic floating-point accumulation buffers.
+//! Floating-point accumulation buffers.
 //!
 //! The optimized Accumulate step (paper §IV-A) scatters fine post-collision
 //! populations into a coarse ghost layer with atomic adds ("scatter atomic
 //! write operation from the fine level ... the contention is not too high as
 //! every ghost cell will be written by a maximum of 8 other fine cells").
-//! CUDA provides `atomicAdd(double*)`; on the CPU we emulate it with a
-//! compare-exchange loop over the bit pattern.
-//!
-//! **Path gating.** The CAS accumulator ([`AtomicF64Field::fetch_add`]) is
-//! the *serial-path* scatter primitive: with one executor thread the adds
-//! arrive in the fixed block/cell/direction program order, so the result is
-//! deterministic. A multi-thread pool makes the arrival order — and hence
-//! the float sum — a race, exactly like real GPU `atomicAdd`. Parallel
-//! engines therefore route Accumulate through the staged-slab + ordered
-//! merge path in `lbm_core` (which uses only [`AtomicF64Field::store`] /
-//! [`AtomicF64Field::load_flat`] on this type), and the engine keeps both
-//! paths wired: serial scatter stays the reference the staged path is
-//! pinned against.
+//! CUDA needs `atomicAdd(double*)` because those 8 fine cells run as
+//! different threads. On this substrate one launch item runs a whole block
+//! on one thread, and a ghost cell's 8 children lie in one fine block, so
+//! each slot has a single writer per launch: `lbm_core` deposits with a
+//! relaxed [`AtomicF64Field::load_flat`], an add and an
+//! [`AtomicF64Field::store_flat`]. The slots stay atomics so that shared
+//! (`&self`) access from the pool's threads is sound without `unsafe`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,55 +67,6 @@ impl AtomicF64Field {
         (block as usize) * self.block_stride() + comp * self.cells_per_block + cell as usize
     }
 
-    /// Atomically adds `v` (emulating CUDA `atomicAdd(double*)`).
-    #[inline(always)]
-    pub fn add(&self, block: u32, comp: usize, cell: u32, v: f64) {
-        self.fetch_add(block, comp, cell, v);
-    }
-
-    /// Atomically adds `v` and returns the slot's previous value — the
-    /// same contract as CUDA's `atomicAdd(double*)`.
-    ///
-    /// # Memory-ordering audit
-    ///
-    /// Every operation in the CAS loop is `Relaxed`, and that is sound
-    /// here because the accumulators are used *only* for commutative,
-    /// associative accumulation within one kernel launch:
-    ///
-    /// - **Per-slot atomicity is ordering-free.** The read-modify-write
-    ///   below is a single-location update; atomicity (no lost updates)
-    ///   is guaranteed by `compare_exchange_weak` itself regardless of
-    ///   ordering, and the modification order of one atomic location is
-    ///   total even under `Relaxed`. Since `a + b + c` is independent of
-    ///   arrival order (up to the float non-associativity that real GPU
-    ///   atomics exhibit identically), no writer needs to observe another
-    ///   writer's effect in any particular order.
-    /// - **No cross-location publication.** A `Release`/`Acquire` pair is
-    ///   only needed when an atomic write *publishes* other (non-atomic)
-    ///   memory to a reader. Accumulate never does that: writers touch
-    ///   nothing the subsequent reader consumes except the slot itself.
-    /// - **Readers are synchronized by the kernel boundary.** Coalescence
-    ///   reads accumulators only in a *later* launch; the executor joins
-    ///   all worker threads between launches (`std::thread` join provides
-    ///   the happens-before edge), so readers see every contribution
-    ///   without any ordering on the loads — which is also why
-    ///   [`Self::load`]/[`Self::store`] are `Relaxed`.
-    ///
-    /// Using `AcqRel` here would add fence traffic on weakly-ordered
-    /// hardware for no additional guarantee.
-    #[inline(always)]
-    pub fn fetch_add(&self, block: u32, comp: usize, cell: u32, v: f64) -> f64 {
-        let slot = &self.data[self.idx(block, comp, cell)];
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match slot.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(prev) => return f64::from_bits(prev),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
     /// Non-atomic read (valid once writers have been joined).
     #[inline(always)]
     pub fn load(&self, block: u32, comp: usize, cell: u32) -> f64 {
@@ -134,20 +79,19 @@ impl AtomicF64Field {
         self.data[self.idx(block, comp, cell)].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Flat element index of `(block, comp, cell)` — the inverse is stable
-    /// because the indexing is fixed component-major (see the type docs).
-    /// Used by the staged Accumulate merge to precompute contribution
-    /// addresses into a slab.
-    #[inline(always)]
-    pub fn flat_index(&self, block: u32, comp: usize, cell: u32) -> usize {
-        self.idx(block, comp, cell)
-    }
-
-    /// Non-atomic read by flat element index (valid once writers have been
-    /// joined; see [`Self::flat_index`]).
+    /// Relaxed read by flat element index
+    /// `block · q·B³ + comp · B³ + cell` (see the type docs).
     #[inline(always)]
     pub fn load_flat(&self, i: usize) -> f64 {
         f64::from_bits(self.data[i].load(Ordering::Relaxed))
+    }
+
+    /// Relaxed overwrite by flat element index (see
+    /// [`Self::load_flat`]). Readers in a later launch see it: the executor
+    /// joins every thread between launches.
+    #[inline(always)]
+    pub fn store_flat(&self, i: usize, v: f64) {
+        self.data[i].store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// Copies every slot, in flat order, into `out` (valid once writers have
@@ -193,10 +137,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_and_load() {
+    fn store_and_load() {
         let f = AtomicF64Field::new(2, 3, 8);
-        f.add(1, 2, 5, 1.5);
-        f.add(1, 2, 5, 2.25);
+        f.store(1, 2, 5, 3.75);
         assert_eq!(f.load(1, 2, 5), 3.75);
         assert_eq!(f.load(0, 0, 0), 0.0);
         f.store(0, 0, 0, -4.0);
@@ -220,61 +163,6 @@ mod tests {
         for (a, b) in out.iter().zip(&image) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn fetch_add_returns_previous_value() {
-        let f = AtomicF64Field::new(1, 1, 2);
-        assert_eq!(f.fetch_add(0, 0, 0, 1.5), 0.0);
-        assert_eq!(f.fetch_add(0, 0, 0, 2.0), 1.5);
-        assert_eq!(f.load(0, 0, 0), 3.5);
-    }
-
-    #[test]
-    fn concurrent_fetch_add_observes_distinct_previous_values() {
-        // With a constant increment, the set of returned previous values
-        // must be exactly {0, d, 2d, …, (N−1)d} — each CAS publishes one
-        // unique point on the slot's modification order.
-        let f = AtomicF64Field::new(1, 1, 1);
-        let n = 512;
-        let seen = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    for _ in 0..n {
-                        local.push(f.fetch_add(0, 0, 0, 1.0));
-                    }
-                    seen.lock().unwrap().extend(local);
-                });
-            }
-        });
-        let mut all = seen.into_inner().unwrap();
-        all.sort_by(f64::total_cmp);
-        let expect: Vec<f64> = (0..8 * n).map(|i| i as f64).collect();
-        assert_eq!(all, expect);
-        assert_eq!(f.load(0, 0, 0), (8 * n) as f64);
-    }
-
-    #[test]
-    fn concurrent_adds_do_not_lose_updates() {
-        // The whole point of the CAS loop: 8 writers per slot (the paper's
-        // worst case) must never drop a contribution.
-        let f = AtomicF64Field::new(1, 1, 4);
-        let n = 1000;
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..n {
-                        f.add(0, 0, 0, 0.5);
-                        f.add(0, 0, 2, 1.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(f.load(0, 0, 0), 8.0 * n as f64 * 0.5);
-        assert_eq!(f.load(0, 0, 2), 8.0 * n as f64);
-        assert_eq!(f.load(0, 0, 1), 0.0);
     }
 
     #[test]
@@ -310,9 +198,8 @@ mod tests {
         for b in 0..3u32 {
             for c in 0..2 {
                 for i in 0..8u32 {
-                    f.store(b, c, i, (b as f64) * 100.0 + (c as f64) * 10.0 + i as f64);
-                    let flat = f.flat_index(b, c, i);
-                    assert!(flat < f.len());
+                    let flat = (b as usize * 2 + c) * 8 + i as usize;
+                    f.store_flat(flat, (b as f64) * 100.0 + (c as f64) * 10.0 + i as f64);
                     assert_eq!(f.load_flat(flat), f.load(b, c, i));
                 }
             }

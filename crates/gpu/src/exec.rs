@@ -25,9 +25,9 @@
 //! block computes. Kernels whose blocks write disjoint state (all gather
 //! kernels, each writing its own blocks of one destination half) are
 //! therefore bit-identical for every thread count by construction. The one
-//! scatter kernel in the method — the fine→coarse Accumulate — must instead
-//! go through the staged slab + ordered-merge path (see `lbm_core`'s kernel
-//! docs) whenever the pool has more than one thread.
+//! scatter in the method — the fine→coarse Accumulate — is too, because
+//! every accumulator slot it adds into has one writer block (see
+//! `lbm_core`'s kernel docs).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

@@ -130,7 +130,7 @@ impl Cavity {
     }
 
     /// Like [`Cavity::engine`] but lets the caller adjust the builder
-    /// (Accumulate path, execution mode, …) before assembly.
+    /// (execution mode, health guard, …) before assembly.
     pub fn engine_with(
         &self,
         variant: Variant,

@@ -42,29 +42,27 @@ where
     let lvl = &grid.levels[level];
     let src = lvl.f.src();
     let mut out = Force::default();
-    for (bi, bl) in lvl.links.iter().enumerate() {
-        for set in &bl.cells {
-            let cell_coord = lvl.grid.block(bi as u32).origin + lvl.grid.delinear(set.cell);
-            for link in &set.links {
-                let i = link.dir as usize;
-                let (opp, term) = match link.kind {
-                    LinkKind::BounceBack { opp } => (opp as usize, 0.0),
-                    LinkKind::MovingWall { opp, term } => (opp as usize, term.to_f64()),
-                    _ => continue,
-                };
-                // The missing source position this link stands in for.
-                let s = cell_coord - Coord::from_array(V::C[i]);
-                if !is_obstacle(s) {
-                    continue;
-                }
-                let f_out = src.get(bi as u32, opp, set.cell).to_f64();
-                let f_in = f_out + term;
-                // Momentum to the body: −e_i (f_out + f_in).
-                for a in 0..3 {
-                    out.f[a] -= V::C[i][a] as f64 * (f_out + f_in);
-                }
-                out.links += 1;
+    for b in 0..lvl.grid.num_blocks() as u32 {
+        let origin = lvl.grid.block(b).origin;
+        for (cell, dir, kind) in lvl.links.links_of(b) {
+            let i = dir as usize;
+            let (opp, term) = match kind {
+                LinkKind::BounceBack { opp } => (opp as usize, 0.0),
+                LinkKind::MovingWall { opp, term } => (opp as usize, term.to_f64()),
+                _ => continue,
+            };
+            // The missing source position this link stands in for.
+            let s = origin + lvl.grid.delinear(cell) - Coord::from_array(V::C[i]);
+            if !is_obstacle(s) {
+                continue;
             }
+            let f_out = src.get(b, opp, cell).to_f64();
+            let f_in = f_out + term;
+            // Momentum to the body: −e_i (f_out + f_in).
+            for a in 0..3 {
+                out.f[a] -= V::C[i][a] as f64 * (f_out + f_in);
+            }
+            out.links += 1;
         }
     }
     out

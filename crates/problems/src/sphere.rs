@@ -137,7 +137,7 @@ impl SphereFlow {
     }
 
     /// Like [`SphereFlow::engine`] but lets the caller adjust the builder
-    /// (Accumulate path, execution mode, …) before assembly.
+    /// (execution mode, health guard, …) before assembly.
     pub fn engine_with(
         &self,
         variant: Variant,

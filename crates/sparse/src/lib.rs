@@ -13,8 +13,7 @@
 //! - [`offsets`]: precomputed per-direction streaming source decompositions
 //!   (the copy-run plans every block's streaming gather replays);
 //! - [`partition`]: block partitioning for intra-kernel parallelism —
-//!   work-stealing chunk granularity and stable owner maps for
-//!   deterministic staged reductions.
+//!   work-stealing chunk granularity.
 
 #![warn(missing_docs)]
 
@@ -31,5 +30,5 @@ pub use coords::{Box3, Coord};
 pub use field::{DoubleBuffer, Field};
 pub use grid::{dir_slot, Block, BlockIdx, CellRef, GridBuilder, SparseGrid, INVALID_BLOCK};
 pub use offsets::{CopyRun, DirOffsets, DirRegion, StreamOffsets, CENTER_SLOT};
-pub use partition::{chunk_granularity, OwnerMap, NO_OWNER};
+pub use partition::chunk_granularity;
 pub use sfc::SpaceFillingCurve;

@@ -1,77 +1,8 @@
-//! Block partitioning helpers for intra-kernel parallelism.
+//! Block partitioning for intra-kernel parallelism.
 //!
 //! A kernel launch maps one sparse-grid block to one "CUDA block"; on the
 //! CPU substrate those blocks are claimed chunk-wise by a pool of worker
-//! threads ([`chunk_granularity`] picks the claim size). Reductions that
-//! must stay deterministic regardless of the claiming order additionally
-//! need a stable renumbering of the *participating* blocks so each can be
-//! given a private staging slab — that renumbering is the [`OwnerMap`].
-
-/// Sentinel in [`OwnerMap::dense`] for blocks that do not participate.
-pub const NO_OWNER: u32 = u32::MAX;
-
-/// A stable dense renumbering of a subset of a grid's blocks.
-///
-/// `dense` maps every block index to its rank among the participating
-/// blocks (or [`NO_OWNER`]); `owners` is the inverse, listing participating
-/// block indices in ascending block order — which is SFC order, since the
-/// grid numbers blocks along its space-filling curve. Consumers rely on
-/// that: the staged Accumulate merge walks owners in this fixed order so
-/// its floating-point fold is independent of thread count.
-#[derive(Debug, Clone, Default)]
-pub struct OwnerMap {
-    dense: Vec<u32>,
-    owners: Vec<u32>,
-}
-
-impl OwnerMap {
-    /// Builds the map over `n_blocks` blocks; `is_owner(b)` selects the
-    /// participating subset.
-    pub fn build(n_blocks: usize, mut is_owner: impl FnMut(usize) -> bool) -> Self {
-        let mut dense = vec![NO_OWNER; n_blocks];
-        let mut owners = Vec::new();
-        for (b, d) in dense.iter_mut().enumerate() {
-            if is_owner(b) {
-                *d = owners.len() as u32;
-                owners.push(b as u32);
-            }
-        }
-        Self { dense, owners }
-    }
-
-    /// Dense rank of `block`, if it participates.
-    #[inline(always)]
-    pub fn dense_of(&self, block: u32) -> Option<u32> {
-        match self.dense.get(block as usize) {
-            Some(&d) if d != NO_OWNER => Some(d),
-            _ => None,
-        }
-    }
-
-    /// The full block → dense-rank table ([`NO_OWNER`] where absent).
-    #[inline(always)]
-    pub fn dense(&self) -> &[u32] {
-        &self.dense
-    }
-
-    /// Participating block indices in ascending (SFC) order.
-    #[inline(always)]
-    pub fn owners(&self) -> &[u32] {
-        &self.owners
-    }
-
-    /// Number of participating blocks.
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        self.owners.len()
-    }
-
-    /// True when no block participates.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
-    }
-}
+//! threads ([`chunk_granularity`] picks the claim size).
 
 /// Chunk size for work-stealing claims over `n` blocks by `threads`
 /// threads: roughly four claims per thread bounds the claim overhead while
@@ -88,32 +19,6 @@ pub fn chunk_granularity(n: usize, threads: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn owner_map_round_trips() {
-        let m = OwnerMap::build(10, |b| b % 3 == 0);
-        assert_eq!(m.owners(), &[0, 3, 6, 9]);
-        assert_eq!(m.len(), 4);
-        assert!(!m.is_empty());
-        for (rank, &b) in m.owners().iter().enumerate() {
-            assert_eq!(m.dense_of(b), Some(rank as u32));
-        }
-        assert_eq!(m.dense_of(1), None);
-        assert_eq!(m.dense_of(99), None);
-    }
-
-    #[test]
-    fn owner_map_empty_subset() {
-        let m = OwnerMap::build(5, |_| false);
-        assert!(m.is_empty());
-        assert_eq!(m.dense(), &[NO_OWNER; 5]);
-    }
-
-    #[test]
-    fn owners_ascend() {
-        let m = OwnerMap::build(64, |b| b % 7 == 2);
-        assert!(m.owners().windows(2).all(|w| w[0] < w[1]));
-    }
 
     #[test]
     fn chunk_granularity_bounds() {

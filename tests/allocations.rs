@@ -1,0 +1,91 @@
+//! A steady-state `Engine::step` allocates the same number of times at two
+//! sizes of one geometry: nothing in the step allocates per block, so
+//! frontier blocks (those with ghost or inactive slots) stream through a
+//! reused tile instead of a fresh one. A counting global allocator counts
+//! the calling thread's allocations; the engines run on a one-thread pool,
+//! so every kernel runs on that thread.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::refined_cavity;
+use lbm_refinement::core::{Engine, ExecMode, Variant};
+use lbm_refinement::gpu::{DeviceModel, Executor};
+use lbm_refinement::lattice::{Collision, VelocitySet};
+use lbm_refinement::problems::cavity::Cavity;
+use lbm_refinement::problems::sphere::{SphereConfig, SphereFlow};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's allocations.
+struct Counting;
+
+fn count() {
+    // Ignored while the thread's locals are being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations of one step, after two warm-up steps.
+fn allocs_per_step<V: VelocitySet, C: Collision<f64, V>>(mut eng: Engine<f64, V, C>) -> u64 {
+    eng.run(2);
+    let before = ALLOCS.with(Cell::get);
+    eng.step();
+    ALLOCS.with(Cell::get) - before
+}
+
+fn one_thread() -> Executor {
+    Executor::with_threads(DeviceModel::a100_40gb(), 1)
+}
+
+#[test]
+fn a_steady_state_step_allocates_the_same_at_two_sizes_of_the_cavity() {
+    let (small, large) = (refined_cavity(32), refined_cavity(64));
+    for variant in Variant::ALL {
+        for mode in [ExecMode::Eager, ExecMode::Graph] {
+            let at = |cavity: &Cavity| {
+                allocs_per_step(cavity.engine_with(variant, one_thread(), |b| b.exec_mode(mode)))
+            };
+            let (s, l) = (at(&small), at(&large));
+            assert_eq!(s, l, "{} {mode:?}: {s} vs {l} allocations", variant.name());
+        }
+    }
+}
+
+#[test]
+fn a_steady_state_step_allocates_the_same_at_two_sizes_of_the_sphere() {
+    let at = |size| {
+        let flow = SphereFlow::new(SphereConfig::for_size(size));
+        allocs_per_step(flow.engine(Variant::FusedAll, one_thread()))
+    };
+    let (s, l) = (at([36, 24, 36]), at([52, 36, 52]));
+    assert_eq!(s, l, "{s} vs {l} allocations");
+}

@@ -1,7 +1,7 @@
 //! Shared harness for the integration suites: seeded random 2-level
 //! geometries, the refined lid-driven cavity of the golden-digest tests,
 //! engine construction over every execution knob (mode, thread count,
-//! Accumulate path), bit-level field comparison, and the canonical FNV-1a
+//! health guard), bit-level field comparison, and the canonical FNV-1a
 //! state digest the determinism suite pins on.
 //!
 //! Everything here is deterministic by construction — no ambient RNG, no
@@ -61,9 +61,6 @@ pub struct EngineOpts {
     pub mode: ExecMode,
     /// Kernel-pool width (`None`: one thread, the sequential executor).
     pub threads: Option<usize>,
-    /// Accumulate-path override (`None` keeps the engine default:
-    /// staged iff more than one thread).
-    pub staged: Option<bool>,
     /// Periodic health checks (`None`: no checks, the historical default).
     pub health: Option<HealthGuard>,
 }
@@ -87,9 +84,6 @@ pub fn seeded_engine_with<V: VelocitySet>(
         .collision(Bgk::new(1.6))
         .variant(variant)
         .exec_mode(opts.mode);
-    if let Some(s) = opts.staged {
-        b = b.staged_accumulate(s);
-    }
     if let Some(g) = opts.health {
         b = b.health(g);
     }
@@ -101,7 +95,11 @@ pub fn seeded_engine_with<V: VelocitySet>(
         |_, _| 1.0,
         move |l, p| {
             let k = (seed as i32 + l as i32 + 3 * p.x + 5 * p.y + 7 * p.z) as f64;
-            [0.02 * (k * 0.37).sin(), 0.015 * (k * 0.61).cos(), 0.01 * (k * 0.23).sin()]
+            [
+                0.02 * (k * 0.37).sin(),
+                0.015 * (k * 0.61).cos(),
+                0.01 * (k * 0.23).sin(),
+            ]
         },
     );
     eng

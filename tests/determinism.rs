@@ -1,15 +1,9 @@
 //! Cross-thread-count determinism: the block-parallel executor must
-//! produce **bit-identical** physics at every pool width. The reference is
-//! the single-thread serial atomic scatter; the parallel engines run the
-//! staged scatter+merge Accumulate (DESIGN.md §10), whose fixed-order merge
-//! replays the serial addition order exactly — so the comparison is
-//! bit-level (FNV-1a digest plus accessor-order slot comparison), not
-//! tolerance-based.
-//!
-//! What is *not* compared across thread counts: profiler traffic totals.
-//! The staged program launches extra merge kernels with their own declared
-//! traffic, so a staged engine legitimately declares more bytes than a
-//! serial one — equality of physics, not of metering, is the pin here.
+//! produce **bit-identical** physics at every pool width. Every width runs
+//! the same program; the Accumulate scatter adds in place, each accumulator
+//! slot with one writer block in the serial addition order (DESIGN.md
+//! §10) — so the comparison is bit-level (FNV-1a digest plus
+//! accessor-order slot comparison), not tolerance-based.
 
 mod common;
 
@@ -19,17 +13,13 @@ use lbm_refinement::lattice::{VelocitySet, D3Q19, D3Q27};
 
 /// Runs one seeded geometry at thread counts {1, 2, 4, 8} and asserts the
 /// final state digests and every population slot agree with the 1-thread
-/// serial-atomic reference.
+/// reference.
 fn check_threads_agree<V: VelocitySet>(seed: u64, variant: Variant, mode: ExecMode, steps: usize) {
     let base = EngineOpts {
         mode,
         ..EngineOpts::default()
     };
     let mut reference = seeded_engine_with::<V>(seed, variant, base);
-    assert!(
-        !reference.staged_accumulate(),
-        "1-thread default must be the serial atomic path"
-    );
     reference.run(steps);
     let ref_digest = grid_digest(&reference.grid);
 
@@ -41,10 +31,6 @@ fn check_threads_agree<V: VelocitySet>(seed: u64, variant: Variant, mode: ExecMo
                 threads: Some(threads),
                 ..base
             },
-        );
-        assert!(
-            eng.staged_accumulate(),
-            "multi-thread default must be the staged path"
         );
         assert_eq!(eng.thread_count(), threads);
         eng.run(steps);
@@ -80,35 +66,6 @@ fn bit_identity_under_graph_mode() {
     check_threads_agree::<D3Q19>(34, Variant::FusedAll, ExecMode::Graph, 3);
     check_threads_agree::<D3Q19>(35, Variant::ModifiedBaseline, ExecMode::Graph, 2);
     check_threads_agree::<D3Q27>(36, Variant::FusedAll, ExecMode::Graph, 2);
-}
-
-#[test]
-fn staged_path_is_bit_identical_on_one_thread() {
-    // Force the staged split onto the serial executor: the ordered merge
-    // must reproduce the atomic scatter's addition order exactly, so even
-    // this degenerate configuration is bit-identical to the default.
-    for variant in [Variant::ModifiedBaseline, Variant::FusedAll] {
-        let mut serial = seeded_engine_with::<D3Q19>(38, variant, EngineOpts::default());
-        let mut staged = seeded_engine_with::<D3Q19>(
-            38,
-            variant,
-            EngineOpts {
-                staged: Some(true),
-                ..EngineOpts::default()
-            },
-        );
-        assert!(!serial.staged_accumulate());
-        assert!(staged.staged_accumulate());
-        serial.run(3);
-        staged.run(3);
-        let what = format!("staged@1thread {}", variant.name());
-        assert_eq!(
-            grid_digest(&serial.grid),
-            grid_digest(&staged.grid),
-            "{what}"
-        );
-        assert_bits_identical(&serial, &staged, &what);
-    }
 }
 
 #[test]
@@ -172,10 +129,8 @@ fn golden_digests_of_the_lid_driven_box() {
 
 #[test]
 fn golden_digest_of_the_refined_cavity_at_every_pool_width() {
-    // The refined cavity (n=48, 2 levels, `FusedAll`, 7 coarse steps) on
-    // the default Accumulate path of each pool width: serial atomic at one
-    // thread, staged scatter + ordered merge above. Both must land on the
-    // same pinned bits.
+    // The refined cavity (n=48, 2 levels, `FusedAll`, 7 coarse steps) at
+    // every pool width must land on the same pinned bits.
     use lbm_refinement::gpu::{DeviceModel, Executor};
     let cavity = refined_cavity(48);
     for threads in [1usize, 2, 4, 8] {
@@ -198,7 +153,7 @@ fn golden_digest_of_the_kbc_sphere_at_one_and_two_threads() {
     // (68×48×68, 3 levels), KBC on D3Q27, `FusedAll`, 20 coarse steps.
     // The pinned value was computed with the one-cell-at-a-time KBC
     // operator that preceded the lane-parallel collision; the lane path
-    // must reproduce it bit for bit on the serial and the staged path.
+    // must reproduce it bit for bit at both pool widths.
     use lbm_refinement::gpu::{DeviceModel, Executor};
     use lbm_refinement::problems::sphere::{SphereConfig, SphereFlow};
     let flow = SphereFlow::new(SphereConfig::scaled_small());

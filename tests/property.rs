@@ -34,16 +34,14 @@ fn random_spec() -> impl Strategy<Value = RandomSpec> {
 }
 
 fn build_engine(r: &RandomSpec, variant: Variant) -> Engine<f64, D3Q19, Bgk<f64>> {
-    build_engine_threads(r, variant, None, None)
+    build_engine_threads(r, variant, 1)
 }
 
-/// [`build_engine`] with explicit pool-width / Accumulate-path knobs
-/// (`None` keeps the engine defaults for a fresh executor).
+/// [`build_engine`] on a kernel pool of `threads` threads.
 fn build_engine_threads(
     r: &RandomSpec,
     variant: Variant,
-    threads: Option<usize>,
-    staged: Option<bool>,
+    threads: usize,
 ) -> Engine<f64, D3Q19, Bgk<f64>> {
     let (lo, hi) = (r.lo, r.hi);
     let spec = GridSpec::new(2, Box3::from_dims(24, 24, 24), move |l, p| {
@@ -53,16 +51,10 @@ fn build_engine_threads(
             && (lo[2]..hi[2]).contains(&p.z)
     });
     let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, r.omega0);
-    let mut b = Engine::builder(grid)
+    let mut eng = Engine::builder(grid)
         .collision(Bgk::new(r.omega0))
-        .variant(variant);
-    if let Some(s) = staged {
-        b = b.staged_accumulate(s);
-    }
-    let mut eng = b.build(Executor::with_threads(
-        DeviceModel::a100_40gb(),
-        threads.unwrap_or(1),
-    ));
+        .variant(variant)
+        .build(Executor::with_threads(DeviceModel::a100_40gb(), threads));
     let u = r.u;
     // Spatially varying on top of the random bulk velocity, so the
     // interface-crossing populations the Accumulate scatters are all
@@ -126,28 +118,21 @@ proptest! {
         prop_assert!(max < 1e-10, "variants deviate by {:e}", max);
     }
 
-    /// The staged Accumulate (plain-store staging slab + fixed-order merge)
-    /// equals the serial atomic scatter **exactly** — bit for bit, not to a
-    /// tolerance — on any valid geometry, for any thread count. This is the
-    /// determinism contract of DESIGN.md §10: the merge replays the serial
-    /// scatter's addition order per accumulator slot.
+    /// The in-place Accumulate gives the same bits at pool widths 1 and 4
+    /// — bit for bit, not to a tolerance — on any valid geometry: every
+    /// accumulator slot has one writer block, which adds in the serial
+    /// order (DESIGN.md §10).
     #[test]
-    fn staged_accumulate_bit_equals_serial_scatter(r in random_spec()) {
+    fn accumulate_is_bit_identical_at_pool_widths_1_and_4(r in random_spec()) {
         let steps = 3;
-        // Serial reference: 1 thread, atomic scatter (engine default).
-        let mut serial = build_engine_threads(&r, Variant::FusedAll, None, None);
-        prop_assert!(!serial.staged_accumulate());
+        let mut serial = build_engine_threads(&r, Variant::FusedAll, 1);
         serial.run(steps);
-        let d = common::grid_digest(&serial.grid);
-        // Staged split forced onto the serial executor, and staged on a
-        // real 4-thread pool: both must reproduce the reference bits.
-        for (threads, staged) in [(None, Some(true)), (Some(4), None)] {
-            let mut eng = build_engine_threads(&r, Variant::FusedAll, threads, staged);
-            prop_assert!(eng.staged_accumulate());
-            eng.run(steps);
-            let what = format!("staged threads={threads:?}");
-            prop_assert!(common::grid_digest(&eng.grid) == d, "digest diverged: {}", what);
-            common::assert_bits_identical(&serial, &eng, &what);
-        }
+        let mut pooled = build_engine_threads(&r, Variant::FusedAll, 4);
+        pooled.run(steps);
+        prop_assert!(
+            common::grid_digest(&pooled.grid) == common::grid_digest(&serial.grid),
+            "digest diverged at 4 threads"
+        );
+        common::assert_bits_identical(&serial, &pooled, "4 threads");
     }
 }

@@ -130,13 +130,7 @@ mod lbm_bench_shim {
 
     pub fn sphere_modeled_mlups(size: [usize; 3], variant: Variant) -> f64 {
         let flow = SphereFlow::new(SphereConfig::for_size(size));
-        // Pin the paper's atomic Accumulate: the staged scatter+merge is a
-        // host-determinism device (DESIGN.md §10) whose extra merge-kernel
-        // traffic would shift the modeled Table I / Fig. 9 shapes whenever
-        // LBM_THREADS > 1 defaults the engine onto it.
-        let mut eng = flow.engine_with(variant, Executor::new(DeviceModel::a100_40gb()), |b| {
-            b.staged_accumulate(false)
-        });
+        let mut eng = flow.engine(variant, Executor::new(DeviceModel::a100_40gb()));
         eng.run(1);
         eng.exec.profiler().reset();
         eng.run(3);

@@ -214,13 +214,11 @@ fn graph_mode_sync_count_matches_schedule() {
         // Dispatch is deterministic: at any pool width the spans of one
         // step follow the schedule, span `i` carrying the wave of the
         // `i`-th scheduled node, and the kernel names come in the same
-        // order. The Accumulate path is pinned to the staged split so both
-        // widths run the same program.
+        // order: every width runs the same program.
         let traced_at = |threads: usize| {
             let opts = EngineOpts {
                 mode: ExecMode::Graph,
                 threads: Some(threads),
-                staged: Some(true),
                 health: None,
             };
             let mut eng = seeded_engine_with::<D3Q19>(7, variant, opts);
