@@ -11,7 +11,9 @@
 #    sync/wave counts (DESIGN.md §4, §8, §10, §11);
 # 2. clippy with warnings denied, test targets included;
 # 3. rustdoc with warnings denied, so no doc link dangles;
-# 4. the cheapest `report` experiment, so the paper-figure binary still runs;
+# 4. the cheapest `report` experiments, so the paper-figure binary still
+#    runs: `fig2` and `ghost` (the §IV-A ghost-layer memory, read off the
+#    accumulators the engine allocates);
 # 5. on x86-64, a codegen guard: every `collide_block_wide` and
 #    `fused_block_wide` symbol of the release `report` binary must contain
 #    `zmm` (AVX-512) instructions. A refactor that turns a block fn back
@@ -29,6 +31,7 @@ LBM_THREADS=8 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -q -p lbm-bench --bin report -- fig2
+cargo run --release -q -p lbm-bench --bin report -- ghost
 if [ "$(uname -m)" = x86_64 ]; then
     objdump -d -C target/release/report | awk '
         /^[0-9a-f]+ <.*(collide|fused)_block_wide.*>:$/ { sym = $0; seen++; zmm[sym] = 0; next }

@@ -106,9 +106,15 @@ fn ghost() {
         flow.omega0,
     );
     let rep = memory_report::report(&grid);
-    for (l, (real, ghost)) in rep.cells.iter().enumerate() {
-        println!("level {l}: {real:>9} real cells, {ghost:>7} ghost cells");
+    for (l, (lv, (real, ghost))) in grid.levels.iter().zip(&rep.cells).enumerate() {
+        let kib = lv.acc.heap_bytes() as f64 / 1024.0;
+        println!("level {l}: {real:>9} real cells, {ghost:>7} ghost cells, {kib:>8.1} KiB allocated");
     }
+    let allocated: usize = grid.levels.iter().map(|lv| lv.acc.heap_bytes()).sum();
+    println!(
+        "ghost memory allocated:{:>10.1} KiB (the engine's accumulators)",
+        allocated as f64 / 1024.0
+    );
     println!(
         "ghost memory ours:     {:>10.1} KiB",
         rep.ghost_bytes as f64 / 1024.0

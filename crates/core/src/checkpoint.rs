@@ -2,44 +2,48 @@
 //! runtime health-guard policies and the raw in-memory recovery point their
 //! rollback restores (DESIGN.md §11).
 //!
-//! # Snapshot format (version 1)
+//! # Snapshot format (version 2)
 //!
 //! A snapshot is a single binary blob, little-endian throughout:
 //!
 //! ```text
 //! magic          8 B   "LBMCKPT\0"
-//! version        u32   1
+//! version        u32   2
 //! value_bits     u32   bit width of the population scalar (32 or 64)
 //! q              u32   velocity-set size
 //! name_len/name  u32 + bytes   velocity-set tag ("D3Q19", "D3Q27")
-//! layout_tag     u8    always 0 (reserved; ignored on read)
-//! tile_width     u32   always 0 (reserved; ignored on read)
 //! coarse_steps   u64   coarsest-level steps taken when the snapshot was cut
 //! num_levels     u32
 //! per level:
 //!   num_blocks   u64   ┐ structural echo, validated against the target
-//!   cells/block  u32   ┘ grid on restore
-//!   parity       u8    which double-buffer half is the source
+//!   cells/block  u32   │ grid on restore: counts equal, flags equal
+//!   parity       u8    │ which double-buffer half is the source
 //!   flags        num_blocks·B³ bytes (memory order)
 //!   half 0       num_blocks·q·B³ × u64 value bit patterns (memory order)
 //!   half 1       likewise
-//!   acc_len/acc  u64 + acc_len × u64 accumulator f64 bit patterns
+//!   acc_len/acc  u64 + acc_len × u64 accumulator f64 bit patterns,
+//!                acc_len = ghost cells × q (the compact layout)
 //! checksum       u64   FNV-1a over every preceding byte
 //! ```
 //!
 //! Field payloads are the fields' backing slices in memory order, which is
-//! `(block, comp, cell)` ascending ([`lbm_sparse::Field::index`]). Values
-//! travel as raw IEEE-754 bit patterns
-//! ([`lbm_lattice::Real::to_bits64`]), never through a float conversion, so
-//! restore is a bit-level identity even for non-finite values.
+//! `(block, comp, cell)` ascending ([`lbm_sparse::Field::index`]); the
+//! accumulators are `(ghost, comp)` ascending, ghosts numbered in
+//! `(block, cell)` order ([`crate::Level::acc`]). Values travel as raw
+//! IEEE-754 bit patterns ([`lbm_lattice::Real::to_bits64`]), never through
+//! a float conversion, so restore is a bit-level identity even for
+//! non-finite values. Any other version, 1 included, is refused as
+//! [`CheckpointError::UnsupportedVersion`].
 //!
-//! The grid's *structure* (octree spec, links, gather tables) is **not**
-//! serialized — [`crate::GridSpec`] holds closures and every table is
-//! deterministically rebuilt by [`MultiGrid::build`]. Restore targets an
-//! already-built, structurally identical grid and validates the structural
-//! echo (level count, blocks per level, cells per block, velocity set,
-//! scalar width) before touching any state; a mismatched or corrupted
-//! snapshot returns a [`CheckpointError`] and leaves the target untouched.
+//! The grid's *structure* (octree spec, links, gather tables, ghost
+//! numbering) is **not** serialized — [`crate::GridSpec`] holds closures
+//! and every table is deterministically rebuilt by [`MultiGrid::build`].
+//! Restore targets an already-built, structurally identical grid and
+//! validates the structural echo (level count, blocks per level, cells per
+//! block, every cell's flags, accumulator slots, velocity set, scalar
+//! width) before touching any state; the flags are compared, never
+//! written. A mismatched or corrupted snapshot returns a
+//! [`CheckpointError`] and leaves the target untouched.
 
 use std::fmt;
 
@@ -50,7 +54,7 @@ use crate::multigrid::MultiGrid;
 /// Magic prefix of every snapshot.
 pub const MAGIC: [u8; 8] = *b"LBMCKPT\0";
 /// Current snapshot format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Why a snapshot could not be loaded. Loading never panics: every failure
 /// mode — truncation, corruption, wrong solver configuration — surfaces as
@@ -157,8 +161,6 @@ pub fn save<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) 
     w.u32(V::Q as u32);
     w.u32(V::NAME.len() as u32);
     w.bytes(V::NAME.as_bytes());
-    w.u8(0); // layout tag (reserved)
-    w.u32(0); // tile width (reserved)
     w.u64(coarse_steps);
     w.u32(grid.levels.len() as u32);
     for lv in &grid.levels {
@@ -173,7 +175,7 @@ pub fn save<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) 
         }
         w.u64(lv.acc.len() as u64);
         for i in 0..lv.acc.len() {
-            w.u64(lv.acc.load_flat(i).to_bits());
+            w.u64(lv.acc.load(i).to_bits());
         }
     }
     let ck = fnv1a(&w.buf);
@@ -184,14 +186,14 @@ pub fn save<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) 
 /// One level's decoded payload, staged before any mutation of the target.
 struct LevelImage<T> {
     parity: u8,
-    flags: Vec<u8>,
     halves: [Vec<T>; 2],
     acc: Vec<f64>,
 }
 
 /// Restores a snapshot produced by [`save`] into `grid`, returning the
 /// recorded `coarse_steps`. The target must be structurally identical to
-/// the snapshot's source (same spec / build inputs).
+/// the snapshot's source (same spec / build inputs): equal block counts
+/// alone do not make it so, so every cell's flags must match too.
 ///
 /// All validation and decoding happens before the first write: on any
 /// `Err`, `grid` is untouched.
@@ -238,8 +240,6 @@ pub fn restore<T: Real, V: VelocitySet>(
             V::Q
         )));
     }
-    let _layout_tag = r.u8()?;
-    let _tile_width = r.u32()?;
     let coarse_steps = r.u64()?;
     let num_levels = r.u32()? as usize;
     if num_levels != grid.levels.len() {
@@ -267,7 +267,14 @@ pub fn restore<T: Real, V: VelocitySet>(
                 "level {l}: parity byte {parity} is not 0 or 1"
             )));
         }
-        let flags = r.take(num_blocks * cpb)?.to_vec();
+        let flags = r.take(num_blocks * cpb)?;
+        if flags != lv.flags.as_slice() {
+            let differ = flags.iter().zip(lv.flags.as_slice()).filter(|(a, b)| a != b);
+            return Err(CheckpointError::Mismatch(format!(
+                "level {l}: {} cell flags differ from the grid's (another geometry)",
+                differ.count()
+            )));
+        }
         let n = num_blocks * V::Q * cpb;
         let mut halves: [Vec<T>; 2] = [Vec::with_capacity(n), Vec::with_capacity(n)];
         for half in &mut halves {
@@ -278,7 +285,8 @@ pub fn restore<T: Real, V: VelocitySet>(
         let acc_len = r.u64()? as usize;
         if acc_len != lv.acc.len() {
             return Err(CheckpointError::Mismatch(format!(
-                "level {l}: snapshot has {acc_len} accumulator slots, grid has {}",
+                "level {l}: snapshot has {acc_len} accumulator slots, grid has {} \
+                 (ghost cells × q)",
                 lv.acc.len()
             )));
         }
@@ -288,7 +296,6 @@ pub fn restore<T: Real, V: VelocitySet>(
         }
         images.push(LevelImage {
             parity,
-            flags,
             halves,
             acc,
         });
@@ -302,7 +309,6 @@ pub fn restore<T: Real, V: VelocitySet>(
 
     // Everything decoded and validated — apply.
     for (lv, img) in grid.levels.iter_mut().zip(images) {
-        lv.flags.as_mut_slice().copy_from_slice(&img.flags);
         let [h0, h1] = img.halves;
         lv.f.half_mut(0).as_mut_slice().copy_from_slice(&h0);
         lv.f.half_mut(1).as_mut_slice().copy_from_slice(&h1);
@@ -318,8 +324,8 @@ pub fn restore<T: Real, V: VelocitySet>(
 /// count. Allocated on the first healthy check, refreshed on each later
 /// one, and applied on rollback, all with slice copies: no encoding, no
 /// checksum, and nothing that can fail. Per-cell flags are not copied,
-/// because only [`MultiGrid::build`] and [`restore`] write them (DESIGN.md
-/// §11). The serialized format above stays the one for files and
+/// because only [`MultiGrid::build`] writes them (DESIGN.md §11). The
+/// serialized format above stays the one for files and
 /// [`crate::Engine::checkpoint`].
 pub(crate) struct RecoveryPoint<T> {
     coarse_steps: u64,
@@ -586,15 +592,20 @@ mod tests {
             CheckpointError::BadMagic
         );
         // An unknown future version is refused by name.
-        let mut vnext = blob.clone();
-        vnext[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        let body_len = vnext.len() - 8;
-        let ck = fnv1a(&vnext[..body_len]);
-        vnext[body_len..].copy_from_slice(&ck.to_le_bytes());
         assert_eq!(
-            restore(&mut dst, &vnext).unwrap_err(),
-            CheckpointError::UnsupportedVersion(2)
+            restore(&mut dst, &with_version(&blob, VERSION + 1)).unwrap_err(),
+            CheckpointError::UnsupportedVersion(VERSION + 1)
         );
+    }
+
+    /// `blob` relabelled as format `version`, its checksum recomputed.
+    fn with_version(blob: &[u8], version: u32) -> Vec<u8> {
+        let mut out = blob.to_vec();
+        out[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+        let body_len = out.len() - 8;
+        let ck = fnv1a(&out[..body_len]);
+        out[body_len..].copy_from_slice(&ck.to_le_bytes());
+        out
     }
 
     #[test]
@@ -620,19 +631,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_bytes_round_trip_with_a_zero_reserved_tag() {
+    fn a_version_1_snapshot_is_refused_and_the_grid_kept() {
         let src = two_level_grid();
-        let a = save(&src, 5);
-        // The 5 reserved header bytes (u8 layout tag + u32 tile width, right
-        // after the velocity-set name) are written as zero.
-        let tag_at = MAGIC.len() + 4 + 4 + 4 + 4 + lbm_lattice::D3Q19::NAME.len();
-        assert_eq!(a[tag_at..tag_at + 5], [0u8; 5]);
-        // Restoring into a perturbed grid and saving again reproduces the
-        // snapshot byte for byte.
+        let v1 = with_version(&save(&src, 5), 1);
         let mut dst = two_level_grid();
         dst.init_equilibrium(|_, _| 2.0, |_, _| [0.0; 3]);
-        restore(&mut dst, &a).expect("restore");
-        assert_eq!(save(&dst, 5), a);
+        let before = save(&dst, 0);
+        assert_eq!(
+            restore(&mut dst, &v1).unwrap_err(),
+            CheckpointError::UnsupportedVersion(1)
+        );
+        assert_eq!(save(&dst, 0), before);
     }
 
     #[test]

@@ -574,7 +574,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                     exec,
                     names::R[l],
                     &lv.grid,
-                    &lv.gather,
+                    &lv.ghost_starts,
                     &lv.acc,
                     ghost,
                     V::Q,

@@ -89,8 +89,8 @@ impl AccTables<'_> {
     pub fn scatter_block<T: Real>(&self, src: &Field<T>, block: u32) {
         let from = src.block(block);
         for d in self.deposits.of(block) {
-            let v = self.acc.load_flat(d.dst) + from[d.src as usize].to_f64();
-            self.acc.store_flat(d.dst, v);
+            let v = self.acc.load(d.dst) + from[d.src as usize].to_f64();
+            self.acc.store(d.dst, v);
         }
     }
 }
@@ -202,7 +202,7 @@ fn explode_block<T: Real>(inp: &StreamInputs<'_, T>, b: u32, out: &mut [T]) {
 #[inline(always)]
 fn coalesce_block<T: Real>(inp: &StreamInputs<'_, T>, b: u32, out: &mut [T]) {
     for s in inp.links.coalesce.of(b) {
-        out[s.dst as usize] = T::from_f64(inp.acc.load_flat(s.src)) * s.scale;
+        out[s.dst as usize] = T::from_f64(inp.acc.load(s.src)) * s.scale;
     }
 }
 
@@ -511,8 +511,7 @@ pub fn accumulate_gather<T: Real, V: VelocitySet>(
                     }
                 }
                 if any {
-                    let cur = own_acc.load(b, i, e.ghost_cell);
-                    own_acc.store(b, i, e.ghost_cell, cur + sum);
+                    own_acc.store(e.slot + i, own_acc.load(e.slot + i) + sum);
                 }
             }
         }
@@ -593,12 +592,14 @@ fn fused_block_wide<T: Real, V: VelocitySet, C: Collision<T, V>>(
 /// Resets the ghost accumulators of a level after Coalescence consumed them
 /// (paper §IV-A: "when the coarse cell performs its Coalescence step, it
 /// will reset the ghost layer allowing subsequent Accumulate steps to be
-/// done correctly"). Only ghost slots (via the gather lists) are touched.
+/// done correctly"). Block `b` zeroes its ghosts' one contiguous slot
+/// range, `q·ghost_starts[b]..q·ghost_starts[b + 1]`
+/// ([`crate::Level::ghost_starts`]).
 pub fn reset_accumulators(
     exec: &Executor,
     name: &'static str,
     coarse_grid: &SparseGrid,
-    gather: &[Vec<crate::level::GatherEntry>],
+    ghost_starts: &[u32],
     acc: &AtomicF64Field,
     ghost_cells: u64,
     q: usize,
@@ -608,11 +609,8 @@ pub fn reset_accumulators(
         .thread_block(coarse_grid.cells_per_block())
         .build();
     exec.launch(name, coarse_grid.num_blocks(), cost, |b| {
-        for e in &gather[b as usize] {
-            for i in 0..q {
-                acc.store(b, i, e.ghost_cell, 0.0);
-            }
-        }
+        let (start, end) = (ghost_starts[b as usize], ghost_starts[b as usize + 1]);
+        acc.zero(start as usize * q..end as usize * q);
     });
 }
 
@@ -740,9 +738,9 @@ mod tests {
                     coarse_src: l.checked_sub(1).map(|c| grid.levels[c].f.half(0)),
                     offsets: &lv.offsets,
                 };
-                // Deposit into a spare accumulator field of the coarse level's shape;
+                // Deposit into a spare accumulator field of the coarse level's size;
                 // the bits of the deposits are pinned by the stream oracle.
-                let spare = AtomicF64Field::new(grid.levels[0].grid.num_blocks(), V::Q, cpb);
+                let spare = AtomicF64Field::zeroed(grid.levels[0].acc.len());
                 let acc = (l > 0).then_some(AccTables {
                     acc: &spare,
                     deposits: &lv.deposits,

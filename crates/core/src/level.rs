@@ -18,9 +18,9 @@ use crate::links::{Deposit, LinkTable, PerBlock};
 /// initiated from the coarse level").
 #[derive(Copy, Clone, Debug)]
 pub struct GatherEntry {
-    /// Ghost cell (intra-block index) in the coarse block this entry
-    /// belongs to.
-    pub ghost_cell: u32,
+    /// The ghost's first accumulator slot, `ghost·q` (its direction `i`
+    /// is slot `slot + i`).
+    pub slot: usize,
     /// The 2³ children in the next-finer grid, encoded with
     /// [`crate::links::encode_ref`].
     pub children: [u64; 8],
@@ -56,8 +56,15 @@ pub struct Level<T> {
     /// Double-buffered populations, **post-collision convention**: `src()`
     /// holds post-collision values of the level's current time.
     pub f: DoubleBuffer<T>,
-    /// Ghost accumulators (one slot per cell slot; only ghost cells used).
+    /// Ghost accumulators: `q` slots per ghost cell and nothing else, ghost
+    /// `g`'s direction `i` at slot `g·q + i`, ghosts numbered in
+    /// `(block, cell)` order. Empty on a level without ghosts, the finest
+    /// one included (DESIGN.md §10).
     pub acc: AtomicF64Field,
+    /// Block `b`'s ghosts are numbers `ghost_starts[b]..ghost_starts[b + 1]`
+    /// (length `num_blocks + 1`), so its accumulator slots are the one
+    /// contiguous range `q·ghost_starts[b]..q·ghost_starts[b + 1]`.
+    pub ghost_starts: Vec<u32>,
     /// Relaxation rate ω_L of this level (paper Eq. 9).
     pub omega: f64,
     /// Number of real (evolving) cells — the `V_L` of the MLUPS formula
@@ -93,11 +100,11 @@ impl<T: Real> Level<T> {
         self.f.heap_bytes()
     }
 
-    /// Heap bytes of the ghost accumulators actually required (ghost cells
-    /// × components × 8 bytes — the quantity compared against the baseline's
-    /// fine ghost layers in the paper's "1/3" claim).
+    /// Heap bytes of the ghost accumulators the level allocates (ghost
+    /// cells × components × 8 bytes — the quantity compared against the
+    /// baseline's fine ghost layers in the paper's "1/3" claim).
     pub fn ghost_bytes_required(&self) -> usize {
-        self.ghost_cells * self.acc.q() * 8
+        self.acc.heap_bytes()
     }
 
     /// Number of accumulating (interface fine) cells.

@@ -13,7 +13,9 @@
 //!
 //! The fine→coarse **Accumulate** deposits go through the same kind of
 //! list ([`Deposit`]): one `(source slot, accumulator slot)` pair per
-//! crossing population.
+//! crossing population. A level's accumulators hold `q` slots per ghost
+//! cell only, ghosts numbered in `(block, cell)` order: ghost `g`'s
+//! direction `i` is slot `g·q + i` (DESIGN.md §10).
 
 use lbm_lattice::Real;
 use lbm_sparse::CellRef;
@@ -55,9 +57,9 @@ pub enum LinkKind<T> {
     /// Coalescence (fine→coarse, Eq. 11): pull the ghost accumulator,
     /// divided by the accumulated contribution count.
     Coalesce {
-        /// Ghost cell in the **same** level's grid whose accumulator holds
-        /// the fine contributions.
-        src: CellRef,
+        /// Number of the ghost cell, in the **same** level's `(block, cell)`
+        /// ghost order, whose accumulator holds the fine contributions.
+        ghost: u32,
         /// Precomputed `1 / contributions`: the number of fine populations
         /// that cross the interface along this direction over one coarse
         /// step (crossing children × 2 substeps; 8 on flat faces).
@@ -100,7 +102,7 @@ pub struct Fixed<T> {
 pub struct ScaledPull<T> {
     /// Slot in the destination block's chunk.
     pub dst: u32,
-    /// Flat index into the level's own ghost accumulators.
+    /// Slot of the level's own ghost accumulators: `ghost·q + dir`.
     pub src: usize,
     /// `1 / contributions`.
     pub scale: T,
@@ -112,7 +114,8 @@ pub struct ScaledPull<T> {
 pub struct Deposit {
     /// Slot in the fine block's `q·B³` source chunk: `dir·B³ + cell`.
     pub src: u32,
-    /// Flat index into the next-coarser level's ghost accumulators.
+    /// Slot of the next-coarser level's ghost accumulators:
+    /// `ghost·q + dir`.
     pub dst: usize,
 }
 
@@ -168,8 +171,8 @@ impl<E> PerBlock<E> {
 }
 
 /// Flat index of `(block, comp, cell)` in a level's `q`-component field of
-/// `cpb`-cell blocks: the block-SoA layout the populations
-/// ([`lbm_sparse::Field::index`]) and the ghost accumulators share.
+/// `cpb`-cell blocks: the block-SoA layout of the populations
+/// ([`lbm_sparse::Field::index`]).
 #[inline(always)]
 pub(crate) fn flat_index(block: u32, comp: usize, cell: u32, q: usize, cpb: usize) -> usize {
     (block as usize * q + comp) * cpb + cell as usize
@@ -259,9 +262,9 @@ impl<T: Real> LinkTable<T> {
                         },
                     );
                 }
-                LinkKind::Coalesce { src, inv_count } => {
+                LinkKind::Coalesce { ghost, inv_count } => {
                     coalesces = true;
-                    let src = at(src, i);
+                    let src = ghost as usize * q + i;
                     let scale = inv_count;
                     self.coalesce.push(b, ScaledPull { dst, src, scale });
                 }
@@ -338,10 +341,11 @@ impl<T: Real> LinkTable<T> {
                 },
             )
         });
+        let q = self.q;
         let coalesce = self.coalesce.of(b).iter().map(move |s| {
             let (cell, dir) = split(s.dst);
             let kind = LinkKind::Coalesce {
-                src: cell_of(s.src).0,
+                ghost: (s.src / q) as u32,
                 inv_count: s.scale,
             };
             (cell, dir, kind)
@@ -395,7 +399,7 @@ mod tests {
             (
                 9,
                 LinkKind::Coalesce {
-                    src: r(2, 11),
+                    ghost: 11,
                     inv_count: 0.125,
                 },
             ),
@@ -420,6 +424,8 @@ mod tests {
                 src: (Q + 2) * CPB + 5,
             }
         );
+        // The Coalescence entry reads ghost 11's slot of direction 9.
+        assert_eq!(t.coalesce.of(1)[0].src, 11 * Q + 9);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! - **real** cells per level = owned octree leaves;
 //! - **ghost** cells per level = the single coarse layer inside the
 //!   next-finer region adjacent to real cells (paper §IV-A);
+//! - the ghost numbering: every level's ghosts in `(block, cell)` order,
+//!   `q` accumulator slots each (DESIGN.md §10);
 //! - per-block Accumulate deposit lists (fine population → parent ghost
 //!   accumulator slot);
 //! - per-ghost gather lists (the modified baseline's coarse-initiated
@@ -22,15 +24,18 @@ use std::marker::PhantomData;
 
 use lbm_gpu::AtomicF64Field;
 use lbm_lattice::{equilibrium, moments, omega_at_level, Real, VelocitySet, MAX_Q};
-use lbm_sparse::{Coord, DoubleBuffer, Field, GridBuilder, SparseGrid, StreamOffsets, INVALID_BLOCK};
+use lbm_sparse::{
+    CellRef, Coord, DoubleBuffer, Field, GridBuilder, SparseGrid, StreamOffsets, INVALID_BLOCK,
+};
 
 use crate::boundary::{Boundary, BoundarySpec};
 use crate::flags::CellFlags;
 use crate::level::{GatherEntry, Level};
-use crate::links::{
-    block_offset, encode_ref, flat_index, Deposit, LinkKind, LinkTable, PerBlock, NO_TARGET,
-};
+use crate::links::{block_offset, encode_ref, Deposit, LinkKind, LinkTable, PerBlock, NO_TARGET};
 use crate::spec::GridSpec;
+
+/// "Not a ghost" in the build's per-slot ghost numbering.
+const NO_GHOST: u32 = u32::MAX;
 
 /// The multi-resolution grid: a stack of levels, finest last.
 pub struct MultiGrid<T, V> {
@@ -89,11 +94,6 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         self.levels.len()
     }
 
-    /// Total real cells over all levels.
-    pub fn total_real_cells(&self) -> usize {
-        self.levels.iter().map(|l| l.real_cells).sum()
-    }
-
     /// Builds the stack. `omega0` is the relaxation rate at level 0; each
     /// level receives its acoustically scaled rate (paper Eq. 9).
     ///
@@ -104,9 +104,12 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     pub fn build(spec: GridSpec, bc: &dyn BoundarySpec, omega0: f64) -> Self {
         let nl = spec.levels;
 
-        // ---- Pass 1: grids + flags ------------------------------------
+        // ---- Pass 1: grids, flags and the ghost numbering --------------
         let mut grids: Vec<SparseGrid> = Vec::with_capacity(nl as usize);
         let mut flags: Vec<Field<u8>> = Vec::with_capacity(nl as usize);
+        // Per level and cell slot: the ghost's number, or `NO_GHOST`.
+        let mut ghost_of: Vec<Vec<u32>> = Vec::with_capacity(nl as usize);
+        let mut ghost_starts: Vec<Vec<u32>> = Vec::with_capacity(nl as usize);
         for l in 0..nl {
             let dom = spec.domain_at(l);
             let mut gb = GridBuilder::new(spec.block_size);
@@ -120,18 +123,35 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 }
             }
             let grid = gb.build(spec.curve);
+            let cpb = grid.cells_per_block();
             let mut fl = Field::<u8>::new(&grid, 1, 0);
-            for (r, c) in grid.iter_active() {
-                let bit = if spec.owned(l, c) {
-                    CellFlags::REAL
-                } else {
-                    CellFlags::GHOST
-                };
-                fl.set(r.block, 0, r.cell, bit);
+            let mut numbers = vec![NO_GHOST; grid.num_blocks() * cpb];
+            let mut starts = vec![0u32];
+            for (b, blk) in grid.blocks().iter().enumerate() {
+                let mut ghosts = *starts.last().unwrap();
+                for cell in blk.active.iter_set() {
+                    let bit = if spec.owned(l, blk.origin + grid.delinear(cell as u32)) {
+                        CellFlags::REAL
+                    } else {
+                        numbers[b * cpb + cell] = ghosts;
+                        ghosts += 1;
+                        CellFlags::GHOST
+                    };
+                    fl.set(b as u32, 0, cell as u32, bit);
+                }
+                starts.push(ghosts);
             }
             grids.push(grid);
             flags.push(fl);
+            ghost_of.push(numbers);
+            ghost_starts.push(starts);
         }
+        let ghost = |l: u32, r: CellRef| {
+            let cpb = grids[l as usize].cells_per_block();
+            let g = ghost_of[l as usize][r.block as usize * cpb + r.cell as usize];
+            debug_assert_ne!(g, NO_GHOST, "level {l} {r:?} is not a ghost");
+            g
+        };
 
         // ---- Pass 2: per-level link tables, accumulate targets, gather --
         let mut levels: Vec<Level<T>> = Vec::with_capacity(nl as usize);
@@ -165,7 +185,8 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                         // Ghost neighbor ⇒ Coalescence read (paper Eq. 11).
                         let g = grid.coord_of(nref);
                         let inv_count = Self::coalesce_inv_count(&spec, &grids, &flags, l, g, i);
-                        cell_links.push((i as u8, LinkKind::Coalesce { src: nref, inv_count }));
+                        let ghost = ghost(l, nref);
+                        cell_links.push((i as u8, LinkKind::Coalesce { ghost, inv_count }));
                         continue;
                     }
                     // Missing same-level source.
@@ -181,7 +202,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                                         LinkKind::Periodic { src: sr }
                                     } else {
                                         LinkKind::Coalesce {
-                                            src: sr,
+                                            ghost: ghost(l, sr),
                                             inv_count: Self::coalesce_inv_count(
                                                 &spec, &grids, &flags, l, s_w, i,
                                             ),
@@ -243,7 +264,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                                 m &= m - 1;
                                 let deposit = Deposit {
                                     src: block_offset(i, r.cell, cpb),
-                                    dst: flat_index(pr.block, i, pr.cell, V::Q, cpb),
+                                    dst: ghost(l - 1, pr) as usize * V::Q + i,
                                 };
                                 deposits.push(r.block, deposit);
                             }
@@ -266,7 +287,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             links.seal(grid.num_blocks());
             deposits.seal(grid.num_blocks());
             if l > 0 {
-                Self::assert_single_writer(&deposits, grids[(l - 1) as usize].num_blocks(), cpb);
+                Self::assert_single_writer(&deposits, levels[(l - 1) as usize].ghost_cells);
             }
             {
                 let fl = &mut flags[l as usize];
@@ -313,7 +334,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                         }
                     }
                     gather[r.block as usize].push(GatherEntry {
-                        ghost_cell: r.cell,
+                        slot: ghost(l, r) as usize * V::Q,
                         children,
                         masks,
                     });
@@ -325,18 +346,13 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             let offsets = StreamOffsets::cached(grid.block_size() as u32, V::C);
             let mut all_real = Vec::with_capacity(grid.num_blocks());
             let mut real_cells = 0usize;
-            let mut ghost_cells = 0usize;
             for (bi, blk) in grid.blocks().iter().enumerate() {
                 let mut every = blk.active.all();
                 for cell in blk.active.iter_set() {
-                    let cf = CellFlags(fl.get(bi as u32, 0, cell as u32));
-                    if cf.is_real() {
+                    if CellFlags(fl.get(bi as u32, 0, cell as u32)).is_real() {
                         real_cells += 1;
                     } else {
                         every = false;
-                    }
-                    if cf.is_ghost() {
-                        ghost_cells += 1;
                     }
                 }
                 all_real.push(every);
@@ -344,7 +360,9 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             }
 
             let f = DoubleBuffer::<T>::new(grid, V::Q, T::ZERO);
-            let acc = AtomicF64Field::new(grid.num_blocks(), V::Q, cpb);
+            let ghost_starts = std::mem::take(&mut ghost_starts[l as usize]);
+            let ghost_cells = *ghost_starts.last().unwrap() as usize;
+            let acc = AtomicF64Field::zeroed(ghost_cells * V::Q);
             levels.push(Level {
                 grid: grids[l as usize].clone(),
                 flags: flags[l as usize].clone(),
@@ -355,6 +373,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 offsets,
                 f,
                 acc,
+                ghost_starts,
                 omega: omega_at_level(omega0, l),
                 real_cells,
                 ghost_cells,
@@ -369,24 +388,24 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     }
 
     /// Asserts the invariant that makes the in-place Accumulate race-free
-    /// at every pool width (DESIGN.md §10): every coarse cell the fine
+    /// at every pool width (DESIGN.md §10): every coarse ghost the fine
     /// level's `deposits` reach is reached from one fine block only. A
     /// launch item runs a whole block on one thread, so each accumulator
     /// slot then has exactly one writer per launch. It holds because every
     /// block size is even: a coarse cell's 2³ children share a fine block.
-    fn assert_single_writer(deposits: &PerBlock<Deposit>, coarse_blocks: usize, cpb: usize) {
-        let mut owner = vec![u32::MAX; coarse_blocks * cpb];
+    fn assert_single_writer(deposits: &PerBlock<Deposit>, coarse_ghosts: usize) {
+        let mut owner = vec![u32::MAX; coarse_ghosts];
         for b in 0..deposits.blocks() as u32 {
             for d in deposits.of(b) {
-                let cell = d.dst / (V::Q * cpb) * cpb + d.dst % cpb;
-                let first = &mut owner[cell];
+                let ghost = d.dst / V::Q;
+                let first = &mut owner[ghost];
                 if *first == u32::MAX {
                     *first = b;
                 }
                 assert!(
                     *first == b,
-                    "invalid grid: coarse accumulator cell {cell} is deposited into by fine \
-                     blocks {} and {b}",
+                    "invalid grid: coarse ghost {ghost} is deposited into by fine blocks {} \
+                     and {b}",
                     *first
                 );
             }
@@ -580,7 +599,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                     level.f.dst_mut().set(r.block, i, r.cell, feq[i]);
                 }
             }
-            level.acc.reset();
+            level.acc.zero(0..level.acc.len());
         }
     }
 
@@ -812,18 +831,34 @@ mod tests {
         let mg = MG::build(two_level_spec(), &AllWalls, 1.5);
         let l0 = &mg.levels[0];
         let mut entries = 0usize;
-        for (bi, g) in l0.gather.iter().enumerate() {
-            for e in g {
-                entries += 1;
-                let gc = l0.grid.block(bi as u32).origin + l0.grid.delinear(e.ghost_cell);
-                for (k, &enc) in e.children.iter().enumerate() {
-                    let cr = crate::links::decode_ref(enc);
-                    let cc = mg.levels[1].grid.coord_of(cr);
-                    assert_eq!(cc.div_euclid(2), gc, "child {k} not under ghost {gc:?}");
-                }
+        // Ghost `g` in `(block, cell)` order owns slots `g·q..(g + 1)·q`.
+        for (g, ((r, gc), e)) in l0.iter_ghost().zip(l0.gather.iter().flatten()).enumerate() {
+            entries += 1;
+            assert_eq!(e.slot, g * D3Q19::Q);
+            assert!(l0.gather[r.block as usize].iter().any(|o| o.slot == e.slot));
+            for (k, &enc) in e.children.iter().enumerate() {
+                let cr = crate::links::decode_ref(enc);
+                let cc = mg.levels[1].grid.coord_of(cr);
+                assert_eq!(cc.div_euclid(2), gc, "child {k} not under ghost {gc:?}");
             }
         }
         assert_eq!(entries, l0.ghost_cells);
+        assert_eq!(l0.acc.len(), l0.ghost_cells * D3Q19::Q);
+    }
+
+    #[test]
+    fn ghosts_are_numbered_block_by_block_and_only_ghosts_get_slots() {
+        let mg = MG::build(two_level_spec(), &AllWalls, 1.5);
+        let (l0, l1) = (&mg.levels[0], &mg.levels[1]);
+        assert_eq!(l0.ghost_starts.len(), l0.grid.num_blocks() + 1);
+        for b in 0..l0.grid.num_blocks() {
+            let ghosts = l0.iter_ghost().filter(|(r, _)| r.block as usize == b).count();
+            assert_eq!((l0.ghost_starts[b + 1] - l0.ghost_starts[b]) as usize, ghosts);
+        }
+        assert_eq!(l0.ghost_starts.last().copied(), Some(l0.ghost_cells as u32));
+        // The finest level has no ghosts and allocates no accumulator.
+        assert_eq!(l1.ghost_cells, 0);
+        assert!(l1.acc.is_empty() && l1.ghost_starts.iter().all(|&s| s == 0));
     }
 
     #[test]
@@ -885,6 +920,8 @@ mod tests {
         let mg = MG::build(two_level_spec(), &AllWalls, 1.5);
         let (l0, l1) = (&mg.levels[0], &mg.levels[1]);
         let (q, cpb) = (D3Q19::Q, l1.grid.cells_per_block());
+        let number: std::collections::HashMap<_, _> =
+            l0.iter_ghost().enumerate().map(|(g, (r, _))| (r, g)).collect();
         let mut count = 0;
         for b in 0..l1.grid.num_blocks() as u32 {
             let list = l1.deposits.of(b);
@@ -898,7 +935,7 @@ mod tests {
                 });
                 let parent = l0.grid.cell_ref(x.div_euclid(2)).unwrap();
                 assert!(l0.cell_flags(parent).is_ghost());
-                assert_eq!(d.dst, flat_index(parent.block, dir, parent.cell, q, cpb));
+                assert_eq!(d.dst, number[&parent] * q + dir);
                 count += 1;
             }
         }
@@ -916,33 +953,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "deposited into by fine blocks 0 and 2")]
     fn single_writer_guard_rejects_a_slot_shared_by_two_blocks() {
-        let (q, cpb) = (D3Q19::Q, 64);
+        let q = D3Q19::Q;
         let mut deposits = PerBlock::default();
         deposits.push(0, Deposit {
             src: 0,
-            dst: flat_index(1, 3, 9, q, cpb),
+            dst: 9 * q + 3,
         });
         deposits.push(2, Deposit {
             src: 5,
-            dst: flat_index(1, 3, 9, q, cpb),
+            dst: 9 * q + 3,
         });
         deposits.seal(3);
-        MG::assert_single_writer(&deposits, 2, cpb);
+        MG::assert_single_writer(&deposits, 12);
     }
 
     #[test]
     fn single_writer_guard_accepts_one_block_per_slot() {
-        let (q, cpb) = (D3Q19::Q, 64);
+        let q = D3Q19::Q;
         let mut deposits = PerBlock::default();
         for (b, dir) in [(0, 1), (0, 2), (2, 1)] {
-            let cell = if b == 0 { 9 } else { 10 };
+            let ghost = if b == 0 { 9 } else { 10 };
             deposits.push(b, Deposit {
                 src: 0,
-                dst: flat_index(1, dir, cell, q, cpb),
+                dst: ghost * q + dir,
             });
         }
         deposits.seal(3);
-        MG::assert_single_writer(&deposits, 2, cpb);
+        MG::assert_single_writer(&deposits, 12);
     }
 
     #[test]

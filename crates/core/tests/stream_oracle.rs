@@ -4,7 +4,8 @@
 //! level's link lists, decoded entry by entry. Real slots must match
 //! bitwise; ghost and inactive slots must keep their prior bits. The
 //! in-place Accumulate deposits must equal a serial per-cell sum into the
-//! parent ghosts, computed from coordinates alone. The fused kernel must
+//! parent ghosts, computed from coordinates alone, with the ghosts numbered
+//! here in `(block, cell)` order, `q` slots each. The fused kernel must
 //! equal `stream` followed by `collide`, and the split S + E + O kernels
 //! must equal the inline resolution. Every check runs at pool widths 1
 //! and 4.
@@ -101,13 +102,8 @@ fn seeded<V: VelocitySet>(spec: GridSpec, omega0: f64) -> MultiGrid<f64, V> {
                 };
             }
         }
-        let acc = &lv.acc;
-        for b in 0..lv.grid.num_blocks() as u32 {
-            for i in 0..V::Q {
-                for cell in 0..lv.grid.cells_per_block() as u32 {
-                    acc.store(b, i, cell, 0.5 + rng.next());
-                }
-            }
+        for slot in 0..lv.acc.len() {
+            lv.acc.store(slot, 0.5 + rng.next());
         }
     }
     grid
@@ -133,7 +129,7 @@ fn acc_copy<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> AtomicF64Fiel
     let lv = &grid.levels[l];
     let mut image = vec![0.0; lv.acc.len()];
     lv.acc.copy_to_slice(&mut image);
-    let mut copy = AtomicF64Field::new(lv.grid.num_blocks(), V::Q, lv.grid.cells_per_block());
+    let mut copy = AtomicF64Field::zeroed(image.len());
     copy.copy_from_slice(&image);
     copy
 }
@@ -175,8 +171,8 @@ fn oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize, prior: &Field<f64>
                 Some(LinkKind::Explosion { src: s }) => {
                     grid.levels[l - 1].f.half(0).get(s.block, i, s.cell)
                 }
-                Some(LinkKind::Coalesce { src: s, inv_count }) => {
-                    lv.acc.load(s.block, i, s.cell) * inv_count
+                Some(LinkKind::Coalesce { ghost, inv_count }) => {
+                    lv.acc.load(ghost as usize * V::Q + i) * inv_count
                 }
             };
             out.set(r.block, i, r.cell, v);
@@ -190,7 +186,9 @@ fn oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize, prior: &Field<f64>
 /// real fine cell whose parent is a ghost adds, in ascending direction
 /// order, each population whose target is in the domain, not a real fine
 /// cell, and under a real coarse cell. Cells go in ascending `(block,
-/// cell)` order onto the seeded accumulator values.
+/// cell)` order onto the seeded accumulator values; the parent ghost's
+/// direction `i` is slot `g·q + i`, `g` its rank among the coarse ghosts in
+/// `(block, cell)` order.
 fn deposit_oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> Vec<f64> {
     let (fine, coarse) = (&grid.levels[l], &grid.levels[l - 1]);
     let domain = grid.spec.domain_at(l as u32);
@@ -199,7 +197,11 @@ fn deposit_oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> Vec<f64
     let real_at = |lv: &lbm_core::Level<f64>, p: Coord| {
         lv.grid.cell_ref(p).is_some_and(|r| lv.cell_flags(r).is_real())
     };
-    let cpb = coarse.grid.cells_per_block();
+    let number: HashMap<_, _> = coarse
+        .iter_ghost()
+        .enumerate()
+        .map(|(g, (p, _))| (p, g))
+        .collect();
     for (r, x) in fine.grid.iter_active() {
         let parent = coarse.grid.cell_ref(x.div_euclid(2));
         let Some(p) = parent.filter(|&p| coarse.cell_flags(p).is_ghost()) else {
@@ -212,8 +214,7 @@ fn deposit_oracle<V: VelocitySet>(grid: &MultiGrid<f64, V>, l: usize) -> Vec<f64
             let c = V::C[i];
             let t = x + Coord::new(c[0], c[1], c[2]);
             if domain.contains(t) && !real_at(fine, t) && real_at(coarse, t.div_euclid(2)) {
-                let slot = (p.block as usize * V::Q + i) * cpb + p.cell as usize;
-                acc[slot] += fine.f.half(0).get(r.block, i, r.cell);
+                acc[number[&p] * V::Q + i] += fine.f.half(0).get(r.block, i, r.cell);
             }
         }
     }

@@ -8,8 +8,8 @@
 //! - [`exec::Executor`]: kernel launches mapping one sparse-grid block to
 //!   one "CUDA block" (a work item claimed from the in-crate
 //!   [`exec::ThreadPool`]), with a configurable thread count;
-//! - [`atomic::AtomicF64Field`]: CUDA-style `atomicAdd(double*)` buffers for
-//!   the scatter Accumulate step;
+//! - [`atomic::AtomicF64Field`]: the shared `f64` slots the scatter
+//!   Accumulate step deposits into (CUDA's `atomicAdd(double*)` targets);
 //! - [`counters::Profiler`]: per-kernel launch / traffic / sync metering;
 //! - [`device::DeviceModel`]: an A100-40GB analytic cost model turning the
 //!   metered traffic into modeled GPU time (LBM is bandwidth-bound, so

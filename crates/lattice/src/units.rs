@@ -58,16 +58,6 @@ impl UnitConverter {
     pub fn viscosity_to_physical(&self, nu: f64) -> f64 {
         nu * self.dx * self.dx / self.dt
     }
-
-    /// Physical → lattice length (finest-level cells).
-    pub fn length_to_lattice(&self, l: f64) -> f64 {
-        l / self.dx
-    }
-
-    /// Physical → lattice time (finest-level steps).
-    pub fn time_to_lattice(&self, t: f64) -> f64 {
-        t / self.dt
-    }
 }
 
 /// Solves the standard sizing problem: given a target Reynolds number

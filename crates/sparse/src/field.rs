@@ -87,13 +87,6 @@ impl<T: Copy> Field<T> {
         &self.data[(block as usize) * s..(block as usize + 1) * s]
     }
 
-    /// Mutable view of one block's storage.
-    #[inline(always)]
-    pub fn block_mut(&mut self, block: BlockIdx) -> &mut [T] {
-        let s = self.block_stride();
-        &mut self.data[(block as usize) * s..(block as usize + 1) * s]
-    }
-
     /// Read-only view of one component within one block (`B³` values).
     #[inline(always)]
     pub fn component(&self, block: BlockIdx, comp: usize) -> &[T] {
@@ -173,18 +166,6 @@ impl<T: Copy> DoubleBuffer<T> {
             (&self.a, &mut self.b)
         } else {
             (&self.b, &mut self.a)
-        }
-    }
-
-    /// Read-only view of the destination-side buffer — after a swap this is
-    /// the *previous* source (used by temporal-interpolation schemes that
-    /// need the last two states without extra storage).
-    #[inline(always)]
-    pub fn peek_dst(&self) -> &Field<T> {
-        if self.flipped {
-            &self.a
-        } else {
-            &self.b
         }
     }
 

@@ -336,11 +336,6 @@ impl GridBuilder {
         self
     }
 
-    /// Number of blocks currently touched.
-    pub fn touched_blocks(&self) -> usize {
-        self.cells.len()
-    }
-
     /// Finalizes into a [`SparseGrid`], ordering blocks along `curve`.
     ///
     /// Blocks whose mask became all-clear (activate-then-deactivate) are

@@ -226,11 +226,6 @@ impl StreamOffsets {
         self.block_size
     }
 
-    /// Number of directions.
-    pub fn num_dirs(&self) -> usize {
-        self.dirs.len()
-    }
-
     /// The decomposition of direction `i`.
     #[inline(always)]
     pub fn dir(&self, i: usize) -> &DirOffsets {

@@ -32,7 +32,7 @@ fn main() {
     }
     let mem = memory_report::report(&grid);
     println!(
-        "population memory: {:.1} MiB; ghost accumulators: {:.1} KiB (baseline would need {:.1} KiB)",
+        "population memory: {:.1} MiB; ghost accumulators: {:.1} KiB allocated (baseline would need {:.1} KiB)",
         mem.population_bytes as f64 / (1 << 20) as f64,
         mem.ghost_bytes as f64 / 1024.0,
         mem.baseline_ghost_bytes as f64 / 1024.0,

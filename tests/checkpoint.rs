@@ -109,7 +109,7 @@ fn refined_cavity_resumes_from_a_snapshot_file() {
             interrupted.run(interrupt_at);
             let blob = interrupted.checkpoint();
             drop(interrupted);
-            assert_eq!(blob.len(), 3_275_872, "{what}: snapshot bytes");
+            assert_eq!(blob.len(), 2_208_219, "{what}: snapshot bytes");
             let path = std::env::temp_dir().join(format!(
                 "lbm_ckpt_{}_{mode:?}_{threads}.bin",
                 std::process::id()
@@ -220,6 +220,43 @@ fn snapshot_rejects_structural_mismatch() {
         matches!(err, CheckpointError::Mismatch(_)),
         "2-level snapshot into uniform engine: got {err}"
     );
+}
+
+/// Two 2-level 32³ grids whose refined boxes sit 2 or 4 coarse cells apart
+/// have the same block counts on every level but not the same cells: a
+/// snapshot of one is refused by the other, which keeps its state, flags
+/// included.
+#[test]
+fn snapshot_of_a_shifted_refinement_is_refused() {
+    let engine = |shift: i32| {
+        let spec = GridSpec::new(2, Box3::from_dims(32, 32, 32), move |l, p| {
+            l == 0
+                && (4 + shift..12 + shift).contains(&p.x)
+                && (4..12).contains(&p.y)
+                && (4..12).contains(&p.z)
+        });
+        let mut grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, 1.5);
+        grid.init_equilibrium(|_, _| 1.0, |l, c| [0.01, 1e-4 * (c.x + l as i32) as f64, 0.0]);
+        Engine::builder(grid)
+            .collision(Bgk::new(1.5))
+            .build(Executor::with_threads(DeviceModel::a100_40gb(), 1))
+    };
+    let blocks = |eng: &Eng19| -> Vec<usize> {
+        eng.grid.levels.iter().map(|lv| lv.grid.num_blocks()).collect()
+    };
+    let mut reference = engine(0);
+    reference.run(1);
+    let blob = reference.checkpoint();
+    for shift in [2, 4] {
+        let mut other = engine(shift);
+        assert_eq!(blocks(&other), blocks(&reference), "shift {shift}: block counts");
+        let before = other.checkpoint();
+        match other.restore(&blob).unwrap_err() {
+            CheckpointError::Mismatch(why) => assert!(why.contains("flags"), "{why}"),
+            e => panic!("shift {shift}: expected Mismatch, got {e:?}"),
+        }
+        assert!(other.checkpoint() == before, "shift {shift}: the refused restore wrote");
+    }
 }
 
 type Eng19 = Engine<f64, D3Q19, Bgk<f64>>;

@@ -1,12 +1,17 @@
 //! The paper's headline claims as executable assertions (shape, not
 //! absolute numbers — see DESIGN.md §2 and EXPERIMENTS.md).
 
-use lbm_refinement::core::{alg1_graph, memory_report, step_graph, MultiGrid, Variant};
+mod common;
+
+use lbm_refinement::core::{
+    alg1_graph, memory_report, step_graph, AllWalls, GridSpec, MultiGrid, Variant,
+};
 use lbm_refinement::gpu::{max_uniform_cube, DeviceModel, MemoryPlan};
-use lbm_refinement::lattice::D3Q27;
+use lbm_refinement::lattice::{VelocitySet, D3Q19, D3Q27};
 use lbm_refinement::problems::airplane::{AirplaneConfig, AirplaneFlow};
 use lbm_refinement::problems::sphere::{SphereConfig, SphereFlow};
 use lbm_refinement::problems::tunnel_boundary;
+use lbm_refinement::sparse::Box3;
 
 /// Fig. 2: "our aggressive kernel fusion (around three times fewer
 /// kernels)".
@@ -55,6 +60,41 @@ fn ghost_memory_is_one_third_of_baseline() {
     let rep = memory_report::report(&grid);
     assert!((rep.ghost_ratio() - 1.0 / 3.0).abs() < 1e-12);
     assert!(rep.ghost_bytes > 0);
+}
+
+/// §IV-A in the engine itself: the ghost bytes `memory_report` counts are
+/// the accumulator bytes the levels allocate, `q` slots per ghost cell
+/// found by its flags, and the finest level, which has no ghosts,
+/// allocates none.
+fn assert_allocates_the_ghost_layer<V: VelocitySet>(grid: &MultiGrid<f64, V>, what: &str) {
+    let allocated: usize = grid.levels.iter().map(|lv| lv.acc.heap_bytes()).sum();
+    let ghosts: usize = grid.levels.iter().map(|lv| lv.iter_ghost().count()).sum();
+    assert_eq!(memory_report::report(grid).ghost_bytes, allocated, "{what}");
+    assert_eq!(allocated, ghosts * V::Q * 8, "{what}");
+    assert!(ghosts > 0, "{what}: no interface");
+    let finest = grid.levels.last().unwrap();
+    assert!(finest.acc.is_empty() && finest.ghost_cells == 0, "{what}: finest level");
+}
+
+#[test]
+fn engines_allocate_exactly_the_ghost_layer_they_count() {
+    let flow = SphereFlow::new(SphereConfig::scaled_small());
+    let sphere = MultiGrid::<f64, D3Q27>::build(
+        flow.spec(),
+        &tunnel_boundary(flow.config.size, flow.config.levels, flow.config.u_inlet),
+        flow.omega0,
+    );
+    assert_allocates_the_ghost_layer(&sphere, "scaled sphere");
+
+    let spec = GridSpec::new(2, Box3::from_dims(64, 64, 64), |l, p| {
+        l == 0 && (8..24).contains(&p.x) && (8..24).contains(&p.y) && (8..24).contains(&p.z)
+    });
+    let boxed = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, 1.6);
+    assert_allocates_the_ghost_layer(&boxed, "64³ 2-level box");
+
+    let cavity = common::refined_cavity(48);
+    let grid = MultiGrid::<f64, D3Q19>::build(cavity.spec(), &cavity.boundary(), cavity.omega0);
+    assert_allocates_the_ghost_layer(&grid, "refined cavity n=48");
 }
 
 /// Table I shape: the fused variant wins on the modeled device, and its
