@@ -5,15 +5,17 @@
 #    once with the default kernel pool, once with `LBM_THREADS=8`, which
 #    widens every default executor's pool (the gate of the in-place
 #    Accumulate, whose bits must not depend on the width). The tests are
-#    the correctness contract: the streaming gather against a per-cell
-#    oracle, bit-identity across fusion variants, exec modes, thread counts
-#    and restart, pinned golden digests, conservation, and the graph-mode
-#    sync/wave counts (DESIGN.md §4, §8, §10, §11);
+#    the correctness contract: the grid build against an independent
+#    coordinate classifier (the build oracle), the streaming gather against
+#    a per-cell oracle, bit-identity across fusion variants, exec modes,
+#    thread counts and restart, pinned golden digests, conservation, and
+#    the graph-mode sync/wave counts (DESIGN.md §4, §8, §10, §11);
 # 2. clippy with warnings denied, test targets included;
 # 3. rustdoc with warnings denied, so no doc link dangles;
 # 4. the cheapest `report` experiments, so the paper-figure binary still
 #    runs: `fig2` and `ghost` (the §IV-A ghost-layer memory, read off the
-#    accumulators the engine allocates);
+#    accumulators the engine allocates); then the `quickstart` example, the
+#    everyday end-to-end run (build time, MLUPS, mass drift; about 1 s);
 # 5. on x86-64, a codegen guard: every `collide_block_wide` and
 #    `fused_block_wide` symbol of the release `report` binary must contain
 #    `zmm` (AVX-512) instructions. A refactor that turns a block fn back
@@ -32,6 +34,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -q -p lbm-bench --bin report -- fig2
 cargo run --release -q -p lbm-bench --bin report -- ghost
+cargo run --release -q --example quickstart
 if [ "$(uname -m)" = x86_64 ]; then
     objdump -d -C target/release/report | awk '
         /^[0-9a-f]+ <.*(collide|fused)_block_wide.*>:$/ { sym = $0; seen++; zmm[sym] = 0; next }

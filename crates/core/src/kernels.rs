@@ -485,7 +485,7 @@ pub fn accumulate_gather<T: Real, V: VelocitySet>(
     exec: &Executor,
     name: &'static str,
     coarse_grid: &SparseGrid,
-    gather: &[Vec<crate::level::GatherEntry>],
+    gather: &PerBlock<crate::level::GatherEntry>,
     own_acc: &AtomicF64Field,
     fine_src: &Field<T>,
     ghost_cells: u64,
@@ -499,7 +499,7 @@ pub fn accumulate_gather<T: Real, V: VelocitySet>(
         .thread_block(coarse_grid.cells_per_block())
         .build();
     exec.launch(name, coarse_grid.num_blocks(), cost, |b| {
-        for e in &gather[b as usize] {
+        for e in gather.of(b) {
             for i in 0..q {
                 let mut sum = 0.0;
                 let mut any = false;

@@ -48,8 +48,9 @@ pub struct Level<T> {
     /// direction order. Every accumulator slot has exactly one depositing
     /// block (`MultiGrid::build` asserts it; DESIGN.md §10).
     pub deposits: PerBlock<Deposit>,
-    /// Per-block gather entries (this level being the coarse side).
-    pub gather: Vec<Vec<GatherEntry>>,
+    /// Per-block gather entries (this level being the coarse side), one
+    /// per ghost in ghost-number order.
+    pub gather: PerBlock<GatherEntry>,
     /// Precomputed streaming offset tables for this level's block size and
     /// velocity set (process-wide shared per `(B, velocity set)` pair).
     pub offsets: Arc<StreamOffsets>,

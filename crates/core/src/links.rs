@@ -137,6 +137,13 @@ impl<E> Default for PerBlock<E> {
 }
 
 impl<E> PerBlock<E> {
+    /// The list whose block `b` holds `items[starts[b]..starts[b + 1]]`
+    /// (`starts` ends at `items.len()`).
+    pub(crate) fn from_parts(starts: Vec<u32>, items: Vec<E>) -> Self {
+        debug_assert_eq!(starts.last().map(|&s| s as usize), Some(items.len()));
+        Self { starts, items }
+    }
+
     /// Appends an entry to block `b`. Blocks must arrive in ascending
     /// order.
     pub(crate) fn push(&mut self, b: u32, e: E) {

@@ -37,6 +37,19 @@ use crate::spec::GridSpec;
 /// "Not a ghost" in the build's per-slot ghost numbering.
 const NO_GHOST: u32 = u32::MAX;
 
+/// A cell's 2³ children, offset from twice its coordinate, in octant order
+/// `k = x + 2y + 4z`.
+const OCTANTS: [Coord; 8] = [
+    Coord::new(0, 0, 0),
+    Coord::new(1, 0, 0),
+    Coord::new(0, 1, 0),
+    Coord::new(1, 1, 0),
+    Coord::new(0, 0, 1),
+    Coord::new(1, 0, 1),
+    Coord::new(0, 1, 1),
+    Coord::new(1, 1, 1),
+];
+
 /// The multi-resolution grid: a stack of levels, finest last.
 pub struct MultiGrid<T, V> {
     /// Levels, index 0 = coarsest.
@@ -105,23 +118,35 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         let nl = spec.levels;
 
         // ---- Pass 1: grids, flags and the ghost numbering --------------
+        // Level 0 visits its whole domain, level l + 1 only the children of
+        // level l's refined cells: the octree descends nowhere else.
         let mut grids: Vec<SparseGrid> = Vec::with_capacity(nl as usize);
         let mut flags: Vec<Field<u8>> = Vec::with_capacity(nl as usize);
         // Per level and cell slot: the ghost's number, or `NO_GHOST`.
         let mut ghost_of: Vec<Vec<u32>> = Vec::with_capacity(nl as usize);
         let mut ghost_starts: Vec<Vec<u32>> = Vec::with_capacity(nl as usize);
+        let mut visit: Vec<Coord> = spec.domain_at(0).iter().collect();
         for l in 0..nl {
-            let dom = spec.domain_at(l);
             let mut gb = GridBuilder::new(spec.block_size);
-            for p in dom.iter() {
-                let active = spec.owned(l, p)
-                    || (l + 1 < nl
-                        && spec.covered_by_finer(l, p)
-                        && Self::touches_owned(&spec, l, p));
+            let mut refined = Vec::new();
+            for &p in &visit {
+                // `p`'s ancestors are refined: it is covered by finer
+                // levels iff refined, and owned iff neither refined nor
+                // solid.
+                let active = if spec.is_refined(l, p) {
+                    refined.push(p);
+                    spec.touches_owned(l, p)
+                } else {
+                    !spec.is_solid(l, p)
+                };
                 if active {
                     gb.activate(p);
                 }
             }
+            visit = refined
+                .iter()
+                .flat_map(|p| OCTANTS.map(|o| p.scale(2) + o))
+                .collect();
             let grid = gb.build(spec.curve);
             let cpb = grid.cells_per_block();
             let mut fl = Field::<u8>::new(&grid, 1, 0);
@@ -130,7 +155,8 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             for (b, blk) in grid.blocks().iter().enumerate() {
                 let mut ghosts = *starts.last().unwrap();
                 for cell in blk.active.iter_set() {
-                    let bit = if spec.owned(l, blk.origin + grid.delinear(cell as u32)) {
+                    // An active cell is owned or a covered ghost.
+                    let bit = if !spec.is_refined(l, blk.origin + grid.delinear(cell as u32)) {
                         CellFlags::REAL
                     } else {
                         numbers[b * cpb + cell] = ghosts;
@@ -146,117 +172,162 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             ghost_of.push(numbers);
             ghost_starts.push(starts);
         }
-        let ghost = |l: u32, r: CellRef| {
-            let cpb = grids[l as usize].cells_per_block();
-            let g = ghost_of[l as usize][r.block as usize * cpb + r.cell as usize];
-            debug_assert_ne!(g, NO_GHOST, "level {l} {r:?} is not a ghost");
-            g
-        };
 
-        // ---- Pass 2: per-level link tables, accumulate targets, gather --
+        // ---- Pass 2, finest level first: links, deposits, gather -------
+        // The child-mask table: per level and ghost number, the ghost's 2³
+        // children in octant order and the directions each sends across
+        // the interface. Level l + 1's pass fills level l's rows; level l
+        // reads them for its Coalescence counts and keeps them as its 4b
+        // gather list.
+        let mut tables: Vec<Vec<GatherEntry>> = ghost_starts
+            .iter()
+            .map(|s| {
+                let row = |g| GatherEntry {
+                    slot: g * V::Q,
+                    children: [NO_TARGET; 8],
+                    masks: [0; 8],
+                };
+                (0..*s.last().unwrap() as usize).map(row).collect()
+            })
+            .collect();
         let mut levels: Vec<Level<T>> = Vec::with_capacity(nl as usize);
-        for l in 0..nl {
-            let grid = &grids[l as usize];
-            let fl = &flags[l as usize];
+        let mut tile = Vec::new();
+        for l in (0..nl).rev() {
+            let (grid, mut fl) = (grids.pop().unwrap(), flags.pop().unwrap());
+            let (numbers, starts) = (ghost_of.pop().unwrap(), ghost_starts.pop().unwrap());
+            let gather = PerBlock::from_parts(starts.clone(), tables.pop().unwrap());
+            // The next-coarser level: grid, flags, ghost numbering, rows.
+            let coarse = grids.last().zip(flags.last()).zip(ghost_of.last());
+            let mut parent_rows = tables.last_mut();
             let dom = spec.domain_at(l);
             let cpb = grid.cells_per_block();
+            let number = |r: CellRef| numbers[r.block as usize * cpb + r.cell as usize];
+            let orphan = |e: &GatherEntry| e.children.contains(&NO_TARGET);
+            if let Some(g) = gather.all().iter().position(orphan) {
+                let is_ghost = |(r, _): &(CellRef, Coord)| number(*r) != NO_GHOST;
+                let (_, gc) = grid.iter_active().filter(is_ghost).nth(g).unwrap();
+                panic!(
+                    "invalid grid: ghost cell {gc:?} at level {l} has a fine child that is not a \
+                     real cell — refinement shell thinner than one coarse cell, or level jump > 1"
+                );
+            }
+            // `1 / contributions` for a Coalescence read of ghost `g` along
+            // `i`: contributions = crossing children × 2 substeps.
+            let inv_count = |g: u32, i: usize| {
+                let masks = gather.all()[g as usize].masks;
+                let count: u32 = masks.iter().map(|m| (m >> i) & 1).sum();
+                assert!(
+                    count > 0,
+                    "invalid grid: coalescence at level {l} ghost {g} dir {i} has no crossing \
+                     fine populations"
+                );
+                T::from_f64(1.0 / (2.0 * count as f64))
+            };
+            // The streaming offset tables are shared process-wide per
+            // (block size, velocity set) pair.
+            let offsets = StreamOffsets::cached(grid.block_size() as u32, V::C);
             let mut links = LinkTable::<T>::new(V::Q, cpb);
             let mut deposits = PerBlock::<Deposit>::default();
             // One cell's links, reused from cell to cell.
             let mut cell_links: Vec<(u8, LinkKind<T>)> = Vec::with_capacity(V::Q);
-            // Flag bits discovered in this pass, applied after the loop
-            // (flags of other levels are read concurrently).
-            let mut flag_updates: Vec<(u32, u32, u8)> = Vec::new();
-
-            let cell_list: Vec<_> = grid.iter_active().collect();
-            for (r, x) in cell_list {
-                let cf = CellFlags(fl.get(r.block, 0, r.cell));
-                if !cf.is_real() {
-                    continue;
-                }
-                cell_links.clear();
-                for i in 1..V::Q {
-                    let d = Coord::from_array(V::C[i]).scale(-1); // pull source offset
-                    if let Some(nref) = grid.neighbor(r, d) {
-                        let nflags = CellFlags(fl.get(nref.block, 0, nref.cell));
-                        if nflags.is_real() {
-                            continue; // the copy-run replay reads it
-                        }
-                        // Ghost neighbor ⇒ Coalescence read (paper Eq. 11).
-                        let g = grid.coord_of(nref);
-                        let inv_count = Self::coalesce_inv_count(&spec, &grids, &flags, l, g, i);
-                        let ghost = ghost(l, nref);
-                        cell_links.push((i as u8, LinkKind::Coalesce { ghost, inv_count }));
+            let mut all_real = Vec::with_capacity(grid.num_blocks());
+            let mut real_cells = 0usize;
+            tile.resize(V::Q * cpb, 0u8);
+            for (b, blk) in grid.blocks().iter().enumerate() {
+                let b = b as u32;
+                Self::replay_flags(&offsets, &fl, &blk.neighbors, &mut tile);
+                // Every block size is even, so the parents of the block's
+                // cells share one coarse block.
+                let parent_block = coarse.and_then(|((cg, _), _)| {
+                    cg.slot_ref(blk.origin.div_euclid(2)).map(|r| r.block)
+                });
+                let mut block_real = 0;
+                for cell in blk.active.iter_set() {
+                    if !CellFlags(fl.block(b)[cell]).is_real() {
                         continue;
                     }
-                    // Missing same-level source.
-                    let s = x + d;
-                    let s_w = spec.wrap(l, s);
-                    if dom.contains(s_w) {
-                        if s_w != s {
-                            // Periodic image.
-                            match grid.cell_ref(s_w) {
-                                Some(sr) => {
-                                    let sflags = CellFlags(fl.get(sr.block, 0, sr.cell));
-                                    let kind = if sflags.is_real() {
+                    block_real += 1;
+                    let r = CellRef {
+                        block: b,
+                        cell: cell as u32,
+                    };
+                    let x = blk.origin + grid.delinear(r.cell);
+                    cell_links.clear();
+                    for i in 1..V::Q {
+                        let source = CellFlags(tile[i * cpb + cell]);
+                        if source.is_real() {
+                            continue; // the copy-run replay reads it
+                        }
+                        let d = Coord::from_array(V::C[i]).scale(-1); // pull source offset
+                        if source.is_ghost() {
+                            // Ghost source ⇒ Coalescence read (paper Eq. 11).
+                            let ghost = number(grid.neighbor(r, d).expect("replayed source"));
+                            let inv_count = inv_count(ghost, i);
+                            cell_links.push((i as u8, LinkKind::Coalesce { ghost, inv_count }));
+                            continue;
+                        }
+                        // Missing same-level source.
+                        let s = x + d;
+                        let s_w = spec.wrap(l, s);
+                        if dom.contains(s_w) {
+                            if s_w != s {
+                                // Periodic image; if it is inactive, fall
+                                // through to explosion/BC below using the
+                                // wrapped coordinate.
+                                if let Some(sr) = grid.cell_ref(s_w) {
+                                    let ghost = number(sr);
+                                    let kind = if ghost == NO_GHOST {
                                         LinkKind::Periodic { src: sr }
                                     } else {
-                                        LinkKind::Coalesce {
-                                            ghost: ghost(l, sr),
-                                            inv_count: Self::coalesce_inv_count(
-                                                &spec, &grids, &flags, l, s_w, i,
-                                            ),
-                                        }
+                                        let inv_count = inv_count(ghost, i);
+                                        LinkKind::Coalesce { ghost, inv_count }
                                     };
                                     cell_links.push((i as u8, kind));
                                     continue;
                                 }
-                                None => {
-                                    // Fall through to explosion/BC below
-                                    // using the wrapped coordinate.
+                            }
+                            // In-domain but inactive: coarser region or solid.
+                            if let Some(((coarse, cflags), _)) = coarse {
+                                let pp = s_w.div_euclid(2);
+                                if let Some(pr) = coarse.cell_ref(pp) {
+                                    if CellFlags(cflags.get(pr.block, 0, pr.cell)).is_real() {
+                                        // Explosion (paper Eq. 10).
+                                        cell_links.push((i as u8, LinkKind::Explosion { src: pr }));
+                                        continue;
+                                    }
+                                } else if !spec.is_solid(l, s_w) && !spec.is_solid(l - 1, pp) {
+                                    assert!(
+                                        !(l > 1 && spec.owned(l - 2, pp.div_euclid(2))),
+                                        "invalid grid: level jump > 1 at level {l} cell {s_w:?} \
+                                         (paper §II-A requires ΔL = 1)"
+                                    );
                                 }
                             }
                         }
-                        // In-domain but inactive: coarser region or solid.
-                        if l > 0 {
-                            let pp = s_w.div_euclid(2);
-                            let coarse = &grids[(l - 1) as usize];
-                            if let Some(pr) = coarse.cell_ref(pp) {
-                                let pflags =
-                                    CellFlags(flags[(l - 1) as usize].get(pr.block, 0, pr.cell));
-                                if pflags.is_real() {
-                                    // Explosion (paper Eq. 10).
-                                    cell_links.push((i as u8, LinkKind::Explosion { src: pr }));
-                                    continue;
-                                }
-                            } else if !spec.is_solid(l, s_w) && !spec.is_solid(l - 1, pp) {
-                                assert!(
-                                    !(l > 1 && spec.owned(l - 2, pp.div_euclid(2))),
-                                    "invalid grid: level jump > 1 at level {l} cell {s_w:?} \
-                                     (paper §II-A requires ΔL = 1)"
-                                );
-                            }
-                        }
-                        // Solid surface (or unresolvable): boundary.
-                        cell_links.push((i as u8, Self::boundary_link(&spec, bc, l, s_w, i)));
-                    } else {
-                        // Outside the domain: boundary condition.
-                        cell_links.push((i as u8, Self::boundary_link(&spec, bc, l, s_w, i)));
+                        // Solid surface, outside the domain or
+                        // unresolvable: boundary condition.
+                        cell_links.push((i as u8, Self::boundary_link(bc, l, s_w, i)));
                     }
-                }
 
-                // Accumulate deposits: into the parent ghost cell in the
-                // coarser grid, restricted to the directions that actually
-                // cross the interface (exact volumetric flux; see kernels.rs
-                // docs), in ascending direction order.
-                let mut accumulates = false;
-                if l > 0 {
-                    let pp = x.div_euclid(2);
-                    let coarse = &grids[(l - 1) as usize];
-                    if let Some(pr) = coarse.cell_ref(pp) {
-                        let pflags = CellFlags(flags[(l - 1) as usize].get(pr.block, 0, pr.cell));
-                        if pflags.is_ghost() {
-                            let mask = Self::crossing_mask_at(&spec, &grids, &flags, l, x);
+                    // Accumulate deposits: into the parent ghost cell in the
+                    // coarser grid, restricted to the directions that
+                    // actually cross the interface (exact volumetric flux;
+                    // see kernels.rs docs), in ascending direction order.
+                    // The mask and the child go into the parent's row.
+                    let mut accumulates = false;
+                    if let (Some(pb), Some(((cg, cflags), cnumbers)), Some(rows)) =
+                        (parent_block, coarse, parent_rows.as_deref_mut())
+                    {
+                        let (_, local) = cg.split(x.div_euclid(2));
+                        let ghost = cnumbers[pb as usize * cpb + cg.linear(local) as usize];
+                        if ghost != NO_GHOST {
+                            let own = (&grid, &fl);
+                            let mask =
+                                Self::crossing_mask(&spec, own, (cg, cflags), l, x, &tile, cell);
+                            let row = &mut rows[ghost as usize];
+                            let k = (x.x & 1 | (x.y & 1) << 1 | (x.z & 1) << 2) as usize;
+                            row.children[k] = encode_ref(r);
+                            row.masks[k] = mask;
                             accumulates = mask != 0;
                             let mut m = mask;
                             while m != 0 {
@@ -264,108 +335,44 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                                 m &= m - 1;
                                 let deposit = Deposit {
                                     src: block_offset(i, r.cell, cpb),
-                                    dst: ghost(l - 1, pr) as usize * V::Q + i,
+                                    dst: ghost as usize * V::Q + i,
                                 };
-                                deposits.push(r.block, deposit);
+                                deposits.push(b, deposit);
                             }
                         }
                     }
-                }
 
-                let mut extra = 0u8;
-                if !cell_links.is_empty() {
-                    extra |= CellFlags::EXCEPTIONAL;
+                    let mut extra = 0u8;
+                    if !cell_links.is_empty() {
+                        extra |= CellFlags::EXCEPTIONAL;
+                    }
+                    if accumulates {
+                        extra |= CellFlags::ACCUMULATES;
+                    }
+                    // The replay and every lookup read only the real and
+                    // ghost bits, so the new bits go in at once.
+                    fl.set(b, 0, r.cell, fl.get(b, 0, r.cell) | extra);
+                    links.push_cell(r, &cell_links);
                 }
-                if accumulates {
-                    extra |= CellFlags::ACCUMULATES;
-                }
-                if extra != 0 {
-                    flag_updates.push((r.block, r.cell, extra));
-                }
-                links.push_cell(r, &cell_links);
+                all_real.push(block_real == cpb);
+                real_cells += block_real;
             }
             links.seal(grid.num_blocks());
             deposits.seal(grid.num_blocks());
-            if l > 0 {
-                Self::assert_single_writer(&deposits, levels[(l - 1) as usize].ghost_cells);
+            if let Some(coarse_starts) = ghost_starts.last() {
+                Self::assert_single_writer(&deposits, *coarse_starts.last().unwrap() as usize);
             }
-            {
-                let fl = &mut flags[l as usize];
-                for (b, c, extra) in flag_updates {
-                    let bits = fl.get(b, 0, c) | extra;
-                    fl.set(b, 0, c, bits);
-                }
-            }
-            let fl = &flags[l as usize];
-
-            // Gather lists: this level's ghosts pull from children at l+1.
-            let mut gather: Vec<Vec<GatherEntry>> = vec![Vec::new(); grid.num_blocks()];
-            if l + 1 < nl {
-                let fine = &grids[(l + 1) as usize];
-                let fine_flags = &flags[(l + 1) as usize];
-                for (r, g) in grid.iter_active() {
-                    if !CellFlags(fl.get(r.block, 0, r.cell)).is_ghost() {
-                        continue;
-                    }
-                    let mut children = [NO_TARGET; 8];
-                    let mut masks = [0u32; 8];
-                    let mut k = 0;
-                    for dz in 0..2 {
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let cc = g.scale(2) + Coord::new(dx, dy, dz);
-                                let cr = fine.cell_ref(cc).unwrap_or_else(|| {
-                                    panic!(
-                                        "invalid grid: ghost cell {g:?} at level {l} has missing \
-                                         fine child {cc:?} — refinement shell thinner than one \
-                                         coarse cell"
-                                    )
-                                });
-                                assert!(
-                                    CellFlags(fine_flags.get(cr.block, 0, cr.cell)).is_real(),
-                                    "invalid grid: ghost child {cc:?} at level {} is not a real \
-                                     cell (level jump > 1?)",
-                                    l + 1
-                                );
-                                children[k] = encode_ref(cr);
-                                masks[k] = Self::crossing_mask_at(&spec, &grids, &flags, l + 1, cc);
-                                k += 1;
-                            }
-                        }
-                    }
-                    gather[r.block as usize].push(GatherEntry {
-                        slot: ghost(l, r) as usize * V::Q,
-                        children,
-                        masks,
-                    });
-                }
+            #[cfg(debug_assertions)]
+            for b in 0..grid.num_blocks() as u32 {
+                Self::assert_skipped_runs_linked(&grid, &fl, &links, &offsets, b, l);
             }
 
-            // Block summaries. The streaming offset tables are shared
-            // process-wide per (block size, velocity set) pair.
-            let offsets = StreamOffsets::cached(grid.block_size() as u32, V::C);
-            let mut all_real = Vec::with_capacity(grid.num_blocks());
-            let mut real_cells = 0usize;
-            for (bi, blk) in grid.blocks().iter().enumerate() {
-                let mut every = blk.active.all();
-                for cell in blk.active.iter_set() {
-                    if CellFlags(fl.get(bi as u32, 0, cell as u32)).is_real() {
-                        real_cells += 1;
-                    } else {
-                        every = false;
-                    }
-                }
-                all_real.push(every);
-                Self::assert_skipped_runs_linked(grid, fl, &links, &offsets, bi as u32, l);
-            }
-
-            let f = DoubleBuffer::<T>::new(grid, V::Q, T::ZERO);
-            let ghost_starts = std::mem::take(&mut ghost_starts[l as usize]);
-            let ghost_cells = *ghost_starts.last().unwrap() as usize;
+            let f = DoubleBuffer::<T>::new(&grid, V::Q, T::ZERO);
+            let ghost_cells = *starts.last().unwrap() as usize;
             let acc = AtomicF64Field::zeroed(ghost_cells * V::Q);
             levels.push(Level {
-                grid: grids[l as usize].clone(),
-                flags: flags[l as usize].clone(),
+                grid,
+                flags: fl,
                 all_real,
                 links,
                 deposits,
@@ -373,17 +380,45 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 offsets,
                 f,
                 acc,
-                ghost_starts,
+                ghost_starts: starts,
                 omega: omega_at_level(omega0, l),
                 real_cells,
                 ghost_cells,
             });
         }
+        levels.reverse();
 
         Self {
             levels,
             spec,
             _lattice: PhantomData,
+        }
+    }
+
+    /// Replays the level's flags through block `neighbors`' copy-run plan
+    /// (DESIGN.md §4): `tile[i·B³ + cell]` becomes the flags of the cell's
+    /// pull source along `i`, and 0, "missing", where the run's source
+    /// block does not exist — the runs the streaming gather skips.
+    fn replay_flags(
+        offsets: &StreamOffsets,
+        fl: &Field<u8>,
+        neighbors: &[lbm_sparse::BlockIdx],
+        tile: &mut [u8],
+    ) {
+        let cpb = fl.cells_per_block();
+        for i in 0..V::Q {
+            for e in &offsets.dir(i).runs {
+                let nb = neighbors[e.slot as usize];
+                for k in 0..e.count {
+                    let (len, step) = (e.len as usize, (k * e.stride) as usize);
+                    let out = &mut tile[i * cpb + e.dst_base as usize + step..][..len];
+                    if nb == INVALID_BLOCK {
+                        out.fill(0);
+                    } else {
+                        out.copy_from_slice(&fl.block(nb)[e.src_base as usize + step..][..len]);
+                    }
+                }
+            }
         }
     }
 
@@ -415,7 +450,10 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     /// Asserts the invariant that lets the streaming gather skip the
     /// copy runs whose source block is missing (DESIGN.md §4): every cell
     /// such a run covers is non-real or linked in the run's direction, so
-    /// the link patch overwrites it or the gather restores it.
+    /// the link patch overwrites it or the gather restores it. The build
+    /// classifies exactly the pairs `replay_flags` marks
+    /// missing, so it holds by construction; debug builds check it.
+    #[cfg(debug_assertions)]
     fn assert_skipped_runs_linked(
         grid: &SparseGrid,
         fl: &Field<u8>,
@@ -454,95 +492,48 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         }
     }
 
-    /// Bitmask of directions along which the level-`lf` cell `cc` sends
-    /// populations *out of* its level's grid into the next-coarser region
-    /// (the populations Accumulate must capture). A direction crosses iff
-    /// the target (after periodic wrap) is inside the domain, is not a real
-    /// cell at level `lf`, and its parent at level `lf − 1` is real —
-    /// targets behind walls or solids bounce back instead of crossing.
-    fn crossing_mask_at(
+    /// Bitmask of directions along which the real level-`l` cell `x`
+    /// (`l ≥ 1`, in slot `cell` of its block) sends populations *out of*
+    /// its level's grid into the next-coarser region (the populations
+    /// Accumulate must capture). A direction crosses iff the target (after
+    /// periodic wrap) is inside the domain, is not a real cell at level
+    /// `l`, and its parent at level `l − 1` is real — targets behind walls
+    /// or solids bounce back instead of crossing. The target along `i` is
+    /// the pull source along `ī`, so the block's replayed `tile` settles
+    /// every real target without a lookup.
+    fn crossing_mask(
         spec: &GridSpec,
-        grids: &[SparseGrid],
-        flags: &[Field<u8>],
-        lf: u32,
-        cc: Coord,
+        (own, own_flags): (&SparseGrid, &Field<u8>),
+        (coarse, coarse_flags): (&SparseGrid, &Field<u8>),
+        l: u32,
+        x: Coord,
+        tile: &[u8],
+        cell: usize,
     ) -> u32 {
-        debug_assert!(lf >= 1);
-        let dom = spec.domain_at(lf);
-        let own = &grids[lf as usize];
-        let own_flags = &flags[lf as usize];
-        let coarse = &grids[(lf - 1) as usize];
-        let coarse_flags = &flags[(lf - 1) as usize];
+        let dom = spec.domain_at(l);
+        let cpb = own.cells_per_block();
+        let real_at = |grid: &SparseGrid, fl: &Field<u8>, p: Coord| {
+            grid.cell_ref(p)
+                .is_some_and(|r| CellFlags(fl.get(r.block, 0, r.cell)).is_real())
+        };
         let mut mask = 0u32;
         for i in 1..V::Q {
-            let t = cc + Coord::from_array(V::C[i]);
-            let t_w = spec.wrap(lf, t);
-            if !dom.contains(t_w) {
+            if CellFlags(tile[V::OPP[i] * cpb + cell]).is_real() {
                 continue;
             }
-            if let Some(r) = own.cell_ref(t_w) {
-                if CellFlags(own_flags.get(r.block, 0, r.cell)).is_real() {
-                    continue;
-                }
+            let t = x + Coord::from_array(V::C[i]);
+            let t_w = spec.wrap(l, t);
+            if !dom.contains(t_w) || (t_w != t && real_at(own, own_flags, t_w)) {
+                continue;
             }
-            let pp = t_w.div_euclid(2);
-            if let Some(pr) = coarse.cell_ref(pp) {
-                if CellFlags(coarse_flags.get(pr.block, 0, pr.cell)).is_real() {
-                    mask |= 1 << i;
-                }
+            if real_at(coarse, coarse_flags, t_w.div_euclid(2)) {
+                mask |= 1 << i;
             }
         }
         mask
     }
 
-    /// `1 / contributions` for a Coalescence link at level `l`, ghost cell
-    /// `g`, direction `i`: contributions = crossing children × 2 substeps.
-    fn coalesce_inv_count(
-        spec: &GridSpec,
-        grids: &[SparseGrid],
-        flags: &[Field<u8>],
-        l: u32,
-        g: Coord,
-        i: usize,
-    ) -> T {
-        let mut count = 0u32;
-        for dz in 0..2 {
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    let cc = g.scale(2) + Coord::new(dx, dy, dz);
-                    let m = Self::crossing_mask_at(spec, grids, flags, l + 1, cc);
-                    count += (m >> i) & 1;
-                }
-            }
-        }
-        assert!(
-            count > 0,
-            "invalid grid: coalescence at level {l} ghost {g:?} dir {i} has no crossing \
-             fine populations"
-        );
-        T::from_f64(1.0 / (2.0 * count as f64))
-    }
-
-    fn touches_owned(spec: &GridSpec, l: u32, p: Coord) -> bool {
-        for dz in -1..=1 {
-            for dy in -1..=1 {
-                for dx in -1..=1 {
-                    if (dx, dy, dz) != (0, 0, 0) && spec.owned(l, p + Coord::new(dx, dy, dz)) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    fn boundary_link(
-        _spec: &GridSpec,
-        bc: &dyn BoundarySpec,
-        l: u32,
-        s: Coord,
-        i: usize,
-    ) -> LinkKind<T> {
+    fn boundary_link(bc: &dyn BoundarySpec, l: u32, s: Coord, i: usize) -> LinkKind<T> {
         match bc.classify(l, s, i) {
             Boundary::BounceBack => LinkKind::BounceBack {
                 opp: V::OPP[i] as u8,
@@ -832,10 +823,10 @@ mod tests {
         let l0 = &mg.levels[0];
         let mut entries = 0usize;
         // Ghost `g` in `(block, cell)` order owns slots `g·q..(g + 1)·q`.
-        for (g, ((r, gc), e)) in l0.iter_ghost().zip(l0.gather.iter().flatten()).enumerate() {
+        for (g, ((r, gc), e)) in l0.iter_ghost().zip(l0.gather.all()).enumerate() {
             entries += 1;
             assert_eq!(e.slot, g * D3Q19::Q);
-            assert!(l0.gather[r.block as usize].iter().any(|o| o.slot == e.slot));
+            assert!(l0.gather.of(r.block).iter().any(|o| o.slot == e.slot));
             for (k, &enc) in e.children.iter().enumerate() {
                 let cr = crate::links::decode_ref(enc);
                 let cc = mg.levels[1].grid.coord_of(cr);
@@ -942,8 +933,8 @@ mod tests {
         // Σ over the ghosts' children of their crossing directions.
         let crossing: u32 = l0
             .gather
+            .all()
             .iter()
-            .flatten()
             .flat_map(|e| e.masks)
             .map(u32::count_ones)
             .sum();

@@ -159,9 +159,11 @@ impl GridSpec {
     /// Whether the level-`l` cell `p` is an **owned leaf**: inside the
     /// domain, reached by refinement, not subdivided further, not solid.
     pub fn owned(&self, level: u32, p: Coord) -> bool {
+        // One predicate call settles a refined cell before the ancestor
+        // walk runs.
         self.domain_at(level).contains(p)
-            && self.ancestors_refined(level, p)
             && !self.is_refined(level, p)
+            && self.ancestors_refined(level, p)
             && !self.is_solid(level, p)
     }
 
@@ -171,6 +173,20 @@ impl GridSpec {
         self.domain_at(level).contains(p)
             && self.ancestors_refined(level, p)
             && self.is_refined(level, p)
+    }
+
+    /// Whether one of the 26 neighbours of the level-`l` cell `p`, wrapped
+    /// across periodic faces, is owned: the test that makes a covered cell
+    /// a coarse ghost (paper §IV-A).
+    pub fn touches_owned(&self, level: u32, p: Coord) -> bool {
+        (-1..=1).any(|dz| {
+            (-1..=1).any(|dy| {
+                (-1..=1).any(|dx| {
+                    let d = Coord::new(dx, dy, dz);
+                    d != Coord::ZERO && self.owned(level, self.wrap(level, p + d))
+                })
+            })
+        })
     }
 
     /// Wraps a level-`l` coordinate along periodic axes into the domain.
@@ -219,17 +235,8 @@ pub fn census(spec: &GridSpec) -> Vec<LevelCensus> {
             return;
         }
         // Covered cell: ghost iff adjacent to an owned same-level cell.
-        'ghost: for dz in -1..=1 {
-            for dy in -1..=1 {
-                for dx in -1..=1 {
-                    if (dx, dy, dz) != (0, 0, 0)
-                        && spec.owned(level, p + Coord::new(dx, dy, dz))
-                    {
-                        out[level as usize].ghost += 1;
-                        break 'ghost;
-                    }
-                }
-            }
+        if spec.touches_owned(level, p) {
+            out[level as usize].ghost += 1;
         }
         for dz in 0..2 {
             for dy in 0..2 {

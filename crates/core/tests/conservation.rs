@@ -8,7 +8,7 @@
 use lbm_core::{AllWalls, Engine, GridSpec, MultiGrid, Variant};
 use lbm_gpu::{DeviceModel, Executor};
 use lbm_lattice::{Bgk, D3Q19};
-use lbm_sparse::Box3;
+use lbm_sparse::{Box3, Coord};
 
 type Mg = MultiGrid<f64, D3Q19>;
 type Eng = Engine<f64, D3Q19, Bgk<f64>>;
@@ -139,5 +139,38 @@ fn momentum_conserved_in_fully_periodic_refined_box() {
             m0[a],
             m1[a]
         );
+    }
+}
+
+#[test]
+fn refinement_abutting_a_periodic_face_is_exact() {
+    // A refined slab against a periodic face has coarse neighbours across
+    // the wrap: its ghost layer must reach them there too, or they bounce
+    // off a wall that does not exist and the fine populations leaving
+    // across the wrap are never deposited. Uniform flow through every
+    // slab must then stay uniform and conserve mass, wherever it sits.
+    let run = |lo: i32| {
+        let spec = GridSpec::new(2, Box3::from_dims(32, 32, 32), move |l, p| {
+            l == 0 && (lo..lo + 4).contains(&p.x)
+        })
+        .with_periodic([true; 3]);
+        let grid = Mg::build(spec, &AllWalls, 1.7);
+        let ghosts = grid.levels[0].ghost_cells;
+        let mut eng = Engine::builder(grid)
+            .collision(Bgk::new(1.7))
+            .variant(Variant::FusedAll)
+            .build(Executor::new(DeviceModel::a100_40gb()));
+        eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.02, 0.0, 0.0]);
+        let drift = drift_after(&mut eng, 10);
+        let (_, u) = eng.grid.probe_finest(Coord::new(5, 16, 16)).unwrap();
+        (ghosts, drift, u[0])
+    };
+    // The interior slab first: its ghost layer is the reference.
+    let slabs = [6, 0, 12];
+    let runs = slabs.map(run);
+    for (lo, (ghosts, drift, u)) in slabs.into_iter().zip(runs) {
+        assert_eq!(ghosts, runs[0].0, "slab at coarse x = {lo}: ghost layer");
+        assert!(drift.abs() < 1e-13, "slab at coarse x = {lo}: drift {drift:e}");
+        assert!((u - 0.02).abs() < 1e-12, "slab at coarse x = {lo}: u = {u}");
     }
 }

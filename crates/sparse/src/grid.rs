@@ -148,14 +148,19 @@ impl SparseGrid {
     /// Resolves a global cell coordinate to a [`CellRef`] if that cell is
     /// active. Hash lookup — setup/diagnostic use, not for kernels.
     pub fn cell_ref(&self, c: Coord) -> Option<CellRef> {
+        self.slot_ref(c)
+            .filter(|r| self.blocks[r.block as usize].active.get(r.cell as usize))
+    }
+
+    /// Like [`SparseGrid::cell_ref`] but ignores the active bit: the slot
+    /// of `c` if its block is allocated.
+    pub fn slot_ref(&self, c: Coord) -> Option<CellRef> {
         let (bc, lc) = self.split(c);
-        let &b = self.lookup.get(&bc)?;
-        let cell = self.linear(lc);
-        if self.blocks[b as usize].active.get(cell as usize) {
-            Some(CellRef { block: b, cell })
-        } else {
-            None
-        }
+        let &block = self.lookup.get(&bc)?;
+        Some(CellRef {
+            block,
+            cell: self.linear(lc),
+        })
     }
 
     /// True if the cell at `c` is active.

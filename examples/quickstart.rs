@@ -6,6 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::time::Instant;
+
 use lbm_refinement::core::{
     kernels, memory_report, AllWalls, Engine, GridSpec, MultiGrid, Variant,
 };
@@ -21,9 +23,12 @@ fn main() {
         level == 0 && (8..24).contains(&p.x) && (8..24).contains(&p.y) && (8..24).contains(&p.z)
     });
     let omega0 = 1.6;
+    let t0 = Instant::now();
     let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, omega0);
+    let build = t0.elapsed();
 
     println!("== grid ==");
+    println!("build time: {:.1} ms", build.as_secs_f64() * 1e3);
     for (l, level) in grid.levels.iter().enumerate() {
         println!(
             "level {l}: {:>8} real cells, {:>6} ghost cells, omega = {:.4}",
