@@ -9,7 +9,13 @@
 #    coordinate classifier (the build oracle), the streaming gather against
 #    a per-cell oracle, bit-identity across fusion variants, exec modes,
 #    thread counts and restart, pinned golden digests, conservation, and
-#    the graph-mode sync/wave counts (DESIGN.md §4, §8, §10, §11);
+#    the graph-mode sync/wave counts (DESIGN.md §4, §8, §10, §11). The
+#    health guard's passes run on the pool too; two tests pin them at pool
+#    widths 1, 2 and 8 whatever `LBM_THREADS` says:
+#    `tests/determinism.rs::probe_record_is_bit_identical_at_every_pool_width`
+#    (the guard's pool probe against the serial `MultiGrid::probe`) and
+#    `tests/checkpoint.rs::rollback_restores_the_recovery_step_byte_for_byte`
+#    (the block-wise recovery-point copy);
 # 2. clippy with warnings denied, test targets included;
 # 3. rustdoc with warnings denied, so no doc link dangles;
 # 4. the cheapest `report` experiments, so the paper-figure binary still
@@ -22,8 +28,12 @@
 #    into a closure compiles it for the baseline ISA and silently loses the
 #    wide instance (DESIGN.md §4, "Lane-parallel collision"). Needs
 #    `objdump` (binutils);
-# 6. the self-tests of the benchmark's analysis code (`perfbench/`). Timing
-#    itself lives in `perfbench/run.py` and is not gated here.
+# 6. the benchmark (`perfbench/`, its own package calling the public API):
+#    `cargo check` of its binary in a target directory of its own, so an
+#    API change that breaks it fails here, then the self-tests of its
+#    analysis code. Cargo rewrites the package's stale `Cargo.lock`, so the
+#    committed one is put back afterwards. Timing itself lives in
+#    `perfbench/run.py` and is not gated here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +57,9 @@ if [ "$(uname -m)" = x86_64 ]; then
             print "codegen guard: " seen " wide block fns, all use zmm"
         }'
 fi
+cp perfbench/Cargo.lock target/perfbench.Cargo.lock
+trap 'cp target/perfbench.Cargo.lock perfbench/Cargo.lock' EXIT
+cargo check --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench-check
 python3 -m unittest discover -s perfbench/tests
 
 echo "ci/check.sh: all checks passed"

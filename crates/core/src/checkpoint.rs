@@ -47,6 +47,7 @@
 
 use std::fmt;
 
+use lbm_gpu::Executor;
 use lbm_lattice::{Real, VelocitySet};
 
 use crate::multigrid::MultiGrid;
@@ -322,10 +323,12 @@ pub fn restore<T: Real, V: VelocitySet>(
 /// of everything a step writes — both population halves, the ghost
 /// accumulators and the parity of every level — plus the coarse step
 /// count. Allocated on the first healthy check, refreshed on each later
-/// one, and applied on rollback, all with slice copies: no encoding, no
-/// checksum, and nothing that can fail. Per-cell flags are not copied,
-/// because only [`MultiGrid::build`] writes them (DESIGN.md §11). The
-/// serialized format above stays the one for files and
+/// one, and applied on rollback, all with plain copies: no encoding, no
+/// checksum, and nothing that can fail. The halves are copied one
+/// `block_stride` chunk per block on the executor's pool
+/// ([`Executor::run_blocks_mut`], no kernel launch). Per-cell flags are
+/// not copied, because only [`MultiGrid::build`] writes them (DESIGN.md
+/// §11). The serialized format above stays the one for files and
 /// [`crate::Engine::checkpoint`].
 pub(crate) struct RecoveryPoint<T> {
     coarse_steps: u64,
@@ -341,33 +344,43 @@ struct LevelCopy<T> {
 
 impl<T: Real> RecoveryPoint<T> {
     /// Allocates a recovery point holding `grid`'s current state.
-    pub(crate) fn capture<V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) -> Self {
+    pub(crate) fn capture<V: VelocitySet>(
+        grid: &MultiGrid<T, V>,
+        exec: &Executor,
+        coarse_steps: u64,
+    ) -> Self {
         let levels = grid
             .levels
             .iter()
             .map(|lv| LevelCopy {
-                parity: lv.f.parity(),
-                halves: [0, 1].map(|h| lv.f.half(h).as_slice().to_vec()),
-                acc: {
-                    let mut acc = vec![0.0; lv.acc.len()];
-                    lv.acc.copy_to_slice(&mut acc);
-                    acc
-                },
+                parity: 0,
+                halves: [0, 1].map(|h| vec![T::ZERO; lv.f.half(h).as_slice().len()]),
+                acc: vec![0.0; lv.acc.len()],
             })
             .collect();
-        Self {
+        let mut point = Self {
             coarse_steps,
             levels,
-        }
+        };
+        point.refresh(grid, exec, coarse_steps);
+        point
     }
 
     /// Overwrites the copies with `grid`'s current state, reusing their
     /// allocations.
-    pub(crate) fn refresh<V: VelocitySet>(&mut self, grid: &MultiGrid<T, V>, coarse_steps: u64) {
+    pub(crate) fn refresh<V: VelocitySet>(
+        &mut self,
+        grid: &MultiGrid<T, V>,
+        exec: &Executor,
+        coarse_steps: u64,
+    ) {
         for (copy, lv) in self.levels.iter_mut().zip(&grid.levels) {
             copy.parity = lv.f.parity();
             for (h, half) in copy.halves.iter_mut().enumerate() {
-                half.copy_from_slice(lv.f.half(h).as_slice());
+                let src = lv.f.half(h);
+                exec.run_blocks_mut(half, src.block_stride(), |b, chunk| {
+                    chunk.copy_from_slice(src.block(b))
+                });
             }
             lv.acc.copy_to_slice(&mut copy.acc);
         }
@@ -376,10 +389,14 @@ impl<T: Real> RecoveryPoint<T> {
 
     /// Writes the copies back into `grid` (the grid they were taken from)
     /// and returns the coarse step count they were taken at.
-    pub(crate) fn apply<V: VelocitySet>(&self, grid: &mut MultiGrid<T, V>) -> u64 {
+    pub(crate) fn apply<V: VelocitySet>(&self, grid: &mut MultiGrid<T, V>, exec: &Executor) -> u64 {
         for (copy, lv) in self.levels.iter().zip(&mut grid.levels) {
             for (h, half) in copy.halves.iter().enumerate() {
-                lv.f.half_mut(h).as_mut_slice().copy_from_slice(half);
+                let dst = lv.f.half_mut(h);
+                let stride = dst.block_stride();
+                exec.run_blocks_mut(dst.as_mut_slice(), stride, |b, chunk| {
+                    chunk.copy_from_slice(&half[b as usize * stride..][..stride])
+                });
             }
             lv.f.set_parity(copy.parity);
             lv.acc.copy_from_slice(&copy.acc);
@@ -443,12 +460,16 @@ pub struct HealthEvent {
 }
 
 /// Periodic engine health checks: every `check_every` coarse steps the
-/// engine runs one probe pass ([`MultiGrid::probe`]) that scans both
+/// engine runs one probe pass ([`crate::Engine::probe`]) that scans both
 /// halves of every level for non-finite values and (when finite) checks the
 /// maximum flow speed against a bound, then applies the configured
 /// [`HealthPolicy`]. Under the rollback policy, each *healthy* check also
 /// refreshes the engine's raw in-memory recovery point — the state the next
-/// unhealthy check rolls back to.
+/// unhealthy check rolls back to. Both passes run block-parallel on the
+/// engine's executor pool without recording kernel launches, and give the
+/// same bits at every pool width: the probe's per-block records are folded
+/// serially in `(level, block)` order, exactly as [`MultiGrid::probe`]
+/// folds them.
 ///
 /// ```
 /// # use lbm_core::{AllWalls, Engine, GridSpec, HealthGuard, HealthPolicy, MultiGrid};

@@ -46,7 +46,7 @@ use crate::checkpoint::{
 };
 use crate::graphs;
 use crate::kernels::{self, AccTables, StreamInputs, StreamOptions};
-use crate::multigrid::MultiGrid;
+use crate::multigrid::{MultiGrid, Probe};
 use crate::program::{self, LevelTopo, OpKind, StepOp};
 use crate::variant::Variant;
 
@@ -122,6 +122,9 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     /// The rollback policy's recovery point: raw copies of the state at
     /// the last healthy check (`None` before the first one).
     recovery: Option<RecoveryPoint<T>>,
+    /// The probe's per-`(level, block)` records ([`Engine::probe`]),
+    /// sized on the first check and reused by every later one.
+    probe_records: Vec<Probe>,
     /// Every health incident recorded so far.
     health_events: Vec<HealthEvent>,
     /// Rollbacks performed so far (bounded by the policy's budget).
@@ -213,6 +216,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
             plan: None,
             health: self.health,
             recovery: None,
+            probe_records: Vec::new(),
             health_events: Vec::new(),
             rollbacks: 0,
             halted: false,
@@ -341,9 +345,18 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
         }
     }
 
+    /// The grid's [`Probe`] record as the health guard reads it: one record
+    /// per `(level, block)` computed block-parallel on the engine's
+    /// executor into a buffer the engine keeps, folded serially in
+    /// `(level, block)` order, so every bit equals [`MultiGrid::probe`]'s at
+    /// every pool width. Not a kernel launch: the profiler records nothing.
+    pub fn probe(&mut self) -> Probe {
+        self.grid.probe_on(&self.exec, &mut self.probe_records)
+    }
+
     /// Runs one due health check and applies the guard's policy.
     fn health_check(&mut self, guard: HealthGuard) {
-        let probe = self.grid.probe();
+        let probe = self.probe();
         let cause = if !probe.finite {
             Some(HealthCause::NonFinite)
         } else {
@@ -358,9 +371,13 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
                 HealthPolicy::RollbackToLastCheckpoint(_)
             ) {
                 match &mut self.recovery {
-                    Some(point) => point.refresh(&self.grid, self.coarse_steps),
+                    Some(point) => point.refresh(&self.grid, &self.exec, self.coarse_steps),
                     None => {
-                        self.recovery = Some(RecoveryPoint::capture(&self.grid, self.coarse_steps))
+                        self.recovery = Some(RecoveryPoint::capture(
+                            &self.grid,
+                            &self.exec,
+                            self.coarse_steps,
+                        ))
                     }
                 }
             }
@@ -376,7 +393,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
             (HealthPolicy::RollbackToLastCheckpoint(budget), Some(point))
                 if self.rollbacks < budget =>
             {
-                self.coarse_steps = point.apply(&mut self.grid);
+                self.coarse_steps = point.apply(&mut self.grid, &self.exec);
                 self.rollbacks += 1;
                 HealthAction::RolledBack {
                     to_step: self.coarse_steps,

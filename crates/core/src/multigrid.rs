@@ -22,7 +22,7 @@
 
 use std::marker::PhantomData;
 
-use lbm_gpu::AtomicF64Field;
+use lbm_gpu::{AtomicF64Field, Executor};
 use lbm_lattice::{equilibrium, moments, omega_at_level, Real, VelocitySet, MAX_Q};
 use lbm_sparse::{
     CellRef, Coord, DoubleBuffer, Field, GridBuilder, SparseGrid, StreamOffsets, INVALID_BLOCK,
@@ -558,39 +558,60 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         }
     }
 
-    /// Sets every real cell to the local equilibrium given by `rho(level,
-    /// coord)` and `u(level, coord)` (lattice units of that level). Resets
-    /// accumulators. The destination buffers are zeroed.
+    /// Sets both double-buffer halves of every real cell to the local
+    /// equilibrium given by `rho(level, coord)` and `u(level, coord)`
+    /// (lattice units of that level), and zeroes the ghost accumulators.
+    /// Ghost and inactive slots keep their values. The walk goes block by
+    /// block over each block's active real cells: the equilibrium is
+    /// written into half 0's block slice, then copied into half 1's.
     pub fn init_equilibrium(
         &mut self,
         rho: impl Fn(u32, Coord) -> f64,
         u: impl Fn(u32, Coord) -> [f64; 3],
     ) {
         for (l, level) in self.levels.iter_mut().enumerate() {
-            let cells: Vec<_> = level.grid.iter_active().collect();
-            for (r, c) in cells {
-                if !level.cell_flags(r).is_real() {
-                    continue;
+            let Level {
+                grid,
+                flags,
+                f,
+                acc,
+                ..
+            } = level;
+            let cpb = grid.cells_per_block();
+            let stride = f.half(0).block_stride();
+            for (b, blk) in grid.blocks().iter().enumerate() {
+                let flags = flags.block(b as u32);
+                let real_cells = || {
+                    blk.active
+                        .iter_set()
+                        .filter(|&cell| CellFlags(flags[cell]).is_real())
+                };
+                let out = &mut f.half_mut(0).as_mut_slice()[b * stride..][..stride];
+                for cell in real_cells() {
+                    let c = blk.origin + grid.delinear(cell as u32);
+                    let rv = T::from_f64(rho(l as u32, c));
+                    let uv = u(l as u32, c).map(T::from_f64);
+                    let mut feq = [T::ZERO; MAX_Q];
+                    equilibrium::<T, V>(rv, uv, &mut feq);
+                    for (i, &v) in feq[..V::Q].iter().enumerate() {
+                        out[i * cpb + cell] = v;
+                    }
                 }
-                let rv = T::from_f64(rho(l as u32, c));
-                let uv = u(l as u32, c);
-                let uvt = [
-                    T::from_f64(uv[0]),
-                    T::from_f64(uv[1]),
-                    T::from_f64(uv[2]),
-                ];
-                let mut feq = [T::ZERO; MAX_Q];
-                equilibrium::<T, V>(rv, uvt, &mut feq);
-                #[allow(clippy::needless_range_loop)] // parallel table indexing
-                for i in 0..V::Q {
-                    // Fill both buffer halves so schemes reading the
-                    // previous state (temporal interpolation) see a
-                    // consistent t = 0.
-                    level.f.src_mut().set(r.block, i, r.cell, feq[i]);
-                    level.f.dst_mut().set(r.block, i, r.cell, feq[i]);
+                // Half 1 follows block by block, not after all of half 0,
+                // so the two halves' pages are first touched interleaved:
+                // writing all of half 0 first measured 1–5 % slower
+                // one-thread stepping on `box2_bgk` (EXPERIMENTS.md, "Guard
+                // passes on the pool").
+                let (h0, h1) = f.pair_mut(0);
+                let src = h0.block(b as u32);
+                let out = &mut h1.as_mut_slice()[b * stride..][..stride];
+                for cell in real_cells() {
+                    for i in 0..V::Q {
+                        out[i * cpb + cell] = src[i * cpb + cell];
+                    }
                 }
             }
-            level.acc.zero(0..level.acc.len());
+            acc.zero(0..acc.len());
         }
     }
 
@@ -673,8 +694,8 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
     }
 
     /// The whole grid's [`Probe`]: the record of every block of every
-    /// level, folded in `(level, block)` order. The health guard reads this
-    /// record.
+    /// level, folded in `(level, block)` order on the calling thread.
+    /// [`crate::Engine::probe`] folds the same records computed on a pool.
     pub fn probe(&self) -> Probe {
         let blocks = |(l, lv): (usize, &Level<T>)| {
             (0..lv.grid.num_blocks() as u32).map(move |b| (l, b))
@@ -685,6 +706,27 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             .flat_map(blocks)
             .map(|(l, b)| self.probe_block(l, b))
             .fold(Probe::default(), Probe::fold)
+    }
+
+    /// [`MultiGrid::probe`] computed on `exec`'s pool, bit for bit: one
+    /// record per `(level, block)` into `records`, folded serially in
+    /// `(level, block)` order. `records` is sized on the first call and
+    /// reused after that. The pass is not a kernel launch, so the profiler
+    /// records nothing ([`Executor::run_blocks_mut`]).
+    pub(crate) fn probe_on(&self, exec: &Executor, records: &mut Vec<Probe>) -> Probe {
+        let total = self.levels.iter().map(|lv| lv.grid.num_blocks()).sum();
+        records.resize(total, Probe::default());
+        exec.run_blocks_mut(records, 1, |i, record| {
+            let mut b = i as usize;
+            for (l, lv) in self.levels.iter().enumerate() {
+                if b < lv.grid.num_blocks() {
+                    record[0] = self.probe_block(l, b as u32);
+                    return;
+                }
+                b -= lv.grid.num_blocks();
+            }
+        });
+        records.iter().copied().fold(Probe::default(), Probe::fold)
     }
 
     /// Total mass `Σ ρ·V_cell` in finest-cell volume units

@@ -12,6 +12,10 @@
 //! - [`Executor::launch_mut`] — the closure writes its own block's chunk of
 //!   a destination field (disjoint `&mut` per block, the gather pattern).
 //!
+//! Both are [`Executor::run_blocks`] / [`Executor::run_blocks_mut`], the
+//! one dispatch path, plus the profiler record. Called directly, those run
+//! a host-side pass on the pool without recording a kernel.
+//!
 //! Every launch records its declared [`LaunchCost`] plus measured wall time
 //! with the shared [`Profiler`], so benches can report measured and modeled
 //! performance from the same run. With more than one pool thread the
@@ -359,18 +363,60 @@ impl Executor {
         self.pool.threads()
     }
 
-    /// Credits each pool thread with the blocks it executed this launch.
-    /// Raw block counts, not byte shares: `traffic / n_blocks` truncates,
-    /// so byte figures never summed back to the declared traffic.
-    fn record_balance(&self, n_blocks: usize, executed: &[u64]) {
-        if n_blocks == 0 || self.pool.threads() == 1 {
-            return;
-        }
-        for (tid, &blocks) in executed.iter().enumerate() {
-            if blocks > 0 {
-                self.profiler.record_thread_blocks(tid, blocks);
+    /// The profiler record of one launch: its declared cost and wall time,
+    /// and each pool thread's executed blocks. Raw block counts, not byte
+    /// shares: `traffic / n_blocks` truncates, so byte figures never summed
+    /// back to the declared traffic.
+    fn record(&self, name: &'static str, cost: LaunchCost, t0: Instant, executed: &[u64]) {
+        if self.pool.threads() > 1 {
+            for (tid, &blocks) in executed.iter().enumerate() {
+                if blocks > 0 {
+                    self.profiler.record_thread_blocks(tid, blocks);
+                }
             }
         }
+        self.profiler
+            .record_launch(name, cost, t0.elapsed().as_secs_f64() * 1e6);
+    }
+
+    /// Runs `f(block)` for every block index in `0..n_blocks` on the pool,
+    /// blocking until all have completed, and returns the blocks each pool
+    /// thread executed. The executor's one dispatch path, but no kernel
+    /// launch: nothing is recorded with the profiler (no launch, no
+    /// balance counters, no trace span), so host-side passes such as the
+    /// health probe and the recovery-point copy (DESIGN.md §11) run on the
+    /// pool without showing up as kernels. A one-thread pool runs the
+    /// blocks inline in ascending order.
+    pub fn run_blocks<F>(&self, n_blocks: usize, f: F) -> Vec<u64>
+    where
+        F: Fn(u32) + Sync,
+    {
+        self.pool.run(n_blocks as u32, &f)
+    }
+
+    /// [`Executor::run_blocks`] over `data` in disjoint per-block chunks of
+    /// `stride` elements: `f` receives `(block_index, block_chunk)`.
+    ///
+    /// # Panics
+    /// Panics if `data.len()` is not a multiple of `stride`.
+    pub fn run_blocks_mut<T, F>(&self, data: &mut [T], stride: usize, f: F) -> Vec<u64>
+    where
+        T: Send,
+        F: Fn(u32, &mut [T]) + Sync,
+    {
+        assert!(
+            stride > 0 && data.len().is_multiple_of(stride),
+            "data not block-aligned"
+        );
+        let base = SendPtr(data.as_mut_ptr());
+        self.run_blocks(data.len() / stride, |b| {
+            // SAFETY: each block index runs exactly once; ranges are
+            // disjoint and in-bounds by the alignment assert above.
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(base.get().add(b as usize * stride), stride)
+            };
+            f(b, chunk);
+        })
     }
 
     /// Launches a kernel over `n_blocks` blocks. The closure receives the
@@ -381,10 +427,8 @@ impl Executor {
         F: Fn(u32) + Sync,
     {
         let t0 = Instant::now();
-        let executed = self.pool.run(n_blocks as u32, &f);
-        self.record_balance(n_blocks, &executed);
-        self.profiler
-            .record_launch(name, cost, t0.elapsed().as_secs_f64() * 1e6);
+        let executed = self.run_blocks(n_blocks, f);
+        self.record(name, cost, t0, &executed);
     }
 
     /// Launches a kernel that mutates `data` in disjoint per-block chunks of
@@ -403,21 +447,9 @@ impl Executor {
         T: Send,
         F: Fn(u32, &mut [T]) + Sync,
     {
-        assert!(stride > 0 && data.len().is_multiple_of(stride), "data not block-aligned");
-        let n_blocks = data.len() / stride;
         let t0 = Instant::now();
-        let base = SendPtr(data.as_mut_ptr());
-        let executed = self.pool.run(n_blocks as u32, &|b: u32| {
-            // SAFETY: each block index runs exactly once; ranges are
-            // disjoint and in-bounds by the alignment assert above.
-            let chunk = unsafe {
-                std::slice::from_raw_parts_mut(base.get().add(b as usize * stride), stride)
-            };
-            f(b, chunk);
-        });
-        self.record_balance(n_blocks, &executed);
-        self.profiler
-            .record_launch(name, cost, t0.elapsed().as_secs_f64() * 1e6);
+        let executed = self.run_blocks_mut(data, stride, f);
+        self.record(name, cost, t0, &executed);
     }
 
     /// Records a synchronization point between dependent kernels.
@@ -459,6 +491,26 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 100);
         assert_eq!(ex.profiler().launches(), 1);
+    }
+
+    #[test]
+    fn run_blocks_covers_every_block_and_records_nothing() {
+        let ex = Executor::with_threads(DeviceModel::a100_40gb(), 2);
+        ex.profiler().set_tracing(true);
+        let hits = AtomicU64::new(0);
+        ex.run_blocks(100, |_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        let mut data = vec![0u32; 8 * 16];
+        ex.run_blocks_mut(&mut data, 16, |b, chunk| chunk.fill(b));
+        assert_eq!(hits.load(Ordering::Relaxed), 100);
+        for (i, chunk) in data.chunks_exact(16).enumerate() {
+            assert!(chunk.iter().all(|&v| v == i as u32));
+        }
+        let p = ex.profiler();
+        assert_eq!(p.launches(), 0);
+        assert!(p.thread_blocks().iter().all(|&b| b == 0));
+        assert!(p.spans().is_empty());
     }
 
     #[test]

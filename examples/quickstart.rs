@@ -27,28 +27,13 @@ fn main() {
     let grid = MultiGrid::<f64, D3Q19>::build(spec, &AllWalls, omega0);
     let build = t0.elapsed();
 
-    println!("== grid ==");
-    println!("build time: {:.1} ms", build.as_secs_f64() * 1e3);
-    for (l, level) in grid.levels.iter().enumerate() {
-        println!(
-            "level {l}: {:>8} real cells, {:>6} ghost cells, omega = {:.4}",
-            level.real_cells, level.ghost_cells, level.omega
-        );
-    }
-    let mem = memory_report::report(&grid);
-    println!(
-        "population memory: {:.1} MiB; ghost accumulators: {:.1} KiB allocated (baseline would need {:.1} KiB)",
-        mem.population_bytes as f64 / (1 << 20) as f64,
-        mem.ghost_bytes as f64 / 1024.0,
-        mem.baseline_ghost_bytes as f64 / 1024.0,
-    );
-
     let mut engine = Engine::builder(grid)
         .collision(Bgk::new(omega0))
         .variant(Variant::FusedAll)
         .build(Executor::new(DeviceModel::a100_40gb()));
 
     // A gentle vortex-like initial condition crossing the interface.
+    let t0 = Instant::now();
     engine.grid.init_equilibrium(
         |_, _| 1.0,
         |l, p| {
@@ -59,6 +44,24 @@ fn main() {
             let w = 0.05 * (-r2 / 200.0).exp();
             [-w * y / 16.0, w * x / 16.0, 0.0]
         },
+    );
+    let init = t0.elapsed();
+
+    println!("== grid ==");
+    println!("build time: {:.1} ms", build.as_secs_f64() * 1e3);
+    println!("init time:  {:.1} ms", init.as_secs_f64() * 1e3);
+    for (l, level) in engine.grid.levels.iter().enumerate() {
+        println!(
+            "level {l}: {:>8} real cells, {:>6} ghost cells, omega = {:.4}",
+            level.real_cells, level.ghost_cells, level.omega
+        );
+    }
+    let mem = memory_report::report(&engine.grid);
+    println!(
+        "population memory: {:.1} MiB; ghost accumulators: {:.1} KiB allocated (baseline would need {:.1} KiB)",
+        mem.population_bytes as f64 / (1 << 20) as f64,
+        mem.ghost_bytes as f64 / 1024.0,
+        mem.baseline_ghost_bytes as f64 / 1024.0,
     );
 
     let mass0 = engine.grid.total_mass();

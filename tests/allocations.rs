@@ -1,7 +1,9 @@
 //! A steady-state `Engine::step` allocates the same number of times at two
 //! sizes of one geometry: nothing in the step allocates per block, so
 //! frontier blocks (those with ghost or inactive slots) stream through a
-//! reused tile instead of a fresh one. A counting global allocator counts
+//! reused tile instead of a fresh one. Nor does a health check after the
+//! first: it reuses the recovery point and the probe's record buffer that
+//! the first check allocated. A counting global allocator counts
 //! the calling thread's allocations; the engines run on a one-thread pool,
 //! so every kernel runs on that thread.
 
@@ -11,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use common::refined_cavity;
-use lbm_refinement::core::{Engine, ExecMode, Variant};
+use lbm_refinement::core::{Engine, ExecMode, HealthGuard, HealthPolicy, Variant};
 use lbm_refinement::gpu::{DeviceModel, Executor};
 use lbm_refinement::lattice::{Collision, VelocitySet};
 use lbm_refinement::problems::cavity::Cavity;
@@ -87,5 +89,25 @@ fn a_steady_state_step_allocates_the_same_at_two_sizes_of_the_sphere() {
         allocs_per_step(flow.engine(Variant::FusedAll, one_thread()))
     };
     let (s, l) = (at([36, 24, 36]), at([52, 36, 52]));
+    assert_eq!(s, l, "{s} vs {l} allocations");
+}
+
+#[test]
+fn a_guard_check_after_the_first_allocates_the_same_at_two_sizes_of_the_cavity() {
+    let guard = HealthGuard::new(2).policy(HealthPolicy::RollbackToLastCheckpoint(1));
+    let at = |cavity: &Cavity| {
+        let mut eng = cavity.engine_with(Variant::FusedAll, one_thread(), |b| {
+            b.exec_mode(ExecMode::Graph).health(guard)
+        });
+        // The check at step 2 allocates the recovery point and the probe
+        // records; the one at step 4 refreshes and reuses them.
+        eng.run(3);
+        let before = ALLOCS.with(Cell::get);
+        eng.step();
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert!(eng.health_events().is_empty(), "{:?}", eng.health_events());
+        allocs
+    };
+    let (s, l) = (at(&refined_cavity(32)), at(&refined_cavity(64)));
     assert_eq!(s, l, "{s} vs {l} allocations");
 }

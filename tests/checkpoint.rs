@@ -430,12 +430,13 @@ fn rollback_without_a_snapshot_halts() {
 /// A rollback restores everything a step writes — both population halves,
 /// the ghost accumulators, the parity and the step count — byte for byte:
 /// after rolling back, the guarded engine's own snapshot equals the one an
-/// unguarded twin cuts at the recovery step. (`grid_digest` covers only the
-/// source half.)
+/// unguarded twin cuts at the recovery step, at pool widths 1, 2 and 8 (the
+/// recovery point is copied block by block on the pool). (`grid_digest`
+/// covers only the source half.)
 #[test]
 fn rollback_restores_the_recovery_step_byte_for_byte() {
     for mode in [ExecMode::Eager, ExecMode::Graph] {
-        for threads in [1usize, 2] {
+        for threads in [1usize, 2, 8] {
             let what = format!("{mode:?} threads={threads}");
             let opts = EngineOpts {
                 mode,

@@ -173,9 +173,10 @@ fn golden_digest_of_the_kbc_sphere_at_one_and_two_threads() {
 
 #[test]
 fn probe_record_is_bit_identical_at_every_pool_width() {
-    // The health guard decides on the probe record, so its every bit must
-    // agree at every pool width — on a healthy state and on one with a NaN
-    // parked in the idle half of the finest level.
+    // The health guard decides on the record it computes on the engine's
+    // pool (`Engine::probe`), so its every bit must equal the serial
+    // `MultiGrid::probe` at every pool width — on a healthy state and on
+    // one with a NaN parked in the idle half of the finest level.
     use lbm_refinement::core::Probe;
     use lbm_refinement::gpu::{DeviceModel, Executor};
     let bits = |p: Probe| (p.finite, p.max_speed_sq.to_bits(), p.mass.to_bits());
@@ -193,12 +194,26 @@ fn probe_record_is_bit_identical_at_every_pool_width() {
                 let idle = 1 - f.parity();
                 f.half_mut(idle).set(0, 1, 0, f64::NAN);
             }
-            let probe = eng.grid.probe();
+            let serial = eng.grid.probe();
+            let pooled = eng.probe();
             let what = format!("poisoned={poisoned} threads={threads}");
-            assert_eq!(probe.finite, !poisoned, "{what}");
-            assert!(probe.max_speed_sq > 0.0 && probe.mass > 0.0, "{what}: {probe:?}");
-            let reference = *reference.get_or_insert(bits(probe));
-            assert_eq!(bits(probe), reference, "{what}: differs from 1 thread");
+            assert_eq!(pooled.finite, !poisoned, "{what}");
+            assert!(
+                pooled.max_speed_sq > 0.0 && pooled.mass > 0.0,
+                "{what}: {pooled:?}"
+            );
+            assert_eq!(
+                bits(pooled),
+                bits(serial),
+                "{what}: pool record differs from probe()"
+            );
+            assert_eq!(
+                bits(eng.probe()),
+                bits(serial),
+                "{what}: reused record buffer"
+            );
+            let reference = *reference.get_or_insert(bits(pooled));
+            assert_eq!(bits(pooled), reference, "{what}: differs from 1 thread");
         }
     }
 }
