@@ -8,8 +8,10 @@
 #    the correctness contract: the grid build against an independent
 #    coordinate classifier (the build oracle), the streaming gather against
 #    a per-cell oracle, bit-identity across fusion variants, exec modes,
-#    thread counts and restart, pinned golden digests, conservation, and
-#    the graph-mode sync/wave counts (DESIGN.md §4, §8, §10, §11). The
+#    thread counts and restart, pinned golden digests, conservation, the
+#    graph-mode sync/wave counts, and the step plan built once: a
+#    steady-state step allocates at most once per launch
+#    (`tests/allocations.rs`; DESIGN.md §4, §8, §10, §11). The
 #    health guard's passes run on the pool too; two tests pin them at pool
 #    widths 1, 2 and 8 whatever `LBM_THREADS` says:
 #    `tests/determinism.rs::probe_record_is_bit_identical_at_every_pool_width`

@@ -69,7 +69,7 @@ mod tests {
             1.5,
             Executor::new(DeviceModel::a100_40gb()),
         );
-        assert_eq!(eng.variant, Variant::ModifiedBaseline);
+        assert_eq!(eng.variant(), Variant::ModifiedBaseline);
         assert_eq!(eng.grid.levels[0].grid.block_size(), 2);
         eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.01, 0.0, 0.0]);
         let m0 = eng.grid.total_mass();

@@ -184,24 +184,16 @@ pub fn save<T: Real, V: VelocitySet>(grid: &MultiGrid<T, V>, coarse_steps: u64) 
     w.buf
 }
 
-/// One level's decoded payload, staged before any mutation of the target.
-struct LevelImage<T> {
-    parity: u8,
-    halves: [Vec<T>; 2],
-    acc: Vec<f64>,
-}
-
-/// Restores a snapshot produced by [`save`] into `grid`, returning the
-/// recorded `coarse_steps`. The target must be structurally identical to
+/// Decodes a snapshot produced by [`save`] for `grid` into a
+/// [`RecoveryPoint`], which [`RecoveryPoint::apply`] then writes
+/// ([`crate::Engine::restore`]). `grid` must be structurally identical to
 /// the snapshot's source (same spec / build inputs): equal block counts
-/// alone do not make it so, so every cell's flags must match too.
-///
-/// All validation and decoding happens before the first write: on any
-/// `Err`, `grid` is untouched.
-pub fn restore<T: Real, V: VelocitySet>(
-    grid: &mut MultiGrid<T, V>,
+/// alone do not make it so, so every cell's flags must match too. Decoding
+/// reads `grid` and writes nothing, so on `Err` the target is untouched.
+pub(crate) fn decode<T: Real, V: VelocitySet>(
+    grid: &MultiGrid<T, V>,
     bytes: &[u8],
-) -> Result<u64, CheckpointError> {
+) -> Result<RecoveryPoint<T>, CheckpointError> {
     if bytes.len() < MAGIC.len() + 8 {
         return if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] != MAGIC {
             Err(CheckpointError::BadMagic)
@@ -250,7 +242,7 @@ pub fn restore<T: Real, V: VelocitySet>(
         )));
     }
 
-    let mut images: Vec<LevelImage<T>> = Vec::with_capacity(num_levels);
+    let mut levels = Vec::with_capacity(num_levels);
     for (l, lv) in grid.levels.iter().enumerate() {
         let num_blocks = r.u64()? as usize;
         let cpb = r.u32()? as usize;
@@ -295,8 +287,8 @@ pub fn restore<T: Real, V: VelocitySet>(
         for _ in 0..acc_len {
             acc.push(f64::from_bits(r.u64()?));
         }
-        images.push(LevelImage {
-            parity,
+        levels.push(LevelCopy {
+            parity: parity as usize,
             halves,
             acc,
         });
@@ -307,16 +299,10 @@ pub fn restore<T: Real, V: VelocitySet>(
             body.len() - r.pos
         )));
     }
-
-    // Everything decoded and validated — apply.
-    for (lv, img) in grid.levels.iter_mut().zip(images) {
-        let [h0, h1] = img.halves;
-        lv.f.half_mut(0).as_mut_slice().copy_from_slice(&h0);
-        lv.f.half_mut(1).as_mut_slice().copy_from_slice(&h1);
-        lv.f.set_parity(img.parity as usize);
-        lv.acc.copy_from_slice(&img.acc);
-    }
-    Ok(coarse_steps)
+    Ok(RecoveryPoint {
+        coarse_steps,
+        levels,
+    })
 }
 
 /// The rollback guard's in-memory recovery point: preallocated raw copies
@@ -329,7 +315,9 @@ pub fn restore<T: Real, V: VelocitySet>(
 /// ([`Executor::run_blocks_mut`], no kernel launch). Per-cell flags are
 /// not copied, because only [`MultiGrid::build`] writes them (DESIGN.md
 /// §11). The serialized format above stays the one for files and
-/// [`crate::Engine::checkpoint`].
+/// [`crate::Engine::checkpoint`]; [`decode`] turns a snapshot into a
+/// recovery point, so a restore writes the state exactly as a rollback
+/// does.
 pub(crate) struct RecoveryPoint<T> {
     coarse_steps: u64,
     levels: Vec<LevelCopy<T>>,
@@ -546,6 +534,7 @@ mod tests {
     use super::*;
     use crate::boundary::AllWalls;
     use crate::spec::GridSpec;
+    use lbm_gpu::DeviceModel;
     use lbm_lattice::D3Q19;
     use lbm_sparse::Box3;
 
@@ -570,7 +559,8 @@ mod tests {
         // Perturb the target so the restore provably overwrites it.
         dst.init_equilibrium(|_, _| 0.5, |_, _| [0.0; 3]);
         dst.levels[0].f.swap();
-        let steps = restore(&mut dst, &blob).expect("restore");
+        let exec = Executor::with_threads(DeviceModel::a100_40gb(), 1);
+        let steps = decode(&dst, &blob).expect("restore").apply(&mut dst, &exec);
         assert_eq!(steps, 7);
         for (a, b) in src.levels.iter().zip(&dst.levels) {
             assert_eq!(a.f.parity(), b.f.parity());
@@ -588,10 +578,10 @@ mod tests {
     fn restore_rejects_truncation_and_corruption_cleanly() {
         let src = two_level_grid();
         let blob = save(&src, 3);
-        let mut dst = two_level_grid();
+        let dst = two_level_grid();
         // Truncations at every interesting boundary fail cleanly.
         for cut in [0, 4, MAGIC.len(), blob.len() / 2, blob.len() - 1] {
-            let err = restore(&mut dst, &blob[..cut]).unwrap_err();
+            let err = refused(&dst, &blob[..cut]);
             assert!(
                 matches!(
                     err,
@@ -604,19 +594,27 @@ mod tests {
         let mut bad = blob.clone();
         bad[MAGIC.len() + 20] ^= 0x40;
         assert_eq!(
-            restore(&mut dst, &bad).unwrap_err(),
+            refused(&dst, &bad),
             CheckpointError::ChecksumMismatch
         );
         // Garbage is not a snapshot.
         assert_eq!(
-            restore(&mut dst, b"definitely not a checkpoint blob").unwrap_err(),
+            refused(&dst, b"definitely not a checkpoint blob"),
             CheckpointError::BadMagic
         );
         // An unknown future version is refused by name.
         assert_eq!(
-            restore(&mut dst, &with_version(&blob, VERSION + 1)).unwrap_err(),
+            refused(&dst, &with_version(&blob, VERSION + 1)),
             CheckpointError::UnsupportedVersion(VERSION + 1)
         );
+    }
+
+    /// Why `decode` refuses `blob` for `grid`.
+    fn refused<V: VelocitySet>(grid: &MultiGrid<f64, V>, blob: &[u8]) -> CheckpointError {
+        match decode(grid, blob) {
+            Ok(_) => panic!("the snapshot decoded"),
+            Err(e) => e,
+        }
     }
 
     /// `blob` relabelled as format `version`, its checksum recomputed.
@@ -635,8 +633,8 @@ mod tests {
         let blob = save(&src, 1);
         // A different geometry refuses the snapshot.
         let spec = GridSpec::uniform(Box3::from_dims(16, 16, 16));
-        let mut other = MG::build(spec, &AllWalls, 1.0);
-        match restore(&mut other, &blob).unwrap_err() {
+        let other = MG::build(spec, &AllWalls, 1.0);
+        match refused(&other, &blob) {
             CheckpointError::Mismatch(why) => assert!(why.contains("levels"), "{why}"),
             e => panic!("expected Mismatch, got {e:?}"),
         }
@@ -644,8 +642,8 @@ mod tests {
         let spec = GridSpec::new(2, Box3::from_dims(32, 32, 32), |l, p| {
             l == 0 && (4..12).contains(&p.x) && (4..12).contains(&p.y) && (4..12).contains(&p.z)
         });
-        let mut q27 = MultiGrid::<f64, lbm_lattice::D3Q27>::build(spec, &AllWalls, 1.5);
-        match restore(&mut q27, &blob).unwrap_err() {
+        let q27 = MultiGrid::<f64, lbm_lattice::D3Q27>::build(spec, &AllWalls, 1.5);
+        match refused(&q27, &blob) {
             CheckpointError::Mismatch(why) => assert!(why.contains("velocity set"), "{why}"),
             e => panic!("expected Mismatch, got {e:?}"),
         }
@@ -659,7 +657,7 @@ mod tests {
         dst.init_equilibrium(|_, _| 2.0, |_, _| [0.0; 3]);
         let before = save(&dst, 0);
         assert_eq!(
-            restore(&mut dst, &v1).unwrap_err(),
+            refused(&dst, &v1),
             CheckpointError::UnsupportedVersion(1)
         );
         assert_eq!(save(&dst, 0), before);

@@ -13,20 +13,26 @@
 //!   16 contributions) before coarse Coalescence divides them;
 //! - accumulators are reset right after being consumed (paper §IV-A).
 //!
-//! The program executes in one of two modes ([`ExecMode`]):
+//! [`EngineBuilder::build`] generates the program once, as a step plan:
+//! the launch records with each level's halves *relative* to its buffer
+//! parity at the start of the step (a step changes no parity until it
+//! ends, so one plan serves every step), grouped into waves. The waves
+//! depend on the execution mode ([`ExecMode`]):
 //!
-//! - **Eager** — launches in program order with a synchronization point
-//!   between consecutive kernels (the classical serial submission);
+//! - **Eager** — one launch per wave, in program order: a synchronization
+//!   point between consecutive kernels (the classical serial submission);
 //! - **Graph** — the dependency graph of the declared field accesses is
 //!   scheduled into waves ([`lbm_runtime::Schedule`]); barriers exist only
 //!   between waves — the paper's §V-C minimal-synchronization execution.
-//!   The cost model charges one launch overhead per wave (the modeled
-//!   launch overlap); the host runs a wave's kernels in program order.
-//!   Both modes run the *same* kernels on the same buffers and produce
-//!   bit-identical fields (enforced by tests across all variants).
+//!   Each wave is opened with [`Executor::begin_wave`], so the cost model
+//!   charges one launch overhead per wave (the modeled launch overlap); the
+//!   host runs a wave's kernels in program order.
 //!
-//! In both modes each kernel runs block-parallel on the executor's one
-//! pool; there is no other host threading.
+//! [`Engine::step`] is one loop over the plan's waves for both modes, and
+//! both run the *same* kernels on the same buffers and produce
+//! bit-identical fields (enforced by tests across all variants). Each
+//! kernel runs block-parallel on the executor's one pool; there is no other
+//! host threading.
 //!
 //! The population buffers use the post-collision convention, which is what
 //! lets Fig. 4f's single fused kernel exist: one gather (streaming +
@@ -46,6 +52,8 @@ use crate::checkpoint::{
 };
 use crate::graphs;
 use crate::kernels::{self, AccTables, StreamInputs, StreamOptions};
+use crate::level::Level;
+use crate::links::PerBlock;
 use crate::multigrid::{MultiGrid, Probe};
 use crate::program::{self, LevelTopo, OpKind, StepOp};
 use crate::variant::Variant;
@@ -82,6 +90,19 @@ pub enum ExecMode {
     Graph,
 }
 
+/// The step program and its waves, computed once by
+/// [`EngineBuilder::build`] and replayed by every [`Engine::step`].
+struct StepPlan {
+    /// The launch records in program order, each level's halves relative
+    /// to its parity at the start of the step (`step_ops` from all-zero
+    /// halves): [`run_op`] XORs them with the level's parity.
+    ops: Vec<StepOp>,
+    /// `waves[w]` lists the indices into `ops` that run in wave `w`,
+    /// ascending: one op per wave under [`ExecMode::Eager`], the
+    /// [`Schedule`] of the dependency graph under [`ExecMode::Graph`].
+    waves: Vec<Vec<usize>>,
+}
+
 /// The multi-resolution LBM engine: grid stack + collision operators +
 /// execution variant on a virtual GPU executor.
 ///
@@ -108,15 +129,11 @@ pub struct Engine<T: Real, V: VelocitySet, C> {
     pub grid: MultiGrid<T, V>,
     /// The virtual GPU.
     pub exec: Executor,
-    /// The execution variant (fusion configuration).
-    pub variant: Variant,
+    variant: Variant,
     ops: Vec<C>,
     coarse_steps: u64,
     exec_mode: ExecMode,
-    /// Cached wave schedule, keyed by the variant it was built for. The
-    /// wave partition is invariant under buffer parity, so one schedule
-    /// serves every step.
-    plan: Option<(Variant, Schedule)>,
+    plan: StepPlan,
     /// Periodic health checks ([`EngineBuilder::health`]); `None` = off.
     health: Option<HealthGuard>,
     /// The rollback policy's recovery point: raw copies of the state at
@@ -198,14 +215,22 @@ impl<T: Real, V: VelocitySet, C> EngineBuilder<T, V, C> {
 
 impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
     /// Assembles the engine on the given executor (its pool width is the
-    /// engine's kernel thread count).
+    /// engine's kernel thread count) and generates its step plan. A
+    /// program without a gather Accumulate (every variant but the modified
+    /// baseline) never reads the 4b gather lists, so they are dropped.
     pub fn build(self, exec: Executor) -> Engine<T, V, C> {
-        let grid = self.grid;
+        let mut grid = self.grid;
         let ops = grid
             .levels
             .iter()
             .map(|lv| self.op.with_omega(T::from_f64(lv.omega)))
             .collect();
+        let plan = StepPlan::new(&topology(&grid.levels), self.variant, self.exec_mode);
+        if !plan.ops.iter().any(|op| op.kind == OpKind::AccGather) {
+            for lv in &mut grid.levels {
+                lv.gather = PerBlock::default();
+            }
+        }
         Engine {
             grid,
             exec,
@@ -213,7 +238,7 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
             ops,
             coarse_steps: 0,
             exec_mode: self.exec_mode,
-            plan: None,
+            plan,
             health: self.health,
             recovery: None,
             probe_records: Vec::new(),
@@ -224,15 +249,47 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> EngineBuilder<T, V, C> {
     }
 }
 
+impl StepPlan {
+    fn new(topo: &[LevelTopo], variant: Variant, mode: ExecMode) -> Self {
+        let start = vec![0; topo.len()];
+        let ops = program::step_ops(topo, variant, &start);
+        let waves = match mode {
+            ExecMode::Eager => (0..ops.len()).map(|i| vec![i]).collect(),
+            ExecMode::Graph => {
+                Schedule::from_graph(&graphs::step_graph_for(topo, variant, &start)).waves
+            }
+        };
+        Self { ops, waves }
+    }
+}
+
+/// The interface topology of each level, as the step-program generator
+/// sees it (derived from the assembled link tables).
+fn topology<T>(levels: &[Level<T>]) -> Vec<LevelTopo> {
+    (0..levels.len())
+        .map(|l| LevelTopo {
+            ghosts: levels[l].ghost_cells > 0,
+            coarse_ghosts: l > 0 && levels[l - 1].ghost_cells > 0,
+            explodes: levels[l].links.explosion_cells > 0,
+            coalesces: levels[l].links.coalesce_cells > 0,
+        })
+        .collect()
+}
+
 impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
     /// The executor's kernel-execution thread count.
     pub fn thread_count(&self) -> usize {
         self.exec.thread_count()
     }
 
-    /// The current execution mode.
+    /// The execution mode.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
+    }
+
+    /// The execution variant (fusion configuration).
+    pub fn variant(&self) -> Variant {
+        self.variant
     }
 
     /// Coarsest-level steps taken so far.
@@ -254,81 +311,71 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
     /// The interface topology of each level, as the step-program generator
     /// sees it (derived from the assembled link tables).
     pub fn topology(&self) -> Vec<LevelTopo> {
-        let levels = &self.grid.levels;
-        (0..levels.len())
-            .map(|l| LevelTopo {
-                ghosts: levels[l].ghost_cells > 0,
-                coarse_ghosts: l > 0 && levels[l - 1].ghost_cells > 0,
-                explodes: levels[l].links.explosion_cells > 0,
-                coalesces: levels[l].links.coalesce_cells > 0,
-            })
+        topology(&self.grid.levels)
+    }
+
+    /// The current buffer parity of every level.
+    fn parities(&self) -> Vec<u8> {
+        self.grid
+            .levels
+            .iter()
+            .map(|lv| lv.f.parity() as u8)
             .collect()
     }
 
     /// The launch program of the *next* coarse step (current buffer
-    /// parities), in program order.
+    /// parities), in program order: the step plan's ops with their halves
+    /// made absolute.
     pub fn step_program(&self) -> Vec<StepOp> {
-        let halves: Vec<u8> = self
-            .grid
-            .levels
+        let halves = self.parities();
+        let coarse = |l: usize| if l > 0 { halves[l - 1] } else { 0 };
+        self.plan
+            .ops
             .iter()
-            .map(|lv| lv.f.parity() as u8)
-            .collect();
-        program::step_ops(&self.topology(), self.variant, &halves)
+            .map(|op| StepOp {
+                src_half: op.src_half ^ halves[op.level],
+                coarse_half: op.coarse_half ^ coarse(op.level),
+                ..*op
+            })
+            .collect()
     }
 
     /// The dependency graph and wave schedule of the next coarse step —
     /// the graph [`ExecMode::Graph`] actually executes (Fig. 2 counts come
     /// from here).
     pub fn step_task_graph(&self) -> (TaskGraph, Schedule) {
-        let topo = self.topology();
-        let halves: Vec<u8> = self
-            .grid
-            .levels
-            .iter()
-            .map(|lv| lv.f.parity() as u8)
-            .collect();
-        let g = graphs::step_graph_for(&topo, self.variant, &halves);
+        let g = graphs::step_graph_for(&self.topology(), self.variant, &self.parities());
         let s = Schedule::from_graph(&g);
         (g, s)
     }
 
     /// Advances the coarsest level by one time step (finer levels advance
-    /// `2^L` substeps).
+    /// `2^L` substeps): one pass over the step plan's waves, a
+    /// synchronization point between consecutive waves. Only graph
+    /// execution opens each wave on the executor and tags its launches
+    /// with the wave, so each mode records what it always has. A wave's ops
+    /// run in ascending order on this thread, every kernel block-parallel
+    /// on the executor's pool.
     pub fn step(&mut self) {
         if self.halted {
             return;
         }
-        let ops = self.step_program();
-        match self.exec_mode {
-            ExecMode::Eager => {
-                for (i, op) in ops.iter().enumerate() {
-                    if i > 0 {
-                        self.exec.sync();
-                    }
-                    self.run_op(op);
-                }
+        let graph = self.exec_mode == ExecMode::Graph;
+        for (w, wave) in self.plan.waves.iter().enumerate() {
+            if w > 0 {
+                self.exec.sync();
             }
-            ExecMode::Graph => {
-                // The cached schedule is taken out for the loop so `run_op`
-                // can borrow the engine mutably (rebuilt only when the
-                // variant changed). Each wave's nodes run in ascending node
-                // order on this thread, every kernel block-parallel on the
-                // executor's pool.
-                let schedule = match self.plan.take() {
-                    Some((v, s)) if v == self.variant => s,
-                    _ => self.step_task_graph().1,
-                };
-                for (w, wave) in schedule.waves.iter().enumerate() {
-                    if w > 0 {
-                        self.exec.sync();
-                    }
-                    self.exec.begin_wave();
-                    for &ni in wave {
-                        with_span_context(w as u32, || self.run_op(&ops[ni]));
-                    }
+            if graph {
+                self.exec.begin_wave();
+            }
+            for &i in wave {
+                let op = &self.plan.ops[i];
+                let mut run = || run_op(&self.exec, &mut self.grid.levels, &self.ops, op);
+                if graph {
+                    with_span_context(w as u32, run);
+                } else {
+                    run();
                 }
-                self.plan = Some((self.variant, schedule));
             }
         }
 
@@ -444,11 +491,11 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
 
     /// Restores a snapshot produced by [`Engine::checkpoint`], resetting the
     /// step count to the snapshot's and clearing any health halt. On `Err`
-    /// the engine is untouched. The cached wave schedule survives: the wave
-    /// partition is parity-invariant.
+    /// the engine is untouched. The step plan needs no change: its halves
+    /// are relative to the parities the snapshot restores.
     pub fn restore(&mut self, snapshot: &[u8]) -> Result<(), CheckpointError> {
-        let steps = checkpoint::restore(&mut self.grid, snapshot)?;
-        self.coarse_steps = steps;
+        let point = checkpoint::decode(&self.grid, snapshot)?;
+        self.coarse_steps = point.apply(&mut self.grid, &self.exec);
         self.halted = false;
         Ok(())
     }
@@ -491,112 +538,108 @@ impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
     }
 }
 
-impl<T: Real, V: VelocitySet, C: Collision<T, V>> Engine<T, V, C> {
-    /// Executes one launch record of the step program. The op's level is
-    /// borrowed mutably and the coarser one shared (`split_at_mut`), and the
-    /// level's halves split into the op's source and destination
-    /// ([`lbm_sparse::DoubleBuffer::pair_mut`]), so the borrow checker
-    /// proves every write disjoint from every read.
-    fn run_op(&mut self, op: &StepOp) {
-        let exec = &self.exec;
-        let l = op.level;
-        let (coarser, rest) = self.grid.levels.split_at_mut(l);
-        let lv = &mut rest[0];
-        let coarse = coarser.last();
-        let (src, dst) = lv.f.pair_mut(op.src_half as usize);
-        let (real, ghost) = (lv.real_cells as u64, lv.ghost_cells as u64);
-        let accum = coarse.filter(|c| c.ghost_cells > 0).map(|c| AccTables {
-            acc: &c.acc,
-            deposits: &lv.deposits,
-        });
-        let inputs = StreamInputs {
-            grid: &lv.grid,
-            flags: &lv.flags,
-            all_real: &lv.all_real,
-            links: &lv.links,
-            src,
-            acc: &lv.acc,
-            coarse_src: coarse.map(|c| c.f.half(op.coarse_half as usize)),
-            offsets: &lv.offsets,
-        };
+/// Executes one launch record of the step plan with the collision
+/// operators `colls`, one per level. The op's halves are relative: each is
+/// XORed with its level's buffer parity. The op's level is borrowed mutably
+/// and the coarser one shared (`split_at_mut`), and the level's halves split
+/// into the op's source and destination
+/// ([`lbm_sparse::DoubleBuffer::pair_mut`]), so the borrow checker proves
+/// every write disjoint from every read.
+fn run_op<T: Real, V: VelocitySet, C: Collision<T, V>>(
+    exec: &Executor,
+    levels: &mut [Level<T>],
+    colls: &[C],
+    op: &StepOp,
+) {
+    let l = op.level;
+    let (coarser, rest) = levels.split_at_mut(l);
+    let lv = &mut rest[0];
+    let coarse = coarser.last();
+    let (src, dst) = lv.f.pair_mut(lv.f.parity() ^ op.src_half as usize);
+    let (real, ghost) = (lv.real_cells as u64, lv.ghost_cells as u64);
+    let accum = coarse.filter(|c| c.ghost_cells > 0).map(|c| AccTables {
+        acc: &c.acc,
+        deposits: &lv.deposits,
+    });
+    let inputs = StreamInputs {
+        grid: &lv.grid,
+        flags: &lv.flags,
+        all_real: &lv.all_real,
+        links: &lv.links,
+        src,
+        acc: &lv.acc,
+        coarse_src: coarse.map(|c| c.f.half(c.f.parity() ^ op.coarse_half as usize)),
+        offsets: &lv.offsets,
+    };
 
-        match op.kind {
-            OpKind::AccGather => {
-                let c = coarse.expect("AccGather needs a coarser level");
-                kernels::accumulate_gather::<T, V>(
-                    exec,
-                    names::A[l],
-                    &c.grid,
-                    &c.gather,
-                    &c.acc,
-                    src,
-                    c.ghost_cells as u64,
-                );
-            }
-            OpKind::Stream {
-                explosion,
-                coalesce,
-                accumulate,
-            } => {
-                let name = if explosion || coalesce {
-                    names::SEO[l]
-                } else {
-                    names::S[l]
-                };
-                kernels::stream::<T, V>(
-                    exec,
-                    name,
-                    inputs,
-                    dst,
-                    StreamOptions {
-                        explosion,
-                        coalesce,
-                    },
-                    if accumulate { accum } else { None },
-                    real,
-                );
-            }
-            OpKind::Explosion => {
-                let cells = lv.links.explosion_cells;
-                kernels::explosion::<T, V>(exec, names::E[l], inputs, dst, cells);
-            }
-            OpKind::Coalesce => {
-                let cells = lv.links.coalesce_cells;
-                kernels::coalesce::<T, V>(exec, names::O[l], inputs, dst, cells);
-            }
-            OpKind::Collide => {
-                kernels::collide(
-                    exec,
-                    names::C[l],
-                    &lv.grid,
-                    &lv.flags,
-                    &self.ops[l],
-                    dst,
-                    real,
-                );
-            }
-            OpKind::Fused { accumulate } => {
-                kernels::fused_stream_collide(
-                    exec,
-                    names::CASE[l],
-                    inputs,
-                    &self.ops[l],
-                    dst,
-                    if accumulate { accum } else { None },
-                    real,
-                );
-            }
-            OpKind::Reset => {
-                kernels::reset_accumulators(
-                    exec,
-                    names::R[l],
-                    &lv.grid,
-                    &lv.ghost_starts,
-                    &lv.acc,
-                    ghost,
-                    V::Q,
-                );
-            }
+    match op.kind {
+        OpKind::AccGather => {
+            let c = coarse.expect("AccGather needs a coarser level");
+            kernels::accumulate_gather::<T, V>(
+                exec,
+                names::A[l],
+                &c.grid,
+                &c.gather,
+                &c.acc,
+                src,
+                c.ghost_cells as u64,
+            );
+        }
+        OpKind::Stream {
+            explosion,
+            coalesce,
+            accumulate,
+        } => {
+            let name = if explosion || coalesce {
+                names::SEO[l]
+            } else {
+                names::S[l]
+            };
+            kernels::stream::<T, V>(
+                exec,
+                name,
+                inputs,
+                dst,
+                StreamOptions {
+                    explosion,
+                    coalesce,
+                },
+                if accumulate { accum } else { None },
+                real,
+            );
+        }
+        OpKind::Explosion => {
+            let cells = lv.links.explosion_cells;
+            kernels::explosion::<T, V>(exec, names::E[l], inputs, dst, cells);
+        }
+        OpKind::Coalesce => {
+            let cells = lv.links.coalesce_cells;
+            kernels::coalesce::<T, V>(exec, names::O[l], inputs, dst, cells);
+        }
+        OpKind::Collide => {
+            kernels::collide(exec, names::C[l], &lv.grid, &lv.flags, &colls[l], dst, real);
+        }
+        OpKind::Fused { accumulate } => {
+            kernels::fused_stream_collide(
+                exec,
+                names::CASE[l],
+                inputs,
+                &colls[l],
+                dst,
+                if accumulate { accum } else { None },
+                real,
+            );
+        }
+        OpKind::Reset => {
+            kernels::reset_accumulators(
+                exec,
+                names::R[l],
+                &lv.grid,
+                &lv.ghost_starts,
+                &lv.acc,
+                ghost,
+                V::Q,
+            );
         }
     }
 }

@@ -42,12 +42,6 @@ impl CellFlags {
         self.has(Self::GHOST)
     }
 
-    /// True when some streaming direction resolves through a link.
-    #[inline(always)]
-    pub fn is_exceptional(self) -> bool {
-        self.has(Self::EXCEPTIONAL)
-    }
-
     /// True when the cell scatters into its parent ghost cell.
     #[inline(always)]
     pub fn accumulates(self) -> bool {
@@ -81,7 +75,7 @@ mod tests {
         let f = CellFlags(CellFlags::REAL | CellFlags::ACCUMULATES);
         assert!(f.is_real());
         assert!(!f.is_ghost());
-        assert!(!f.is_exceptional());
+        assert!(!f.has(CellFlags::EXCEPTIONAL));
         assert!(f.accumulates());
     }
 }

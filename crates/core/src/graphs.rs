@@ -11,81 +11,46 @@
 //! kernel counts, dependency edges and minimal synchronization points come
 //! out of the same machinery Neon uses (paper §V-C).
 
-use lbm_runtime::{FieldId, FieldRegistry, KernelNode, TaskGraph};
+use lbm_runtime::{FieldId, KernelNode, TaskGraph};
 
 use crate::program::{self, LevelTopo};
 use crate::variant::Variant;
 
-fn node(
-    label: String,
-    level: u32,
-    reads: Vec<FieldId>,
-    writes: Vec<FieldId>,
-    atomics: Vec<FieldId>,
-) -> KernelNode {
+fn node(label: String, reads: Vec<FieldId>, writes: Vec<FieldId>) -> KernelNode {
     KernelNode {
-        name: label.clone(),
         label,
-        level: Some(level),
         reads,
         writes,
-        atomics,
+        atomics: vec![],
     }
 }
 
 /// Graph of one coarsest time step of paper Algorithm 1 (original
 /// baseline: fine-side ghost layers, no Accumulate split). Each level `l`
-/// owns one population field; Explosion reads the coarser field, and
-/// Coalescence reads the finer field.
+/// owns one population field, `FieldId(l)`; Explosion reads the coarser
+/// field, and Coalescence reads the finer field.
 pub fn alg1_graph(levels: u32) -> TaskGraph {
     assert!(levels >= 1);
-    let mut reg = FieldRegistry::new();
-    let f: Vec<FieldId> = (0..levels).map(|l| reg.register(format!("f{l}"))).collect();
-    let mut g = TaskGraph::new();
-
-    fn rec(g: &mut TaskGraph, f: &[FieldId], l: u32, levels: u32, second_half: bool) {
-        let li = l as usize;
-        g.push(node(
-            format!("C{l}"),
-            l,
-            vec![f[li]],
-            vec![f[li]],
-            vec![],
-        ));
+    fn rec(g: &mut TaskGraph, l: usize, levels: usize, second_half: bool) {
+        let f = FieldId;
+        g.push(node(format!("C{l}"), vec![f(l)], vec![f(l)]));
         if l != levels - 1 {
-            rec(g, f, l + 1, levels, false);
+            rec(g, l + 1, levels, false);
         }
         if l != 0 {
-            g.push(node(
-                format!("E{l}"),
-                l,
-                vec![f[li - 1]],
-                vec![f[li]],
-                vec![],
-            ));
+            g.push(node(format!("E{l}"), vec![f(l - 1)], vec![f(l)]));
         }
-        g.push(node(
-            format!("S{l}"),
-            l,
-            vec![f[li]],
-            vec![f[li]],
-            vec![],
-        ));
+        g.push(node(format!("S{l}"), vec![f(l)], vec![f(l)]));
         if l != levels - 1 {
-            g.push(node(
-                format!("O{l}"),
-                l,
-                vec![f[li + 1]],
-                vec![f[li]],
-                vec![],
-            ));
+            g.push(node(format!("O{l}"), vec![f(l + 1)], vec![f(l)]));
         }
         if l == 0 || second_half {
             return;
         }
-        rec(g, f, l, levels, true);
+        rec(g, l, levels, true);
     }
-    rec(&mut g, &f, 0, levels, false);
+    let mut g = TaskGraph::new();
+    rec(&mut g, 0, levels as usize, false);
     g
 }
 

@@ -26,7 +26,7 @@
 
 use lbm_gpu::{AtomicF64Field, Executor, LaunchCost};
 use lbm_lattice::{Collision, Real, VelocitySet, MAX_Q};
-use lbm_sparse::{Block, Field, SparseGrid, StreamOffsets, INVALID_BLOCK};
+use lbm_sparse::{Field, SparseGrid, StreamOffsets, INVALID_BLOCK};
 
 use crate::flags::CellFlags;
 use crate::links::{decode_ref, Deposit, LinkTable, PerBlock};
@@ -156,16 +156,18 @@ fn replay_runs<T: Real>(
     }
 }
 
-/// True for a slot that holds a real cell: active and flagged real.
+/// True for a slot that holds a real cell. An inactive slot's flag byte
+/// is 0 ([`crate::MultiGrid::build`] writes flags only for active cells),
+/// so the flags alone decide.
 #[inline(always)]
-fn is_real(blk: &Block, flags: &[u8], cell: usize) -> bool {
-    blk.active.get(cell) && CellFlags(flags[cell]).is_real()
+fn is_real(flags: &[u8], cell: usize) -> bool {
+    CellFlags(flags[cell]).is_real()
 }
 
 /// Which of the `LANES` cells from `base` on are real.
 #[inline(always)]
-fn lane_mask(blk: &Block, flags: &[u8], base: usize) -> [bool; LANES] {
-    std::array::from_fn(|l| is_real(blk, flags, base + l))
+fn lane_mask(flags: &[u8], base: usize) -> [bool; LANES] {
+    std::array::from_fn(|l| is_real(flags, base + l))
 }
 
 /// Stores one lane group's column `from` into `col`: whole when every lane
@@ -283,7 +285,7 @@ fn stream_block<T: Real, V: VelocitySet>(
         replay_runs(inp.offsets, inp.src, &blk.neighbors, V::Q, tile);
         let flags = inp.flags.component(b, 0);
         for base in (0..cpb).step_by(LANES) {
-            let real = lane_mask(blk, flags, base);
+            let real = lane_mask(flags, base);
             if !real.contains(&true) {
                 continue;
             }
@@ -401,7 +403,7 @@ pub fn collide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     #[cfg(target_arch = "x86_64")]
     let wide = std::arch::is_x86_feature_detected!("avx512f");
     exec.launch_mut(name, dst.as_mut_slice(), stride, cost, |b, out| {
-        let cells = Some((grid.block(b), flags.component(b, 0)));
+        let cells = Some(flags.component(b, 0));
         #[cfg(target_arch = "x86_64")]
         if wide {
             // SAFETY: `wide` is `is_x86_feature_detected!("avx512f")`, so
@@ -423,8 +425,8 @@ const LANES: usize = 8;
 
 /// Collides the real cells of one block in place, `LANES` cells at a time.
 /// With `cells = None` every slot is real ([`crate::Level::all_real`]) and each
-/// group is stored whole. Otherwise `cells` holds the block's active mask
-/// and cell flags: groups without a real cell are skipped, and a group's
+/// group is stored whole. Otherwise `cells` holds the block's cell flags:
+/// groups without a real cell are skipped, and a group's
 /// store writes only its real cells, so ghost and inactive slots keep
 /// their contents.
 #[inline(always)]
@@ -432,11 +434,11 @@ fn collide_block<T: Real, V: VelocitySet, C: Collision<T, V>>(
     op: &C,
     out: &mut [T],
     cpb: usize,
-    cells: Option<(&Block, &[u8])>,
+    cells: Option<&[u8]>,
 ) {
     debug_assert_eq!(cpb % LANES, 0, "partial lane group");
     for base in (0..cpb).step_by(LANES) {
-        let real = cells.map_or([true; LANES], |(blk, flags)| lane_mask(blk, flags, base));
+        let real = cells.map_or([true; LANES], |flags| lane_mask(flags, base));
         if !real.contains(&true) {
             continue;
         }
@@ -460,7 +462,7 @@ fn collide_block_wide<T: Real, V: VelocitySet, C: Collision<T, V>>(
     op: &C,
     out: &mut [T],
     cpb: usize,
-    cells: Option<(&Block, &[u8])>,
+    cells: Option<&[u8]>,
 ) {
     collide_block::<T, V, C>(op, out, cpb, cells);
 }
@@ -570,7 +572,7 @@ fn fused_block<T: Real, V: VelocitySet, C: Collision<T, V>>(
         coalesce: true,
     };
     stream_block::<T, V>(inp, b, out, all, accumulate);
-    let cells = (!inp.all_real[b as usize]).then(|| (inp.grid.block(b), inp.flags.component(b, 0)));
+    let cells = (!inp.all_real[b as usize]).then(|| inp.flags.component(b, 0));
     collide_block::<T, V, C>(op, out, inp.grid.cells_per_block(), cells);
 }
 
@@ -704,9 +706,9 @@ mod tests {
     fn has_mixed_group<V: VelocitySet>(grid: &MultiGrid<f64, V>) -> bool {
         grid.levels.iter().any(|lv| {
             (0..lv.grid.num_blocks() as u32).any(|b| {
-                let (blk, flags) = (lv.grid.block(b), lv.flags.component(b, 0));
+                let flags = lv.flags.component(b, 0);
                 (0..lv.grid.cells_per_block()).step_by(LANES).any(|base| {
-                    let real = (base..base + LANES).filter(|&c| is_real(blk, flags, c));
+                    let real = (base..base + LANES).filter(|&c| is_real(flags, c));
                     (1..LANES).contains(&real.count())
                 })
             })
@@ -749,7 +751,7 @@ mod tests {
                     let chunk = |h: usize| {
                         lv.f.half(h).as_slice()[b as usize * stride..][..stride].to_vec()
                     };
-                    let cells = Some((lv.grid.block(b), lv.flags.component(b, 0)));
+                    let cells = Some(lv.flags.component(b, 0));
                     let (mut portable, mut wide) = (chunk(0), chunk(0));
                     collide_block::<f64, V, C>(&coll, &mut portable, cpb, cells);
                     // SAFETY: the caller checked

@@ -39,16 +39,6 @@ impl MemoryReport {
         }
         self.ghost_bytes as f64 / self.baseline_ghost_bytes as f64
     }
-
-    /// Renders the report into a [`MemoryPlan`] for budget checks against
-    /// the modeled device.
-    pub fn to_plan(&self) -> MemoryPlan {
-        let mut p = MemoryPlan::new();
-        p.push("populations (2 buffers, all levels)", self.population_bytes as u64)
-            .push("ghost accumulators (1 coarse layer)", self.ghost_bytes as u64)
-            .push("topology metadata", self.metadata_bytes as u64);
-        p
-    }
 }
 
 /// Accounts an existing grid stack.
@@ -124,8 +114,6 @@ mod tests {
         assert!(r.ghost_bytes > 0);
         assert!((r.ghost_ratio() - 1.0 / 3.0).abs() < 1e-12);
         assert!(r.metadata_bytes > 0);
-        let plan = r.to_plan();
-        assert_eq!(plan.total_bytes(), r.total_bytes() as u64);
     }
 
     #[test]

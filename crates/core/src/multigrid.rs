@@ -479,8 +479,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 for k in 0..e.count {
                     for x in 0..e.len {
                         let cell = e.dst_base + k * e.stride + x;
-                        let real = blk.active.get(cell as usize)
-                            && CellFlags(fl.get(b, 0, cell)).is_real();
+                        let real = CellFlags(fl.get(b, 0, cell)).is_real();
                         assert!(
                             !real || linked[cell as usize] & (1 << i) != 0,
                             "invalid grid: level {l} block {b} cell {cell} pulls direction \
@@ -663,13 +662,11 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 .fold(true, |ok, v| ok & v.is_finite())
         });
         let src = lv.f.src().block(block);
-        let active = &lv.grid.block(block).active;
         let flags = lv.flags.block(block);
         let (mut max_speed_sq, mut mass) = (0.0f64, 0.0f64);
         for base in (0..cpb).step_by(LANES) {
-            let real: [bool; LANES] = std::array::from_fn(|l| {
-                active.get(base + l) && CellFlags(flags[base + l]).is_real()
-            });
+            let real: [bool; LANES] =
+                std::array::from_fn(|l| CellFlags(flags[base + l]).is_real());
             if !real.contains(&true) {
                 continue;
             }

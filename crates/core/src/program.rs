@@ -229,9 +229,7 @@ pub fn kernel_node(op: &StepOp, topo: &[LevelTopo]) -> KernelNode {
         OpKind::Reset => (format!("R{l}"), vec![], vec![acc_id(l, n)], vec![]),
     };
     KernelNode {
-        name: label.clone(),
         label,
-        level: Some(l as u32),
         reads,
         writes,
         atomics,

@@ -53,7 +53,7 @@ fn run(mut eng: Eng) -> Eng {
 }
 
 fn assert_carried(s: Settings, threads: usize, eng: &Eng, what: &str) {
-    assert_eq!(eng.variant, s.variant, "{what}: variant");
+    assert_eq!(eng.variant(), s.variant, "{what}: variant");
     assert_eq!(eng.exec_mode(), s.mode, "{what}: exec mode");
     assert_eq!(eng.thread_count(), threads, "{what}: threads");
     // The guard reports every 2 steps against an unreachable speed bound,

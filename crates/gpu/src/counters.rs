@@ -10,9 +10,8 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::device::DeviceModel;
 
@@ -75,25 +74,6 @@ impl LaunchCost {
     pub fn traffic_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written + self.atomic_bytes
     }
-
-    /// Sets the warp occupancy from a thread-block size (cells per memory
-    /// block) against a 32-lane warp.
-    pub fn with_thread_block(mut self, threads: usize) -> Self {
-        self.occupancy = (threads as f64 / 32.0).min(1.0);
-        self
-    }
-
-    /// Component-wise sum (occupancy: traffic-weighted handling happens at
-    /// record time, so the merge keeps the minimum).
-    pub fn merge(self, o: LaunchCost) -> Self {
-        Self {
-            cells: self.cells + o.cells,
-            bytes_read: self.bytes_read + o.bytes_read,
-            bytes_written: self.bytes_written + o.bytes_written,
-            atomic_bytes: self.atomic_bytes + o.atomic_bytes,
-            occupancy: self.occupancy.min(o.occupancy),
-        }
-    }
 }
 
 /// Named builder for per-cell [`LaunchCost`]s (see [`LaunchCost::cells`]).
@@ -135,8 +115,8 @@ impl LaunchCostBuilder {
         self
     }
 
-    /// Sets the warp occupancy from a thread-block size, as
-    /// [`LaunchCost::with_thread_block`].
+    /// Sets the warp occupancy from a thread-block size (cells per memory
+    /// block) against a 32-lane warp.
     pub fn thread_block(mut self, threads: usize) -> Self {
         self.occupancy = (threads as f64 / 32.0).min(1.0);
         self
@@ -250,6 +230,12 @@ pub fn with_span_context<R>(wave: u32, f: impl FnOnce() -> R) -> R {
     })
 }
 
+/// Locks `m`; a lock poisoned by a panic while it was held still yields
+/// its data, as the executor's own locks do.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Thread-safe profiler shared by the executor.
 #[derive(Debug)]
 pub struct Profiler {
@@ -309,10 +295,10 @@ impl Profiler {
             .fetch_add(stall_bytes(&cost), Ordering::Relaxed);
         self.wall_ns
             .fetch_add((wall_us * 1e3) as u64, Ordering::Relaxed);
-        self.per_kernel.lock().entry(name).or_default().add(cost, wall_us);
+        lock(&self.per_kernel).entry(name).or_default().add(cost, wall_us);
         if self.tracing.load(Ordering::Relaxed) {
             let end_us = self.epoch.elapsed().as_secs_f64() * 1e6;
-            self.spans.lock().push(KernelSpan {
+            lock(&self.spans).push(KernelSpan {
                 name,
                 wave: SPAN_CTX.with(Cell::get),
                 start_us: (end_us - wall_us).max(0.0),
@@ -334,7 +320,7 @@ impl Profiler {
     /// exact, whereas dividing a launch's declared traffic across blocks
     /// truncates.
     pub fn record_thread_blocks(&self, tid: usize, blocks: u64) {
-        let mut v = self.thread_blocks.lock();
+        let mut v = lock(&self.thread_blocks);
         if v.len() <= tid {
             v.resize(tid + 1, 0);
         }
@@ -345,7 +331,7 @@ impl Profiler {
     /// thread id. Empty unless a multi-thread executor has run
     /// (single-thread launches skip the bookkeeping).
     pub fn thread_blocks(&self) -> Vec<u64> {
-        self.thread_blocks.lock().clone()
+        lock(&self.thread_blocks).clone()
     }
 
     /// Records the start of one executor wave (a group of mutually
@@ -370,7 +356,7 @@ impl Profiler {
 
     /// Snapshot of the recorded kernel spans.
     pub fn spans(&self) -> Vec<KernelSpan> {
-        self.spans.lock().clone()
+        lock(&self.spans).clone()
     }
 
     /// Executor waves recorded so far.
@@ -408,8 +394,7 @@ impl Profiler {
 
     /// Per-kernel breakdown snapshot, sorted by name.
     pub fn per_kernel(&self) -> Vec<(&'static str, KernelStats)> {
-        self.per_kernel
-            .lock()
+        lock(&self.per_kernel)
             .iter()
             .map(|(k, v)| (*k, *v))
             .collect()
@@ -486,9 +471,9 @@ impl Profiler {
         self.atomic_bytes.store(0, Ordering::Relaxed);
         self.stall_bytes.store(0, Ordering::Relaxed);
         self.wall_ns.store(0, Ordering::Relaxed);
-        self.per_kernel.lock().clear();
-        self.thread_blocks.lock().clear();
-        self.spans.lock().clear();
+        lock(&self.per_kernel).clear();
+        lock(&self.thread_blocks).clear();
+        lock(&self.spans).clear();
     }
 }
 
@@ -503,17 +488,6 @@ mod tests {
         assert_eq!(c.bytes_read, 100 * 19 * 8);
         assert_eq!(c.bytes_written, 100 * 19 * 8);
         assert_eq!(c.atomic_bytes, 0);
-    }
-
-    #[test]
-    fn merge_sums() {
-        let a = LaunchCost::cells(10).loads(1).stores(1).atomics(1).build();
-        let b = LaunchCost::cells(5).loads(2).build();
-        let m = a.merge(b);
-        assert_eq!(m.cells, 15);
-        assert_eq!(m.bytes_read, 80 + 80);
-        assert_eq!(m.bytes_written, 80);
-        assert_eq!(m.atomic_bytes, 80);
     }
 
     #[test]

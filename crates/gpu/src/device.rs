@@ -52,13 +52,6 @@ impl DeviceModel {
         self.bytes_per_us * self.bandwidth_efficiency
     }
 
-    /// Modeled execution time (µs) of one kernel moving the given traffic.
-    pub fn kernel_time_us(&self, bytes_read: u64, bytes_written: u64, atomic_bytes: u64) -> f64 {
-        let plain = (bytes_read + bytes_written) as f64;
-        let atomics = atomic_bytes as f64 * self.atomic_cost_factor;
-        self.launch_overhead_us + (plain + atomics) / self.effective_bytes_per_us()
-    }
-
     /// Modeled time (µs) of `launches` kernels moving aggregate traffic,
     /// plus `syncs` synchronization points.
     pub fn total_time_us(
@@ -74,25 +67,6 @@ impl DeviceModel {
         launches as f64 * self.launch_overhead_us
             + syncs as f64 * self.sync_overhead_us
             + (plain + atomics) / self.effective_bytes_per_us()
-    }
-
-    /// Modeled makespan (µs) of one *wave* of concurrently-submitted
-    /// kernels. Launch latencies overlap across streams (one overhead per
-    /// wave), while DRAM bandwidth is shared: the wave completes when the
-    /// summed traffic of all its kernels has moved through the device.
-    pub fn wave_time_us(&self, costs: &[super::counters::LaunchCost]) -> f64 {
-        if costs.is_empty() {
-            return 0.0;
-        }
-        let mut plain = 0u64;
-        let mut atomic = 0u64;
-        for c in costs {
-            plain += c.bytes_read + c.bytes_written;
-            atomic += c.atomic_bytes;
-        }
-        self.launch_overhead_us
-            + (plain as f64 + atomic as f64 * self.atomic_cost_factor)
-                / self.effective_bytes_per_us()
     }
 
     /// How many cells of a `q`-component double-buffered population field
@@ -123,10 +97,9 @@ mod tests {
     #[test]
     fn kernel_time_is_launch_plus_traffic() {
         let d = DeviceModel::a100_40gb();
-        let empty = d.kernel_time_us(0, 0, 0);
-        assert_eq!(empty, d.launch_overhead_us);
+        assert_eq!(d.total_time_us(1, 0, 0, 0, 0), d.launch_overhead_us);
         let gb = 1u64 << 30;
-        let t = d.kernel_time_us(gb, gb, 0);
+        let t = d.total_time_us(1, 0, gb, gb, 0);
         let expect = d.launch_overhead_us + (2.0 * gb as f64) / d.effective_bytes_per_us();
         assert!((t - expect).abs() < 1e-9);
     }
@@ -134,8 +107,8 @@ mod tests {
     #[test]
     fn atomics_cost_more() {
         let d = DeviceModel::a100_40gb();
-        let plain = d.kernel_time_us(0, 1 << 20, 0);
-        let atomic = d.kernel_time_us(0, 0, 1 << 20);
+        let plain = d.total_time_us(1, 0, 0, 1 << 20, 0);
+        let atomic = d.total_time_us(1, 0, 0, 0, 1 << 20);
         assert!(atomic > plain);
     }
 
@@ -147,25 +120,6 @@ mod tests {
         let two = d.total_time_us(2, 1, 1 << 26, 1 << 26, 0);
         let fused = d.total_time_us(1, 0, 1 << 26, 1 << 26, 0);
         assert!((two - fused - d.launch_overhead_us - d.sync_overhead_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wave_makespan_overlaps_launches() {
-        use crate::counters::LaunchCost;
-        let d = DeviceModel::a100_40gb();
-        let a = LaunchCost::cells(1 << 20).loads(19).stores(19).build();
-        let b = LaunchCost::cells(1 << 18).loads(19).stores(19).atomics(1).build();
-        let serial = d.total_time_us(
-            2,
-            0,
-            a.bytes_read + b.bytes_read,
-            a.bytes_written + b.bytes_written,
-            a.atomic_bytes + b.atomic_bytes,
-        );
-        let wave = d.wave_time_us(&[a, b]);
-        // Same traffic, but one launch overhead instead of two.
-        assert!((serial - wave - d.launch_overhead_us).abs() < 1e-9);
-        assert_eq!(d.wave_time_us(&[]), 0.0);
     }
 
     #[test]

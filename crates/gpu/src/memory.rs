@@ -68,11 +68,6 @@ impl MemoryPlan {
     pub fn fits(&self, device: &DeviceModel) -> bool {
         self.total_bytes() <= device.memory_bytes
     }
-
-    /// Fraction of device memory used (may exceed 1.0 when over budget).
-    pub fn utilization(&self, device: &DeviceModel) -> f64 {
-        self.total_bytes() as f64 / device.memory_bytes as f64
-    }
 }
 
 impl fmt::Display for MemoryPlan {
@@ -123,11 +118,9 @@ mod tests {
         let mut fits = MemoryPlan::new();
         fits.push("x", d.memory_bytes - 1);
         assert!(fits.fits(&d));
-        assert!(fits.utilization(&d) < 1.0);
         let mut over = MemoryPlan::new();
         over.push("x", d.memory_bytes + 1);
         assert!(!over.fits(&d));
-        assert!(over.utilization(&d) > 1.0);
     }
 
     #[test]

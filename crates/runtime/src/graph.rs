@@ -14,53 +14,16 @@
 
 use std::fmt::Write as _;
 
-/// Handle to a registered field.
+/// Handle to a field: an index the caller assigns, one per distinct
+/// buffer (two fields conflict exactly when their ids are equal).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FieldId(pub usize);
-
-/// Registry mapping field handles to display names.
-#[derive(Clone, Debug, Default)]
-pub struct FieldRegistry {
-    names: Vec<String>,
-}
-
-impl FieldRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a field and returns its handle.
-    pub fn register(&mut self, name: impl Into<String>) -> FieldId {
-        self.names.push(name.into());
-        FieldId(self.names.len() - 1)
-    }
-
-    /// Display name of a field.
-    pub fn name(&self, id: FieldId) -> &str {
-        &self.names[id.0]
-    }
-
-    /// Number of registered fields.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True if no fields are registered.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
 
 /// One kernel node with its declared accesses.
 #[derive(Clone, Debug)]
 pub struct KernelNode {
-    /// Operator name ("Collision", "Streaming", fused names, ...).
-    pub name: String,
     /// Short label for DOT rendering ("C0", "SEO1", ...).
     pub label: String,
-    /// Grid level the kernel runs on (0 = coarsest), if applicable.
-    pub level: Option<u32>,
     /// Fields read.
     pub reads: Vec<FieldId>,
     /// Fields written exclusively.
@@ -78,7 +41,7 @@ pub struct TaskGraph {
     preds: Vec<Vec<usize>>,
     /// ASAP wave index per node, maintained incrementally by
     /// [`TaskGraph::push`] (`wave[j] = 1 + max(wave[preds])`). Cached so
-    /// `waves`/`sync_count`/`max_concurrency` and the executor never
+    /// `waves`/`sync_count` and the executor never
     /// recompute the partition.
     wave: Vec<usize>,
     /// Node count per wave (`wave_counts.len()` = number of waves).
@@ -173,11 +136,6 @@ impl TaskGraph {
         self.wave_counts.len().saturating_sub(1)
     }
 
-    /// Maximum number of kernels that can run concurrently (largest wave).
-    pub fn max_concurrency(&self) -> usize {
-        self.wave_counts.iter().copied().max().unwrap_or(0)
-    }
-
     /// Transitive reduction of the predecessor sets (for readable DOT):
     /// removes an edge i→j when a longer path i→…→j exists.
     fn reduced_preds(&self) -> Vec<Vec<usize>> {
@@ -240,48 +198,19 @@ impl TaskGraph {
         writeln!(s, "}}").unwrap();
         s
     }
-
-    /// One-line summary for reports.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} kernels, {} edges, {} syncs, max concurrency {}",
-            self.kernel_count(),
-            self.edge_count(),
-            self.sync_count(),
-            self.max_concurrency()
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn node(
-        name: &str,
-        reads: &[FieldId],
-        writes: &[FieldId],
-        atomics: &[FieldId],
-    ) -> KernelNode {
+    fn node(label: &str, reads: &[FieldId], writes: &[FieldId], atomics: &[FieldId]) -> KernelNode {
         KernelNode {
-            name: name.into(),
-            label: name.into(),
-            level: None,
+            label: label.into(),
             reads: reads.to_vec(),
             writes: writes.to_vec(),
             atomics: atomics.to_vec(),
         }
-    }
-
-    #[test]
-    fn registry_names() {
-        let mut r = FieldRegistry::new();
-        let a = r.register("f0");
-        let b = r.register("f1");
-        assert_eq!(r.name(a), "f0");
-        assert_eq!(r.name(b), "f1");
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
     }
 
     #[test]
@@ -302,7 +231,7 @@ mod tests {
         g.push(node("c", &[], &[FieldId(2)], &[]));
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.sync_count(), 0);
-        assert_eq!(g.max_concurrency(), 3);
+        assert_eq!(g.wave_sizes(), &[3]);
     }
 
     #[test]
@@ -338,7 +267,6 @@ mod tests {
         g.push(node("k3", &[c], &[a], &[]));
         assert_eq!(g.waves(), vec![0, 1, 2]);
         assert_eq!(g.sync_count(), 2);
-        assert_eq!(g.max_concurrency(), 1);
         assert_eq!(g.wave_count(), 3);
         assert_eq!(g.wave_sizes(), &[1, 1, 1]);
     }
@@ -355,7 +283,6 @@ mod tests {
         g.push(node("e", &[FieldId(2), FieldId(3)], &[FieldId(4)], &[]));
         assert_eq!(g.waves(), vec![0, 0, 1, 0, 2]);
         assert_eq!(g.wave_sizes(), &[3, 1, 1]);
-        assert_eq!(g.max_concurrency(), 3);
         assert_eq!(g.sync_count(), 2);
     }
 
@@ -373,13 +300,5 @@ mod tests {
         assert!(dot.contains("n0 -> n1"));
         assert!(dot.contains("n1 -> n2"));
         assert!(!dot.contains("n0 -> n2"), "transitive edge must be reduced:\n{dot}");
-    }
-
-    #[test]
-    fn summary_mentions_counts() {
-        let mut g = TaskGraph::new();
-        g.push(node("k", &[], &[FieldId(0)], &[]));
-        let s = g.summary();
-        assert!(s.contains("1 kernels"));
     }
 }

@@ -5,8 +5,8 @@
 //! data-dependency graph, groups independent kernels into waves, and
 //! places synchronization points only between waves.
 //!
-//! - [`graph`]: field registry, kernel nodes, dependency extraction, Fig. 2
-//!   DOT export, kernel/sync counting;
+//! - [`graph`]: field ids, kernel nodes, dependency extraction, Fig. 2 DOT
+//!   export, kernel/sync counting;
 //! - [`schedule`]: ASAP wave schedule replayed on the virtual GPU executor.
 
 #![warn(missing_docs)]
@@ -14,5 +14,5 @@
 pub mod graph;
 pub mod schedule;
 
-pub use graph::{FieldId, FieldRegistry, KernelNode, TaskGraph};
+pub use graph::{FieldId, KernelNode, TaskGraph};
 pub use schedule::Schedule;

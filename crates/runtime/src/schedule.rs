@@ -3,9 +3,10 @@
 //! Neon runs independent kernels concurrently and synchronizes between
 //! dependent groups. The [`Schedule`] materializes that plan: kernels
 //! grouped into waves, one synchronization point between consecutive waves.
-//! `lbm-core` replays the plan on the virtual GPU executor: it opens each
-//! wave with `Executor::begin_wave()` (the cost model then charges one
-//! launch overhead per wave, the modeled launch overlap) and calls
+//! `lbm-core` computes it once, when an engine is assembled, and replays it
+//! on every step on the virtual GPU executor: it opens each wave with
+//! `Executor::begin_wave()` (the cost model then charges one launch
+//! overhead per wave, the modeled launch overlap) and calls
 //! `Executor::sync()` exactly `sync_count` times per step, so the model
 //! charges synchronization the way the real runtime would. The host runs a
 //! wave's kernels one after another in ascending node order, each kernel
@@ -46,19 +47,6 @@ impl Schedule {
     pub fn kernel_count(&self) -> usize {
         self.waves.iter().map(Vec::len).sum()
     }
-
-    /// Human-readable rendering: one line per wave.
-    pub fn render(&self, graph: &TaskGraph) -> String {
-        let mut out = String::new();
-        for (w, nodes) in self.waves.iter().enumerate() {
-            let labels: Vec<&str> = nodes
-                .iter()
-                .map(|&n| graph.nodes()[n].label.as_str())
-                .collect();
-            out.push_str(&format!("wave {w}: {}\n", labels.join(" | ")));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -66,11 +54,9 @@ mod tests {
     use super::*;
     use crate::graph::{FieldId, KernelNode};
 
-    fn node(name: &str, reads: &[usize], writes: &[usize]) -> KernelNode {
+    fn node(label: &str, reads: &[usize], writes: &[usize]) -> KernelNode {
         KernelNode {
-            name: name.into(),
-            label: name.into(),
-            level: None,
+            label: label.into(),
             reads: reads.iter().map(|&i| FieldId(i)).collect(),
             writes: writes.iter().map(|&i| FieldId(i)).collect(),
             atomics: vec![],
@@ -102,16 +88,5 @@ mod tests {
         assert_eq!(s.waves.len(), 0);
         assert_eq!(s.sync_count(), 0);
         assert_eq!(s.kernel_count(), 0);
-    }
-
-    #[test]
-    fn render_shows_waves() {
-        let mut g = TaskGraph::new();
-        g.push(node("C0", &[], &[0]));
-        g.push(node("S0", &[0], &[1]));
-        let s = Schedule::from_graph(&g);
-        let r = s.render(&g);
-        assert!(r.contains("wave 0: C0"));
-        assert!(r.contains("wave 1: S0"));
     }
 }

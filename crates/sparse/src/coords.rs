@@ -174,19 +174,6 @@ impl Box3 {
         })
     }
 
-    /// The box covering this one when coordinates are divided by `f`
-    /// (coarsening by factor `f`), rounded outward.
-    pub fn coarsen(&self, f: i32) -> Box3 {
-        assert!(f > 0);
-        let lo = self.lo.div_euclid(f);
-        let hi = Coord::new(
-            (self.hi.x + f - 1).div_euclid(f),
-            (self.hi.y + f - 1).div_euclid(f),
-            (self.hi.z + f - 1).div_euclid(f),
-        );
-        Box3::new(lo, hi)
-    }
-
     /// The box with coordinates multiplied by `f` (refining by factor `f`).
     pub fn refine(&self, f: i32) -> Box3 {
         assert!(f > 0);
@@ -210,14 +197,6 @@ impl Box3 {
         } else {
             None
         }
-    }
-
-    /// Grows the box by `n` cells in every direction.
-    pub fn dilate(&self, n: i32) -> Box3 {
-        Box3::new(
-            self.lo - Coord::new(n, n, n),
-            self.hi + Coord::new(n, n, n),
-        )
     }
 }
 
@@ -276,14 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn coarsen_refine() {
-        let b = Box3::new(Coord::new(1, 0, -3), Coord::new(7, 8, 5));
-        let c = b.coarsen(2);
-        assert_eq!(c, Box3::new(Coord::new(0, 0, -2), Coord::new(4, 4, 3)));
-        let r = c.refine(2);
-        // Refinement of the coarsening covers the original.
-        assert!(r.contains(b.lo));
-        assert!(r.contains(b.hi - Coord::new(1, 1, 1)));
+    fn refine_scales_both_corners() {
+        let b = Box3::new(Coord::new(0, 0, -2), Coord::new(4, 4, 3));
+        assert_eq!(
+            b.refine(2),
+            Box3::new(Coord::new(0, 0, -4), Coord::new(8, 8, 6))
+        );
     }
 
     #[test]
@@ -294,13 +271,6 @@ mod tests {
         assert_eq!(i, Box3::new(Coord::new(2, 2, 2), Coord::new(4, 4, 4)));
         let far = Box3::new(Coord::new(10, 10, 10), Coord::new(12, 12, 12));
         assert!(a.intersect(&far).is_none());
-    }
-
-    #[test]
-    fn dilation() {
-        let b = Box3::from_dims(2, 2, 2).dilate(1);
-        assert_eq!(b.lo, Coord::new(-1, -1, -1));
-        assert_eq!(b.hi, Coord::new(3, 3, 3));
     }
 
     #[test]

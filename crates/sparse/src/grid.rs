@@ -163,11 +163,6 @@ impl SparseGrid {
         })
     }
 
-    /// True if the cell at `c` is active.
-    pub fn is_active(&self, c: Coord) -> bool {
-        self.cell_ref(c).is_some()
-    }
-
     /// Global coordinate of a cell reference.
     #[inline(always)]
     pub fn coord_of(&self, r: CellRef) -> Coord {
@@ -207,32 +202,6 @@ impl SparseGrid {
         } else {
             None
         }
-    }
-
-    /// Like [`SparseGrid::neighbor`] but ignores the active bit: returns the
-    /// slot even for inactive (allocated-but-masked) cells. Kernels that
-    /// manage their own masks (e.g. ghost handling) use this.
-    #[inline(always)]
-    pub fn neighbor_slot(&self, r: CellRef, d: Coord) -> Option<CellRef> {
-        let lc = self.delinear(r.cell) + d;
-        let b = self.block_size as i32;
-        let bo = Coord::new(
-            lc.x.div_euclid(b),
-            lc.y.div_euclid(b),
-            lc.z.div_euclid(b),
-        );
-        let wrapped = lc.rem_euclid(b);
-        let cell = self.linear(wrapped);
-        let nb = if bo == Coord::ZERO {
-            r.block
-        } else {
-            let nb = self.blocks[r.block as usize].neighbors[dir_slot(bo)];
-            if nb == INVALID_BLOCK {
-                return None;
-            }
-            nb
-        };
-        Some(CellRef { block: nb, cell })
     }
 
     /// Iterates `(CellRef, Coord)` over all active cells, block-major.
@@ -314,29 +283,6 @@ impl GridBuilder {
     pub fn activate_box(&mut self, bx: Box3) -> &mut Self {
         for c in bx.iter() {
             self.activate(c);
-        }
-        self
-    }
-
-    /// Activates the cells of `bx` satisfying `pred`.
-    pub fn activate_where(&mut self, bx: Box3, mut pred: impl FnMut(Coord) -> bool) -> &mut Self {
-        for c in bx.iter() {
-            if pred(c) {
-                self.activate(c);
-            }
-        }
-        self
-    }
-
-    /// Deactivates a single cell if present (e.g. carving solid geometry).
-    pub fn deactivate(&mut self, c: Coord) -> &mut Self {
-        let b = self.block_size as i32;
-        let bc = c.div_euclid(b);
-        let lc = c.rem_euclid(b);
-        let n = self.block_size;
-        if let Some(mask) = self.cells.get_mut(&bc) {
-            let idx = (lc.x as usize) + n * (lc.y as usize) + n * n * (lc.z as usize);
-            mask.set(idx, false);
         }
         self
     }
@@ -439,18 +385,19 @@ mod tests {
 
     #[test]
     fn inactive_and_missing_cells() {
+        let hole = Coord::new(1, 1, 1);
         let mut gb = GridBuilder::new(4);
-        gb.activate_box(Box3::from_dims(4, 4, 4));
-        gb.deactivate(Coord::new(1, 1, 1));
+        for c in Box3::from_dims(4, 4, 4).iter().filter(|&c| c != hole) {
+            gb.activate(c);
+        }
         let g = gb.build(SpaceFillingCurve::Sweep);
         assert_eq!(g.active_cells(), 63);
-        assert!(g.cell_ref(Coord::new(1, 1, 1)).is_none());
-        assert!(!g.is_active(Coord::new(1, 1, 1)));
         assert!(g.cell_ref(Coord::new(9, 0, 0)).is_none(), "no block there");
-        // neighbor() respects the mask; neighbor_slot() does not.
+        // cell_ref() and neighbor() respect the mask; slot_ref() does not.
+        assert!(g.cell_ref(hole).is_none());
+        assert!(g.slot_ref(hole).is_some());
         let r = g.cell_ref(Coord::new(0, 1, 1)).unwrap();
         assert!(g.neighbor(r, Coord::new(1, 0, 0)).is_none());
-        assert!(g.neighbor_slot(r, Coord::new(1, 0, 0)).is_some());
     }
 
     #[test]
@@ -495,10 +442,11 @@ mod tests {
         // the dense bound and neighbor queries must stay consistent.
         let n = 16i32;
         let mut gb = GridBuilder::new(4);
-        gb.activate_where(Box3::from_dims(16, 16, 16), |c| {
-            let r2 = (c - Coord::new(8, 8, 8)).norm2();
-            (36.0..64.0).contains(&r2)
-        });
+        for c in Box3::from_dims(16, 16, 16).iter() {
+            if (36.0..64.0).contains(&(c - Coord::new(8, 8, 8)).norm2()) {
+                gb.activate(c);
+            }
+        }
         let g = gb.build(SpaceFillingCurve::Morton);
         assert!(g.num_blocks() < (n * n * n / 64) as usize);
         for (r, c) in g.iter_active() {

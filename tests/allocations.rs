@@ -1,5 +1,7 @@
-//! A steady-state `Engine::step` allocates the same number of times at two
-//! sizes of one geometry: nothing in the step allocates per block, so
+//! A steady-state `Engine::step` allocates at most once per kernel launch,
+//! and the same number of times at two sizes of one geometry: the step
+//! plan is built once, at engine assembly, and nothing in the step
+//! allocates per block, so
 //! frontier blocks (those with ghost or inactive slots) stream through a
 //! reused tile instead of a fresh one. Nor does a health check after the
 //! first: it reuses the recovery point and the probe's record buffer that
@@ -56,12 +58,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations of one step, after two warm-up steps.
-fn allocs_per_step<V: VelocitySet, C: Collision<f64, V>>(mut eng: Engine<f64, V, C>) -> u64 {
+/// Allocations and kernel launches of one step, after two warm-up steps.
+fn step_counts<V: VelocitySet, C: Collision<f64, V>>(mut eng: Engine<f64, V, C>) -> (u64, u64) {
     eng.run(2);
+    let launches = eng.exec.profiler().launches();
     let before = ALLOCS.with(Cell::get);
     eng.step();
-    ALLOCS.with(Cell::get) - before
+    let allocs = ALLOCS.with(Cell::get) - before;
+    (allocs, eng.exec.profiler().launches() - launches)
+}
+
+/// Allocations of one step, after two warm-up steps.
+fn allocs_per_step<V: VelocitySet, C: Collision<f64, V>>(eng: Engine<f64, V, C>) -> u64 {
+    step_counts(eng).0
 }
 
 fn one_thread() -> Executor {
@@ -90,6 +99,29 @@ fn a_steady_state_step_allocates_the_same_at_two_sizes_of_the_sphere() {
     };
     let (s, l) = (at([36, 24, 36]), at([52, 36, 52]));
     assert_eq!(s, l, "{s} vs {l} allocations");
+}
+
+/// The step plan is built once, at engine assembly, so a step allocates
+/// nothing to regenerate its program or schedule.
+#[test]
+fn a_steady_state_step_allocates_at_most_once_per_launch() {
+    let cavity = refined_cavity(32);
+    let sphere = SphereFlow::new(SphereConfig::for_size([36, 24, 36]));
+    for variant in Variant::ALL {
+        for mode in [ExecMode::Eager, ExecMode::Graph] {
+            let check = |what: &str, (allocs, launches): (u64, u64)| {
+                assert!(
+                    allocs <= launches,
+                    "{what}, {} {mode:?}: {allocs} allocations for {launches} launches",
+                    variant.name()
+                );
+            };
+            let eng = cavity.engine_with(variant, one_thread(), |b| b.exec_mode(mode));
+            check("cavity", step_counts(eng));
+            let eng = sphere.engine_with(variant, one_thread(), |b| b.exec_mode(mode));
+            check("sphere", step_counts(eng));
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@ mod common;
 use lbm_refinement::core::{
     alg1_graph, memory_report, step_graph, AllWalls, GridSpec, MultiGrid, Variant,
 };
-use lbm_refinement::gpu::{max_uniform_cube, DeviceModel, MemoryPlan};
+use lbm_refinement::gpu::{max_uniform_cube, DeviceModel, Executor, MemoryPlan};
 use lbm_refinement::lattice::{VelocitySet, D3Q19, D3Q27};
 use lbm_refinement::problems::airplane::{AirplaneConfig, AirplaneFlow};
 use lbm_refinement::problems::sphere::{SphereConfig, SphereFlow};
@@ -95,6 +95,28 @@ fn engines_allocate_exactly_the_ghost_layer_they_count() {
     let cavity = common::refined_cavity(48);
     let grid = MultiGrid::<f64, D3Q19>::build(cavity.spec(), &cavity.boundary(), cavity.omega0);
     assert_allocates_the_ghost_layer(&grid, "refined cavity n=48");
+}
+
+/// Only the modified baseline launches the coarse-initiated gather
+/// Accumulate (Fig. 4b), so only its engine keeps the gather lists
+/// `MultiGrid::build` makes; every other engine drops them at assembly.
+#[test]
+fn only_the_gather_accumulate_engine_keeps_the_gather_lists() {
+    let flow = SphereFlow::new(SphereConfig::scaled_small());
+    let entries = |grid: &MultiGrid<f64, D3Q27>| -> Vec<usize> {
+        grid.levels.iter().map(|lv| lv.gather.all().len()).collect()
+    };
+    let built = MultiGrid::<f64, D3Q27>::build(
+        flow.spec(),
+        &tunnel_boundary(flow.config.size, flow.config.levels, flow.config.u_inlet),
+        flow.omega0,
+    );
+    assert!(entries(&built).iter().sum::<usize>() > 0);
+    let engine = |variant| flow.engine(variant, Executor::with_threads(DeviceModel::a100_40gb(), 1));
+    let baseline = engine(Variant::ModifiedBaseline);
+    assert_eq!(entries(&baseline.grid), entries(&built), "modified baseline");
+    let fused = engine(Variant::FusedAll);
+    assert_eq!(entries(&fused.grid), vec![0; built.levels.len()], "fused");
 }
 
 /// Table I shape: the fused variant wins on the modeled device, and its
