@@ -9,11 +9,12 @@
 #    coordinate classifier (the build oracle), the streaming gather against
 #    a per-cell oracle, bit-identity across fusion variants, exec modes,
 #    thread counts and restart, pinned golden digests, conservation, the
-#    graph-mode sync/wave counts, and the step plan built once: a
-#    steady-state step allocates at most once per launch
-#    (`tests/allocations.rs`; DESIGN.md §4, §8, §10, §11). The
-#    health guard's passes run on the pool too; two tests pin them at pool
-#    widths 1, 2 and 8 whatever `LBM_THREADS` says:
+#    graph-mode sync/wave counts, the octree `census` against the cells
+#    the build allocates, and the step plan built once: a steady-state
+#    step allocates at most once per launch, and not at all on a
+#    one-thread pool (`tests/allocations.rs`; DESIGN.md §4, §8, §10,
+#    §11). The health guard's passes run on the pool too; two tests pin
+#    them at pool widths 1, 2 and 8 whatever `LBM_THREADS` says:
 #    `tests/determinism.rs::probe_record_is_bit_identical_at_every_pool_width`
 #    (the guard's pool probe against the serial `MultiGrid::probe`) and
 #    `tests/checkpoint.rs::rollback_restores_the_recovery_step_byte_for_byte`
@@ -21,9 +22,12 @@
 # 2. clippy with warnings denied, test targets included;
 # 3. rustdoc with warnings denied, so no doc link dangles;
 # 4. the cheapest `report` experiments, so the paper-figure binary still
-#    runs: `fig2` and `ghost` (the §IV-A ghost-layer memory, read off the
-#    accumulators the engine allocates); then the `quickstart` example, the
-#    everyday end-to-end run (build time, MLUPS, mass drift; about 1 s);
+#    runs: `fig2`, `ghost` (the §IV-A ghost-layer memory, read off the
+#    accumulators the engine allocates) and `fig1` at its default scale
+#    (the airplane's memory plan from the octree census, the path the
+#    paper-scale run takes; about 50 ms); then the `quickstart` example,
+#    the everyday end-to-end run (build time, MLUPS, mass drift; about
+#    1 s);
 # 5. on x86-64, a codegen guard: every `collide_block_wide` and
 #    `fused_block_wide` symbol of the release `report` binary must contain
 #    `zmm` (AVX-512) instructions. A refactor that turns a block fn back
@@ -46,6 +50,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -q -p lbm-bench --bin report -- fig2
 cargo run --release -q -p lbm-bench --bin report -- ghost
+cargo run --release -q -p lbm-bench --bin report -- fig1
 cargo run --release -q --example quickstart
 if [ "$(uname -m)" = x86_64 ]; then
     objdump -d -C target/release/report | awk '

@@ -107,12 +107,4 @@ impl<T: Real> Level<T> {
     pub fn ghost_bytes_required(&self) -> usize {
         self.acc.heap_bytes()
     }
-
-    /// Number of accumulating (interface fine) cells.
-    pub fn accumulator_cells(&self) -> usize {
-        self.grid
-            .iter_active()
-            .filter(|(r, _)| self.cell_flags(*r).accumulates())
-            .count()
-    }
 }

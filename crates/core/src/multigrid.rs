@@ -25,7 +25,7 @@ use std::marker::PhantomData;
 use lbm_gpu::{AtomicF64Field, Executor};
 use lbm_lattice::{equilibrium, moments, omega_at_level, Real, VelocitySet, MAX_Q};
 use lbm_sparse::{
-    CellRef, Coord, DoubleBuffer, Field, GridBuilder, SparseGrid, StreamOffsets, INVALID_BLOCK,
+    CellRef, Coord, DoubleBuffer, Field, SparseGrid, StreamOffsets, INVALID_BLOCK,
 };
 
 use crate::boundary::{Boundary, BoundarySpec};
@@ -36,19 +36,6 @@ use crate::spec::GridSpec;
 
 /// "Not a ghost" in the build's per-slot ghost numbering.
 const NO_GHOST: u32 = u32::MAX;
-
-/// A cell's 2³ children, offset from twice its coordinate, in octant order
-/// `k = x + 2y + 4z`.
-const OCTANTS: [Coord; 8] = [
-    Coord::new(0, 0, 0),
-    Coord::new(1, 0, 0),
-    Coord::new(0, 1, 0),
-    Coord::new(1, 1, 0),
-    Coord::new(0, 0, 1),
-    Coord::new(1, 0, 1),
-    Coord::new(0, 1, 1),
-    Coord::new(1, 1, 1),
-];
 
 /// The multi-resolution grid: a stack of levels, finest last.
 pub struct MultiGrid<T, V> {
@@ -118,36 +105,15 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
         let nl = spec.levels;
 
         // ---- Pass 1: grids, flags and the ghost numbering --------------
-        // Level 0 visits its whole domain, level l + 1 only the children of
-        // level l's refined cells: the octree descends nowhere else.
+        // The octree walk classifies every reached cell once, into tables
+        // the grid, the flags and the ghost numbering read (DESIGN.md §4).
         let mut grids: Vec<SparseGrid> = Vec::with_capacity(nl as usize);
         let mut flags: Vec<Field<u8>> = Vec::with_capacity(nl as usize);
         // Per level and cell slot: the ghost's number, or `NO_GHOST`.
         let mut ghost_of: Vec<Vec<u32>> = Vec::with_capacity(nl as usize);
         let mut ghost_starts: Vec<Vec<u32>> = Vec::with_capacity(nl as usize);
-        let mut visit: Vec<Coord> = spec.domain_at(0).iter().collect();
-        for l in 0..nl {
-            let mut gb = GridBuilder::new(spec.block_size);
-            let mut refined = Vec::new();
-            for &p in &visit {
-                // `p`'s ancestors are refined: it is covered by finer
-                // levels iff refined, and owned iff neither refined nor
-                // solid.
-                let active = if spec.is_refined(l, p) {
-                    refined.push(p);
-                    spec.touches_owned(l, p)
-                } else {
-                    !spec.is_solid(l, p)
-                };
-                if active {
-                    gb.activate(p);
-                }
-            }
-            visit = refined
-                .iter()
-                .flat_map(|p| OCTANTS.map(|o| p.scale(2) + o))
-                .collect();
-            let grid = gb.build(spec.curve);
+        spec.walk(|cells| {
+            let grid = cells.grid();
             let cpb = grid.cells_per_block();
             let mut fl = Field::<u8>::new(&grid, 1, 0);
             let mut numbers = vec![NO_GHOST; grid.num_blocks() * cpb];
@@ -156,7 +122,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
                 let mut ghosts = *starts.last().unwrap();
                 for cell in blk.active.iter_set() {
                     // An active cell is owned or a covered ghost.
-                    let bit = if !spec.is_refined(l, blk.origin + grid.delinear(cell as u32)) {
+                    let bit = if !cells.covered(blk.origin + grid.delinear(cell as u32)) {
                         CellFlags::REAL
                     } else {
                         numbers[b * cpb + cell] = ghosts;
@@ -171,7 +137,7 @@ impl<T: Real, V: VelocitySet> MultiGrid<T, V> {
             flags.push(fl);
             ghost_of.push(numbers);
             ghost_starts.push(starts);
-        }
+        });
 
         // ---- Pass 2, finest level first: links, deposits, gather -------
         // The child-mask table: per level and ghost number, the ghost's 2³
@@ -801,7 +767,10 @@ mod tests {
         assert_eq!(l1.ghost_cells, 0);
         // Accumulating cells are exactly the fine cells with at least one
         // population crossing the interface: the outermost fine layer.
-        assert_eq!(l1.accumulator_cells(), 16 * 16 * 16 - 14 * 14 * 14);
+        let accumulating = |lv: &Level<f64>| {
+            lv.grid.iter_active().filter(|(r, _)| lv.cell_flags(*r).accumulates()).count()
+        };
+        assert_eq!(accumulating(l1), 16 * 16 * 16 - 14 * 14 * 14);
         // Omegas follow Eq. 9.
         assert!((l0.omega - 1.5).abs() < 1e-15);
         assert!((l1.omega - omega_at_level(1.5, 1)).abs() < 1e-15);
@@ -898,7 +867,8 @@ mod tests {
         let l0 = &mg.levels[0];
         assert_eq!(l0.real_cells, 16 * 16 * 16);
         assert_eq!(l0.ghost_cells, 0);
-        assert_eq!(l0.accumulator_cells(), 0);
+        let accumulating = l0.grid.iter_active().filter(|(r, _)| l0.cell_flags(*r).accumulates());
+        assert_eq!(accumulating.count(), 0);
         // Every slot is real; of the 4³ blocks of 4³ cells, only the inner
         // 2×2×2 have no wall links.
         assert!(l0.all_real.iter().all(|&r| r));

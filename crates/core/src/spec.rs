@@ -9,7 +9,7 @@
 //! refined itself. This octree formulation makes ownership tile-consistent
 //! by construction — no sampling ambiguity.
 
-use lbm_sparse::{Box3, Coord, SpaceFillingCurve};
+use lbm_sparse::{BitMask, Box3, Coord, GridBuilder, SpaceFillingCurve, SparseGrid};
 
 /// Refinement predicate: `(level, level-local cell coordinate) → subdivide?`.
 pub type RefineFn = dyn Fn(u32, Coord) -> bool + Send + Sync;
@@ -121,10 +121,12 @@ impl GridSpec {
         1 << (self.levels - 1 - level)
     }
 
-    /// Domain box in level-`l` coordinates (exact division by alignment).
+    /// Domain box in level-`l` coordinates (exact division by alignment,
+    /// as a shift: the build asks for it once per classified pull).
     pub fn domain_at(&self, level: u32) -> Box3 {
-        let f = self.scale_to_finest(level);
-        Box3::new(self.finest_domain.lo.div_euclid(f), self.finest_domain.hi.div_euclid(f))
+        let k = self.levels - 1 - level;
+        let coarsen = |c: Coord| Coord::new(c.x >> k, c.y >> k, c.z >> k);
+        Box3::new(coarsen(self.finest_domain.lo), coarsen(self.finest_domain.hi))
     }
 
     /// Whether the level-`l` cell `p` is subdivided into level `l+1`.
@@ -175,22 +177,25 @@ impl GridSpec {
             && self.is_refined(level, p)
     }
 
-    /// Whether one of the 26 neighbours of the level-`l` cell `p`, wrapped
-    /// across periodic faces, is owned: the test that makes a covered cell
-    /// a coarse ghost (paper §IV-A).
-    pub fn touches_owned(&self, level: u32, p: Coord) -> bool {
-        (-1..=1).any(|dz| {
-            (-1..=1).any(|dy| {
-                (-1..=1).any(|dx| {
-                    let d = Coord::new(dx, dy, dz);
-                    d != Coord::ZERO && self.owned(level, self.wrap(level, p + d))
-                })
-            })
-        })
+    /// Walks the octree level by level, coarsest first, and hands each
+    /// level's [`LevelCells`] to `each`. The refine and solid predicates run
+    /// once per reached cell; everything after that reads the level's
+    /// tables. Only the refined table outlives its level, to give the next
+    /// level its parents.
+    pub(crate) fn walk(&self, mut each: impl FnMut(&LevelCells<'_>)) {
+        let mut parents = None;
+        for level in 0..self.levels {
+            let cells = LevelCells::classify(self, level, parents.take());
+            each(&cells);
+            parents = cells.tables.map(|(_, refined)| refined);
+        }
     }
 
     /// Wraps a level-`l` coordinate along periodic axes into the domain.
     pub fn wrap(&self, level: u32, mut p: Coord) -> Coord {
+        if self.periodic == [false; 3] {
+            return p;
+        }
         let d = self.domain_at(level);
         let e = d.extent();
         for a in 0..3 {
@@ -209,6 +214,206 @@ impl GridSpec {
     }
 }
 
+/// A cell's 2³ children, offset from twice its coordinate, in octant order
+/// `k = x + 2y + 4z`.
+const OCTANTS: [Coord; 8] = [
+    Coord::new(0, 0, 0),
+    Coord::new(1, 0, 0),
+    Coord::new(0, 1, 0),
+    Coord::new(1, 1, 0),
+    Coord::new(0, 0, 1),
+    Coord::new(1, 0, 1),
+    Coord::new(0, 1, 1),
+    Coord::new(1, 1, 1),
+];
+
+/// One bit per cell of a level's domain box and of a one-cell halo around
+/// it, x fastest. A cell's 26 neighbours always lie in the table, so a
+/// neighbour scan needs no bounds test.
+struct Table {
+    lo: Coord,
+    ext: [usize; 3],
+    bits: BitMask,
+}
+
+impl Table {
+    fn new(dom: Box3) -> Self {
+        let one = Coord::new(1, 1, 1);
+        let padded = Box3::new(dom.lo - one, dom.hi + one);
+        Self {
+            lo: padded.lo,
+            ext: padded.extent(),
+            bits: BitMask::new(padded.volume()),
+        }
+    }
+
+    /// Bit index of `p`, which must lie in the box or its halo.
+    #[inline]
+    fn index(&self, p: Coord) -> usize {
+        let o = p - self.lo;
+        o.x as usize + self.ext[0] * (o.y as usize + self.ext[1] * o.z as usize)
+    }
+
+    fn set(&mut self, p: Coord) {
+        let i = self.index(p);
+        self.bits.set(i, true);
+    }
+
+    #[inline]
+    fn get(&self, p: Coord) -> bool {
+        self.bits.get(self.index(p))
+    }
+
+    /// The cells whose bit is set, in x-fastest order.
+    fn iter(&self) -> impl Iterator<Item = Coord> + '_ {
+        let [ex, ey, _] = self.ext;
+        self.bits.iter_set().map(move |i| {
+            let (x, y, z) = (i % ex, i / ex % ey, i / (ex * ey));
+            self.lo + Coord::new(x as i32, y as i32, z as i32)
+        })
+    }
+
+    /// Copies the cells at each periodic face into the halo beyond the
+    /// opposite face, one axis after the other, so that edges and corners
+    /// wrap too. The halo across a wall stays clear.
+    fn wrap_halo(&mut self, periodic: [bool; 3]) {
+        let ext = self.ext;
+        let strides = [1, ext[0], ext[0] * ext[1]];
+        for a in (0..3).filter(|&a| periodic[a]) {
+            let (s, n) = (strides[a], ext[a] - 2);
+            let (u, v) = ((a + 1) % 3, (a + 2) % 3);
+            for j in 0..ext[u] * ext[v] {
+                // The low halo cell at the `j`-th pair of other coordinates;
+                // the domain spans `1..=n` along `a`.
+                let base = j % ext[u] * strides[u] + j / ext[u] * strides[v];
+                self.bits.set(base, self.bits.get(base + n * s));
+                self.bits.set(base + (n + 1) * s, self.bits.get(base + s));
+            }
+        }
+    }
+}
+
+/// How the octree walk sees a cell it reached.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Reach {
+    /// An owned leaf: a real cell.
+    Owned,
+    /// A covered cell next to an owned one: a coarse ghost (paper §IV-A).
+    Ghost,
+    /// Solid, or covered with no owned neighbour: no storage.
+    Hidden,
+}
+
+/// The cells the octree reaches at one level, each classified once
+/// (DESIGN.md §4, "Grid build"). Level 0 reaches its whole domain, level
+/// `l + 1` the 2³ children of level `l`'s refined cells. A reached cell's
+/// ancestors are refined, so it is covered iff refined and owned iff
+/// neither refined nor solid. Below the finest level the verdicts go into
+/// two tables over the level's domain box and a one-cell halo, one bit per
+/// cell each: owned and refined. A refined cell is a ghost iff one of its
+/// 26 neighbours, wrapped across periodic faces, is set in the owned table;
+/// the owned table's halo holds the wrapped cells. The finest
+/// level refines nothing, so it keeps no table: a reached cell there is
+/// owned iff it is not solid.
+pub(crate) struct LevelCells<'a> {
+    spec: &'a GridSpec,
+    level: u32,
+    dom: Box3,
+    /// The previous level's refined cells; `None` on level 0.
+    parents: Option<Table>,
+    /// The owned and refined tables; `None` on the finest level.
+    tables: Option<(Table, Table)>,
+}
+
+impl<'a> LevelCells<'a> {
+    fn classify(spec: &'a GridSpec, level: u32, parents: Option<Table>) -> Self {
+        let dom = spec.domain_at(level);
+        let mut cells = Self {
+            spec,
+            level,
+            dom,
+            parents,
+            tables: None,
+        };
+        if level + 1 < spec.levels {
+            let (mut owned, mut refined) = (Table::new(dom), Table::new(dom));
+            cells.for_each_reached(|p| {
+                if spec.is_refined(level, p) {
+                    refined.set(p);
+                } else if !spec.is_solid(level, p) {
+                    owned.set(p);
+                }
+            });
+            owned.wrap_halo(spec.periodic);
+            cells.tables = Some((owned, refined));
+        }
+        cells
+    }
+
+    /// Calls `f` for every reached cell: level 0's domain in x-fastest
+    /// order, else the parents' children, octant by octant.
+    fn for_each_reached(&self, mut f: impl FnMut(Coord)) {
+        match &self.parents {
+            None => self.dom.iter().for_each(f),
+            Some(parents) => {
+                for parent in parents.iter() {
+                    OCTANTS.iter().for_each(|&o| f(parent.scale(2) + o));
+                }
+            }
+        }
+    }
+
+    /// Whether the reached cell `p` is covered by finer levels.
+    #[inline]
+    pub(crate) fn covered(&self, p: Coord) -> bool {
+        self.tables
+            .as_ref()
+            .is_some_and(|(_, refined)| refined.get(p))
+    }
+
+    /// The verdict on the reached cell `p`.
+    fn reach(&self, p: Coord) -> Reach {
+        let Some((owned, refined)) = &self.tables else {
+            return if self.spec.is_solid(self.level, p) {
+                Reach::Hidden
+            } else {
+                Reach::Owned
+            };
+        };
+        if owned.get(p) {
+            Reach::Owned
+        } else if refined.get(p) && Self::touches_owned(owned, p) {
+            Reach::Ghost
+        } else {
+            Reach::Hidden
+        }
+    }
+
+    /// Whether one of the 26 neighbours of `p`, wrapped across periodic
+    /// faces by the owned table's halo, is set in `owned`: nine rows of
+    /// three bits. `p` is refined, so its own bit is clear.
+    fn touches_owned(owned: &Table, p: Coord) -> bool {
+        let [ex, ey, _] = owned.ext;
+        let first = owned.index(p - Coord::new(1, 1, 1));
+        (0..9).any(|r| {
+            let row = first + ex * (r % 3 + ey * (r / 3));
+            (row..row + 3).any(|j| owned.bits.get(j))
+        })
+    }
+
+    /// The level's block-sparse grid: every owned and every ghost cell
+    /// active.
+    pub(crate) fn grid(&self) -> SparseGrid {
+        let mut gb = GridBuilder::new(self.spec.block_size);
+        self.for_each_reached(|p| {
+            if self.reach(p) != Reach::Hidden {
+                gb.activate(p);
+            }
+        });
+        gb.build(self.spec.curve)
+    }
+}
+
 /// Per-level cell counts from [`census`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct LevelCensus {
@@ -219,36 +424,22 @@ pub struct LevelCensus {
 }
 
 /// Counts owned and ghost cells per level **without building the grid**,
-/// by recursing the octree only into refined cells. This is how the paper's
-/// full-size domains (e.g. the 1596×840×840 airplane tunnel, §VI-B) are
-/// evaluated against the 40 GB device budget on any host.
+/// descending the octree only into refined cells, level by level, with the
+/// tables of the grid build: one bit per cell of a non-finest level's
+/// domain box and its halo, owned and refined (DESIGN.md §4, "Grid build"). This is how
+/// the paper's full-size domains (e.g. the 1596×840×840 airplane tunnel,
+/// §VI-B) are evaluated against the 40 GB device budget on any host.
 pub fn census(spec: &GridSpec) -> Vec<LevelCensus> {
-    let mut out = vec![LevelCensus::default(); spec.levels as usize];
-    fn visit(spec: &GridSpec, out: &mut [LevelCensus], level: u32, p: Coord) {
-        // Reached ⇒ ancestors are refined and p is inside the domain.
-        let refined = spec.is_refined(level, p);
-        let solid = spec.is_solid(level, p);
-        if !refined {
-            if !solid {
-                out[level as usize].owned += 1;
-            }
-            return;
-        }
-        // Covered cell: ghost iff adjacent to an owned same-level cell.
-        if spec.touches_owned(level, p) {
-            out[level as usize].ghost += 1;
-        }
-        for dz in 0..2 {
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    visit(spec, out, level + 1, p.scale(2) + Coord::new(dx, dy, dz));
-                }
-            }
-        }
-    }
-    for p in spec.domain_at(0).iter() {
-        visit(spec, &mut out, 0, p);
-    }
+    let mut out = Vec::with_capacity(spec.levels as usize);
+    spec.walk(|cells| {
+        let mut count = LevelCensus::default();
+        cells.for_each_reached(|p| match cells.reach(p) {
+            Reach::Owned => count.owned += 1,
+            Reach::Ghost => count.ghost += 1,
+            Reach::Hidden => {}
+        });
+        out.push(count);
+    });
     out
 }
 

@@ -4,7 +4,8 @@
 //! the 4b gather entries — must equal what an independent classifier
 //! (`oracle/mod.rs`) derives from coordinates alone. Randomized 2-level
 //! geometries at both block sizes and both lattices, plus fixed cases: a
-//! 3-level nest, and a refined slab against a periodic face.
+//! 3-level nest, refined slabs against a periodic face, and refinement
+//! wrapped across a domain edge.
 
 mod oracle;
 
@@ -113,4 +114,22 @@ fn build_matches_the_oracle_on_periodic_face_slabs() {
         .with_periodic([true; 3]);
         check::<D3Q19>(spec).unwrap_or_else(|e| panic!("slab at coarse x = {lo}: {e}"));
     }
+}
+
+/// Refinement that wraps across the x and y faces: a refined column
+/// straddling the domain's edge, whose cells at coarse x = 15 must see the
+/// refined x = 0 across the face and not the owned x = 1, and an owned
+/// column on the edge inside refined cells, which those at coarse
+/// (15, 15) touch only diagonally, across both faces.
+#[test]
+fn build_matches_the_oracle_on_refinement_wrapped_across_an_edge() {
+    fn check_wrapped(name: &str, refined: impl Fn(i32, i32) -> bool + Send + Sync + 'static) {
+        let spec = GridSpec::new(2, Box3::from_dims(32, 32, 32), move |l, p| {
+            l == 0 && refined(p.x, p.y)
+        })
+        .with_periodic([true; 3]);
+        check::<D3Q19>(spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    check_wrapped("refined column", |x, y| (x + 2) % 16 < 3 && (y + 1) % 16 < 3);
+    check_wrapped("owned column", |x, y| (x, y) != (0, 0));
 }

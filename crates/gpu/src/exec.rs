@@ -221,16 +221,13 @@ impl ThreadPool {
     /// Runs `f` for every block index in `0..n`, blocking until all have
     /// completed, and returns the number of blocks each pool thread
     /// executed. Blocks are claimed in [`chunk_granularity`]-sized ranges;
-    /// with one thread this is a plain ascending loop.
+    /// with one thread this is a plain ascending loop. With one thread or
+    /// no blocks there is no split to report: the vector is empty, so
+    /// such a launch allocates nothing.
     pub fn run(&self, n: u32, f: &(dyn Fn(u32) + Sync)) -> Vec<u64> {
-        if n == 0 {
-            return vec![0; self.threads];
-        }
-        let Some(shared) = &self.shared else {
-            for i in 0..n {
-                f(i);
-            }
-            return vec![n as u64];
+        let Some(shared) = self.shared.as_ref().filter(|_| n > 0) else {
+            (0..n).for_each(f);
+            return Vec::new();
         };
         let job = Arc::new(Job {
             task: TaskRef::new(f),
@@ -381,12 +378,12 @@ impl Executor {
 
     /// Runs `f(block)` for every block index in `0..n_blocks` on the pool,
     /// blocking until all have completed, and returns the blocks each pool
-    /// thread executed. The executor's one dispatch path, but no kernel
-    /// launch: nothing is recorded with the profiler (no launch, no
-    /// balance counters, no trace span), so host-side passes such as the
-    /// health probe and the recovery-point copy (DESIGN.md §11) run on the
-    /// pool without showing up as kernels. A one-thread pool runs the
-    /// blocks inline in ascending order.
+    /// thread executed ([`ThreadPool::run`]). The executor's one dispatch
+    /// path, but no kernel launch: nothing is recorded with the profiler
+    /// (no launch, no balance counters, no trace span), so host-side passes
+    /// such as the health probe and the recovery-point copy (DESIGN.md §11)
+    /// run on the pool without showing up as kernels. A one-thread pool
+    /// runs the blocks inline in ascending order and allocates nothing.
     pub fn run_blocks<F>(&self, n_blocks: usize, f: F) -> Vec<u64>
     where
         F: Fn(u32) + Sync,

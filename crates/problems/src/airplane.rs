@@ -146,7 +146,7 @@ impl AirplaneFlow {
         .with_curve(c.curve)
     }
 
-    /// Counts cells per level without allocating (octree census) — the
+    /// Counts cells per level without building the grid (octree census) — the
     /// basis of the Fig.-1 capacity claim for the full-size domain.
     pub fn census(&self) -> Vec<LevelCensus> {
         census(&self.spec())

@@ -174,12 +174,6 @@ impl Box3 {
         })
     }
 
-    /// The box with coordinates multiplied by `f` (refining by factor `f`).
-    pub fn refine(&self, f: i32) -> Box3 {
-        assert!(f > 0);
-        Box3::new(self.lo.scale(f), self.hi.scale(f))
-    }
-
     /// Intersection with another box, or `None` if disjoint.
     pub fn intersect(&self, o: &Box3) -> Option<Box3> {
         let lo = Coord::new(
@@ -251,15 +245,6 @@ mod tests {
                 Coord::new(0, 1, 0),
                 Coord::new(1, 1, 0)
             ]
-        );
-    }
-
-    #[test]
-    fn refine_scales_both_corners() {
-        let b = Box3::new(Coord::new(0, 0, -2), Coord::new(4, 4, 3));
-        assert_eq!(
-            b.refine(2),
-            Box3::new(Coord::new(0, 0, -4), Coord::new(8, 8, 6))
         );
     }
 

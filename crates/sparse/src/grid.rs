@@ -11,10 +11,45 @@
 //! block sizes in the ablation benches. The addressing cost is identical.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::bitmask::BitMask;
 use crate::coords::{Box3, Coord};
 use crate::sfc::SpaceFillingCurve;
+
+/// Multiply-rotate hashing (the FxHash scheme) for the block-coordinate
+/// maps: the grid build probes them once per cell and per block neighbour,
+/// and SipHash's flooding resistance buys nothing on coordinates. Blocks
+/// are ordered by their curve key, so nothing depends on the hash order.
+#[derive(Copy, Clone, Debug, Default)]
+struct CoordHasher(u64);
+
+impl Hasher for CoordHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b as u32));
+    }
+
+    #[inline]
+    fn write_i32(&mut self, v: i32) {
+        self.write_u32(v as u32);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0.rotate_left(5) ^ v as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    /// The multiply leaves its entropy in the high bits; the rotation
+    /// brings it down to the bucket bits.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by block coordinate.
+type BlockMap<T> = HashMap<Coord, T, BuildHasherDefault<CoordHasher>>;
 
 /// Index of a block within a [`SparseGrid`].
 pub type BlockIdx = u32;
@@ -62,8 +97,7 @@ pub struct SparseGrid {
     block_shift: u32,
     block_mask: i32,
     blocks: Vec<Block>,
-    lookup: HashMap<Coord, BlockIdx>,
-    bounds: Box3,
+    lookup: BlockMap<BlockIdx>,
     active_cells: usize,
 }
 
@@ -90,11 +124,6 @@ impl SparseGrid {
     #[inline(always)]
     pub fn active_cells(&self) -> usize {
         self.active_cells
-    }
-
-    /// Cell-space bounding box of the activated region.
-    pub fn bounds(&self) -> Box3 {
-        self.bounds
     }
 
     /// Block table.
@@ -134,15 +163,12 @@ impl SparseGrid {
             + (self.block_size as u32 * self.block_size as u32) * (lc.z as u32)
     }
 
-    /// Local coordinate of a linear intra-block index.
+    /// Local coordinate of a linear intra-block index (shifts and masks:
+    /// `B` is a power of two).
     #[inline(always)]
     pub fn delinear(&self, cell: u32) -> Coord {
-        let b = self.block_size as u32;
-        Coord::new(
-            (cell % b) as i32,
-            ((cell / b) % b) as i32,
-            (cell / (b * b)) as i32,
-        )
+        let (s, m, c) = (self.block_shift, self.block_mask, cell as i32);
+        Coord::new(c & m, (c >> s) & m, c >> (2 * s))
     }
 
     /// Resolves a global cell coordinate to a [`CellRef`] if that cell is
@@ -230,8 +256,7 @@ impl SparseGrid {
 /// Incremental builder for a [`SparseGrid`].
 pub struct GridBuilder {
     block_size: usize,
-    cells: HashMap<Coord, BitMask>, // block coord -> active mask
-    bounds: Option<Box3>,
+    cells: BlockMap<BitMask>, // block coord -> active mask
 }
 
 impl GridBuilder {
@@ -243,39 +268,24 @@ impl GridBuilder {
         );
         Self {
             block_size,
-            cells: HashMap::new(),
-            bounds: None,
+            cells: BlockMap::default(),
         }
-    }
-
-    fn touch_bounds(&mut self, c: Coord) {
-        let cell_box = Box3::new(c, c + Coord::new(1, 1, 1));
-        self.bounds = Some(match self.bounds {
-            None => cell_box,
-            Some(b) => Box3::new(
-                Coord::new(b.lo.x.min(c.x), b.lo.y.min(c.y), b.lo.z.min(c.z)),
-                Coord::new(
-                    b.hi.x.max(c.x + 1),
-                    b.hi.y.max(c.y + 1),
-                    b.hi.z.max(c.z + 1),
-                ),
-            ),
-        });
     }
 
     /// Activates a single cell.
     pub fn activate(&mut self, c: Coord) -> &mut Self {
-        let b = self.block_size as i32;
-        let bc = c.div_euclid(b);
-        let lc = c.rem_euclid(b);
         let n = self.block_size;
+        let (s, m) = (n.trailing_zeros(), n as i32 - 1);
+        let bc = Coord::new(c.x >> s, c.y >> s, c.z >> s);
+        let lc = Coord::new(c.x & m, c.y & m, c.z & m);
         let mask = self
             .cells
             .entry(bc)
             .or_insert_with(|| BitMask::new(n * n * n));
-        let idx = (lc.x as usize) + n * (lc.y as usize) + n * n * (lc.z as usize);
-        mask.set(idx, true);
-        self.touch_bounds(c);
+        mask.set(
+            lc.x as usize + n * (lc.y as usize + n * lc.z as usize),
+            true,
+        );
         self
     }
 
@@ -310,7 +320,7 @@ impl GridBuilder {
         let bits = (32 - span.leading_zeros()).clamp(1, 21);
         entries.sort_by_key(|(c, _)| curve.key(*c - min, bits));
 
-        let lookup: HashMap<Coord, BlockIdx> = entries
+        let lookup: BlockMap<BlockIdx> = entries
             .iter()
             .enumerate()
             .map(|(i, (c, _))| (*c, i as BlockIdx))
@@ -318,9 +328,9 @@ impl GridBuilder {
 
         let active_cells = entries.iter().map(|(_, m)| m.count()).sum();
         let blocks: Vec<Block> = entries
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, (bc, mask))| {
+            .map(|(i, (bc, active))| {
                 let mut neighbors = [INVALID_BLOCK; NEIGHBOR_SLOTS];
                 for dz in -1..=1 {
                     for dy in -1..=1 {
@@ -329,7 +339,7 @@ impl GridBuilder {
                             let slot = dir_slot(d);
                             if d == Coord::ZERO {
                                 neighbors[slot] = i as BlockIdx;
-                            } else if let Some(&nb) = lookup.get(&(*bc + d)) {
+                            } else if let Some(&nb) = lookup.get(&(bc + d)) {
                                 neighbors[slot] = nb;
                             }
                         }
@@ -337,7 +347,7 @@ impl GridBuilder {
                 }
                 Block {
                     origin: bc.scale(block_size as i32),
-                    active: mask.clone(),
+                    active,
                     neighbors,
                 }
             })
@@ -349,7 +359,6 @@ impl GridBuilder {
             block_mask: block_size as i32 - 1,
             blocks,
             lookup,
-            bounds: self.bounds.unwrap_or(Box3::new(Coord::ZERO, Coord::new(1, 1, 1))),
             active_cells,
         }
     }
@@ -371,7 +380,6 @@ mod tests {
         assert_eq!(g.active_cells(), 512);
         assert_eq!(g.num_blocks(), 8);
         assert_eq!(g.cells_per_block(), 64);
-        assert_eq!(g.bounds().volume(), 512);
     }
 
     #[test]

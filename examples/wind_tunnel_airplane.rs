@@ -8,7 +8,7 @@
 //!
 //! By default runs a scaled-down tunnel end-to-end and evaluates the
 //! *scaled* memory story; `--paper-scale` additionally runs the full-size
-//! octree census (no allocation; takes a while) to reproduce the exact
+//! octree census (no grid is built; a few seconds) to reproduce the exact
 //! §VI-B capacity numbers.
 
 use lbm_refinement::core::Variant;
@@ -32,7 +32,7 @@ fn main() {
         cfg.size[0], cfg.size[1], cfg.size[2], cfg.levels
     );
     let flow = AirplaneFlow::new(cfg);
-    println!("running octree census (no allocation)...");
+    println!("running octree census (no grid built)...");
     let t0 = std::time::Instant::now();
     let (refined, uniform, refined_fits, uniform_fits) = flow.capacity_claim(&device);
     println!("census took {:.1} s", t0.elapsed().as_secs_f64());

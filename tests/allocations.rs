@@ -1,7 +1,7 @@
 //! A steady-state `Engine::step` allocates at most once per kernel launch,
-//! and the same number of times at two sizes of one geometry: the step
-//! plan is built once, at engine assembly, and nothing in the step
-//! allocates per block, so
+//! none at all on a one-thread pool, and the same number of times at two
+//! sizes of one geometry: the step plan is built once, at engine assembly,
+//! and nothing in the step allocates per block, so
 //! frontier blocks (those with ghost or inactive slots) stream through a
 //! reused tile instead of a fresh one. Nor does a health check after the
 //! first: it reuses the recovery point and the probe's record buffer that
@@ -113,6 +113,31 @@ fn a_steady_state_step_allocates_at_most_once_per_launch() {
                 assert!(
                     allocs <= launches,
                     "{what}, {} {mode:?}: {allocs} allocations for {launches} launches",
+                    variant.name()
+                );
+            };
+            let eng = cavity.engine_with(variant, one_thread(), |b| b.exec_mode(mode));
+            check("cavity", step_counts(eng));
+            let eng = sphere.engine_with(variant, one_thread(), |b| b.exec_mode(mode));
+            check("sphere", step_counts(eng));
+        }
+    }
+}
+
+/// A one-thread pool runs each launch inline and reports no per-thread
+/// split, so on top of the plan built once, a launch allocates nothing.
+#[test]
+fn a_steady_state_one_thread_step_allocates_nothing() {
+    let cavity = refined_cavity(32);
+    let sphere = SphereFlow::new(SphereConfig::for_size([36, 24, 36]));
+    for variant in Variant::ALL {
+        for mode in [ExecMode::Eager, ExecMode::Graph] {
+            let check = |what: &str, (allocs, launches): (u64, u64)| {
+                assert!(launches > 0, "{what}: no launch");
+                assert_eq!(
+                    allocs,
+                    0,
+                    "{what}, {} {mode:?}: {launches} launches",
                     variant.name()
                 );
             };
