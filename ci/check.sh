@@ -23,11 +23,13 @@
 # 3. rustdoc with warnings denied, so no doc link dangles;
 # 4. the cheapest `report` experiments, so the paper-figure binary still
 #    runs: `fig2`, `ghost` (the §IV-A ghost-layer memory, read off the
-#    accumulators the engine allocates) and `fig1` at its default scale
+#    accumulators the engine allocates), `fig1` at its default scale
 #    (the airplane's memory plan from the octree census, the path the
-#    paper-scale run takes; about 50 ms); then the `quickstart` example,
-#    the everyday end-to-end run (build time, MLUPS, mass drift; about
-#    1 s);
+#    paper-scale run takes; about 50 ms) and `compare` (the §VI-A
+#    comparators end to end: the Palabos-like solver and the
+#    waLBerla-like engine, 2³ blocks and no fusion; about 1 s); then the
+#    `quickstart` example, the everyday end-to-end run (build time,
+#    MLUPS, mass drift; about 1 s);
 # 5. on x86-64, a codegen guard: every `collide_block_wide` and
 #    `fused_block_wide` symbol of the release `report` binary must contain
 #    `zmm` (AVX-512) instructions. A refactor that turns a block fn back
@@ -51,6 +53,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -q -p lbm-bench --bin report -- fig2
 cargo run --release -q -p lbm-bench --bin report -- ghost
 cargo run --release -q -p lbm-bench --bin report -- fig1
+cargo run --release -q -p lbm-bench --bin report -- compare
 cargo run --release -q --example quickstart
 if [ "$(uname -m)" = x86_64 ]; then
     objdump -d -C target/release/report | awk '

@@ -9,7 +9,8 @@
 //! ```text
 //! magic          8 B   "LBMCKPT\0"
 //! version        u32   2
-//! value_bits     u32   bit width of the population scalar (32 or 64)
+//! value_bits     u32   bit width of the population scalar: 64; any
+//!                      other value is refused as a mismatch
 //! q              u32   velocity-set size
 //! name_len/name  u32 + bytes   velocity-set tag ("D3Q19", "D3Q27")
 //! coarse_steps   u64   coarsest-level steps taken when the snapshot was cut

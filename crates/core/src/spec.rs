@@ -447,15 +447,6 @@ pub fn census(spec: &GridSpec) -> Vec<LevelCensus> {
 pub mod presets {
     use super::*;
 
-    /// Refine everywhere inside a (level-local) box at each level: produces
-    /// concentric nested refinement. `boxes[l]` is the region of level `l`
-    /// that is subdivided into level `l+1`, in level-`l` coordinates.
-    pub fn nested_boxes(boxes: Vec<Box3>) -> impl Fn(u32, Coord) -> bool + Send + Sync {
-        move |level, p| {
-            (level as usize) < boxes.len() && boxes[level as usize].contains(p)
-        }
-    }
-
     /// Refine within `width_l` cells (level-local) of the domain walls on
     /// the given axes — the lid-driven-cavity pattern (paper §VI-A:
     /// "successively refine the voxels ... as they get closer to the
@@ -558,14 +549,6 @@ mod tests {
         assert!(refine(0, Coord::new(4, 7, 4)));
         assert!(!refine(0, Coord::new(4, 4, 0)), "z axis disabled");
         assert!(!refine(0, Coord::new(4, 4, 4)));
-    }
-
-    #[test]
-    fn nested_box_preset() {
-        let refine = presets::nested_boxes(vec![Box3::from_dims(4, 4, 4)]);
-        assert!(refine(0, Coord::new(1, 1, 1)));
-        assert!(!refine(0, Coord::new(5, 1, 1)));
-        assert!(!refine(1, Coord::new(1, 1, 1)), "only one nested box");
     }
 
     #[test]

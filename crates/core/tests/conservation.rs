@@ -80,28 +80,35 @@ fn per_step_drift_is_roundoff_for_flat_interfaces() {
 fn cubic_region_corner_error_is_bounded() {
     // A cubic refinement region: edges and corners of the region are the
     // only places the coupling approximates. Bound ≈ 5e-8 relative per
-    // coarse step on this adversarial small box.
-    let spec = GridSpec::new(2, Box3::from_dims(32, 32, 32), |l, p| {
-        l == 0 && (4..12).contains(&p.x) && (4..12).contains(&p.y) && (4..12).contains(&p.z)
-    });
-    let grid = Mg::build(spec, &AllWalls, 1.7);
-    let mut eng = Engine::builder(grid)
-        .collision(Bgk::new(1.7))
-        .variant(Variant::FusedAll)
-        .build(Executor::new(DeviceModel::a100_40gb()));
-    eng.grid.init_equilibrium(
-        |_, _| 1.0,
-        |l, p| {
-            let scale = if l == 0 { 2.0 } else { 1.0 };
-            let x = p.x as f64 * scale;
-            let y = p.y as f64 * scale;
-            let r2 = (x - 16.0).powi(2) + (y - 16.0).powi(2);
-            [0.04 * (-r2 / 40.0).exp(), -0.02 * (-r2 / 40.0).exp(), 0.0]
-        },
-    );
-    let d = drift_after(&mut eng, 40).abs();
-    assert!(d < 1e-5, "cube 40-step drift {d:e}");
-    assert!(d > 0.0, "drift is measured, not zeroed out");
+    // coarse step on this adversarial small box. It holds for the fused
+    // engine on the default 4³ blocks and for the waLBerla-like
+    // configuration of the §VI-A comparison: 2³ blocks, no fusion.
+    for (block_size, variant) in [(4, Variant::FusedAll), (2, Variant::ModifiedBaseline)] {
+        let spec = GridSpec::new(2, Box3::from_dims(32, 32, 32), |l, p| {
+            l == 0 && (4..12).contains(&p.x) && (4..12).contains(&p.y) && (4..12).contains(&p.z)
+        })
+        .with_block_size(block_size);
+        let grid = Mg::build(spec, &AllWalls, 1.7);
+        assert_eq!(grid.levels[0].grid.block_size(), block_size);
+        let mut eng = Engine::builder(grid)
+            .collision(Bgk::new(1.7))
+            .variant(variant)
+            .build(Executor::new(DeviceModel::a100_40gb()));
+        eng.grid.init_equilibrium(
+            |_, _| 1.0,
+            |l, p| {
+                let scale = if l == 0 { 2.0 } else { 1.0 };
+                let x = p.x as f64 * scale;
+                let y = p.y as f64 * scale;
+                let r2 = (x - 16.0).powi(2) + (y - 16.0).powi(2);
+                [0.04 * (-r2 / 40.0).exp(), -0.02 * (-r2 / 40.0).exp(), 0.0]
+            },
+        );
+        let d = drift_after(&mut eng, 40).abs();
+        let what = format!("{}³ blocks, {}", block_size, variant.name());
+        assert!(d < 1e-5, "{what}: cube 40-step drift {d:e}");
+        assert!(d > 0.0, "{what}: drift is measured, not zeroed out");
+    }
 }
 
 #[test]

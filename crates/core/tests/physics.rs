@@ -297,38 +297,3 @@ fn couette_profile_is_linear_across_interface() {
     assert!(profile[0].abs() < 0.1 * u_wall);
     assert!((profile[ny - 1] - u_wall).abs() < 0.15 * u_wall);
 }
-
-/// The 2D lattice (D2Q9) drives the same engine: plane Couette flow in a
-/// depth-1 domain converges to the linear profile.
-#[test]
-fn d2q9_couette_runs_in_plane() {
-    use lbm_lattice::D2Q9;
-    let ny = 16usize;
-    let u_wall = 0.05;
-    let spec = GridSpec::uniform(Box3::from_dims(8, ny, 1)).with_periodic([true, false, false]);
-    let bc = move |_l: u32, src: Coord, _d: usize| {
-        if src.y >= ny as i32 {
-            lbm_core::Boundary::MovingWall {
-                velocity: [u_wall, 0.0, 0.0],
-            }
-        } else {
-            lbm_core::Boundary::BounceBack
-        }
-    };
-    let grid = MultiGrid::<f64, D2Q9>::build(spec, &bc, 1.4);
-    let mut eng = Engine::builder(grid)
-        .collision(Bgk::new(1.4))
-        .variant(Variant::FusedAll)
-        .build(Executor::new(DeviceModel::a100_40gb()));
-    eng.grid.init_equilibrium(|_, _| 1.0, |_, _| [0.0; 3]);
-    eng.run(3000);
-    // Linear profile between the halfway walls.
-    let mut prev = -1.0;
-    for y in 0..ny as i32 {
-        let (_, u) = eng.grid.probe_finest(Coord::new(4, y, 0)).unwrap();
-        assert!(u[0] > prev, "profile must increase monotonically");
-        let expect = u_wall * (y as f64 + 0.5) / ny as f64;
-        assert!((u[0] - expect).abs() < 0.02 * u_wall, "y={y}: {} vs {expect}", u[0]);
-        prev = u[0];
-    }
-}

@@ -69,11 +69,11 @@ pub fn ci_dot_u<T: Real, V: VelocitySet>(i: usize, u: [T; 3]) -> T {
 mod tests {
     use super::*;
     use crate::moments::{density, momentum};
-    use crate::velocity_set::{D2Q9, D3Q19, D3Q27};
+    use crate::velocity_set::{D3Q19, D3Q27};
 
     fn conserves_moments<V: VelocitySet>() {
         let rho = 1.07_f64;
-        let u = [0.05, -0.03, if V::D == 3 { 0.02 } else { 0.0 }];
+        let u = [0.05, -0.03, 0.02];
         let mut feq = [0.0; MAX_Q];
         equilibrium::<f64, V>(rho, u, &mut feq);
         // Zeroth moment: density.
@@ -97,12 +97,7 @@ mod tests {
                     .map(|i| feq[i] * (V::C[i][a] * V::C[i][b]) as f64)
                     .sum();
                 let del = if a == b { V::CS2 } else { 0.0 };
-                // z-moments vanish for 2D sets.
-                let expect = if V::D == 2 && (a == 2 || b == 2) {
-                    0.0
-                } else {
-                    rho * (del + u[a] * u[b])
-                };
+                let expect = rho * (del + u[a] * u[b]);
                 assert!(
                     (pi - expect).abs() < 1e-13,
                     "{}: Pi[{a}{b}] = {pi}, expected {expect}",
@@ -112,10 +107,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn equilibrium_moments_d2q9() {
-        conserves_moments::<D2Q9>();
-    }
     #[test]
     fn equilibrium_moments_d3q19() {
         conserves_moments::<D3Q19>();
@@ -142,17 +133,6 @@ mod tests {
         equilibrium::<f64, D3Q27>(rho, u, &mut feq);
         for (i, f) in feq.iter().enumerate().take(D3Q27::Q) {
             assert!((equilibrium_dir::<f64, D3Q27>(i, rho, u) - f).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn f32_matches_f64_loosely() {
-        let mut a = [0.0f64; MAX_Q];
-        let mut b = [0.0f32; MAX_Q];
-        equilibrium::<f64, D3Q19>(1.0, [0.08, -0.02, 0.03], &mut a);
-        equilibrium::<f32, D3Q19>(1.0, [0.08, -0.02, 0.03], &mut b);
-        for i in 0..D3Q19::Q {
-            assert!((a[i] - b[i] as f64).abs() < 1e-6);
         }
     }
 }

@@ -6,13 +6,13 @@
 //! Method*, IPDPS 2024).
 //!
 //! Contents (paper §II):
-//! - [`velocity_set`]: D2Q9 / D3Q19 / D3Q27 discrete velocity sets;
+//! - [`velocity_set`]: D3Q19 / D3Q27 discrete velocity sets;
 //! - [`equilibrium`](mod@equilibrium): second-order Maxwellian equilibrium (Eq. 5);
-//! - [`moments`]: density, velocity, pressure, stress (Eqs. 6–8);
+//! - [`moments`]: density, velocity, stress (Eqs. 6–7);
 //! - [`collision`]: BGK (Eq. 3) and entropic KBC operators;
-//! - [`scaling`]: per-level relaxation rates under acoustic scaling (Eq. 9);
-//! - [`units`]: physical ↔ lattice unit conversion and Reynolds sizing;
-//! - [`real`]: `f64`/`f32` scalar abstraction.
+//! - [`scaling`]: per-level relaxation rates under acoustic scaling (Eq. 9)
+//!   and Reynolds sizing;
+//! - [`real`]: the scalar abstraction, implemented for `f64`.
 //!
 //! Everything here is *local* cell math with no knowledge of grids or
 //! neighbors; storage and streaming live in `lbm-sparse` / `lbm-core`.
@@ -27,13 +27,13 @@ pub mod equilibrium;
 pub mod moments;
 pub mod real;
 pub mod scaling;
-pub mod units;
 pub mod velocity_set;
 
 pub use collision::{Bgk, Collision, Kbc};
 pub use equilibrium::{equilibrium, equilibrium_dir};
-pub use moments::{density, density_velocity, momentum, pressure, second_moment};
+pub use moments::{density, density_velocity, momentum, second_moment};
 pub use real::Real;
-pub use scaling::{omega0_from_level, omega_at_level, substeps_at_level};
-pub use units::{relaxation_for_reynolds, relaxation_for_reynolds_multilevel, UnitConverter};
-pub use velocity_set::{VelocitySet, D2Q9, D3Q19, D3Q27, MAX_Q};
+pub use scaling::{
+    omega0_from_level, omega_at_level, relaxation_for_reynolds_multilevel, substeps_at_level,
+};
+pub use velocity_set::{VelocitySet, D3Q19, D3Q27, MAX_Q};

@@ -1,4 +1,4 @@
-//! Macroscopic moments of the distribution functions (paper Eqs. 6–8).
+//! Macroscopic moments of the distribution functions (paper Eqs. 6–7).
 
 use crate::lanes::{add_signed, one_lane};
 use crate::real::Real;
@@ -67,12 +67,6 @@ pub fn density_velocity_lanes<T: Real, V: VelocitySet, const N: usize>(
     (rho, u)
 }
 
-/// Pressure `p = cs² ρ` (Eq. 8).
-#[inline(always)]
-pub fn pressure<T: Real, V: VelocitySet>(rho: T) -> T {
-    T::from_f64(V::CS2) * rho
-}
-
 /// Full second-moment tensor `Π_ab = Σ_i e_ia e_ib f_i`, returned in
 /// symmetric packing `[xx, yy, zz, xy, xz, yz]`.
 ///
@@ -126,7 +120,6 @@ mod tests {
         for a in 0..3 {
             assert!((v[a] - u[a]).abs() < 1e-14);
         }
-        assert!((pressure::<f64, D3Q27>(r) - rho / 3.0).abs() < 1e-13);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Acoustic scaling of relaxation rates across refinement levels
-//! (paper §II-A, Eq. 9).
+//! (paper §II-A, Eq. 9), and the Reynolds-number sizing of a multi-level
+//! grid built on it.
 //!
 //! With a refinement ratio of 2, `Δx_{L+1} = Δx_L/2` and — because the
 //! lattice speed of sound must stay constant across levels —
@@ -68,6 +69,35 @@ pub fn tau_over_dt_at_level(omega0: f64, level: u32) -> f64 {
     1.0 / omega_at_level(omega0, level)
 }
 
+/// Solves the standard sizing problem on an `n_levels`-deep grid: given a
+/// target Reynolds number `Re = U·L/ν`, a characteristic length of
+/// `l_lat_finest` finest-level cells and a characteristic lattice velocity
+/// `u_lat`, the lattice viscosity and relaxation rate at the finest level,
+/// and the rate `ω0` at the coarsest level (paper Eq. 9 convention).
+///
+/// Returns `(nu_lat_finest, omega_finest, omega0)`.
+///
+/// # Panics
+/// Panics if the finest-level rate leaves `(0, 1.9999)`: ω → 2 means
+/// ν → 0, numerically valid but hopelessly under-resolved.
+pub fn relaxation_for_reynolds_multilevel(
+    re: f64,
+    l_lat_finest: f64,
+    u_lat: f64,
+    cs2: f64,
+    n_levels: u32,
+) -> (f64, f64, f64) {
+    assert!(re > 0.0 && l_lat_finest > 0.0 && u_lat > 0.0);
+    let nu = u_lat * l_lat_finest / re;
+    let omega_finest = 1.0 / (nu / cs2 + 0.5);
+    assert!(
+        omega_finest > 0.0 && omega_finest < 1.9999,
+        "Re={re} with L={l_lat_finest}, U={u_lat} needs omega={omega_finest}; refine the grid or lower u_lat"
+    );
+    let omega0 = omega0_from_level(omega_finest, n_levels - 1);
+    (nu, omega_finest, omega0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +158,30 @@ mod tests {
         assert_eq!(substeps_at_level(0), 1);
         assert_eq!(substeps_at_level(1), 2);
         assert_eq!(substeps_at_level(3), 8);
+    }
+
+    #[test]
+    fn reynolds_setup_is_consistent() {
+        let (nu, omega, omega0) = relaxation_for_reynolds_multilevel(100.0, 96.0, 0.1, CS2, 1);
+        assert!((0.1 * 96.0 / nu - 100.0).abs() < 1e-10);
+        let back = CS2 * (1.0 / omega - 0.5);
+        assert!((back - nu).abs() < 1e-14);
+        assert_eq!(omega0, omega);
+    }
+
+    #[test]
+    fn multilevel_setup_respects_eq9() {
+        let (_, omega_f, omega0) =
+            relaxation_for_reynolds_multilevel(4000.0, 128.0, 0.05, CS2, 3);
+        let rebuilt = omega_at_level(omega0, 2);
+        assert!((rebuilt - omega_f).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "refine the grid")]
+    fn detects_unreachable_reynolds() {
+        // Tiny grid + huge Re ⇒ ν too small ⇒ ω ≥ 2.
+        let _ = relaxation_for_reynolds_multilevel(1e9, 8.0, 0.01, CS2, 1);
     }
 
     #[test]

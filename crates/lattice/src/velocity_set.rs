@@ -1,8 +1,7 @@
 //! Discrete velocity sets (`DdQq` lattices).
 //!
 //! The paper uses D3Q19 (laminar/BGK experiments) and D3Q27 (turbulent/KBC
-//! experiments, since KBC requires the full 27-direction lattice). D2Q9 is
-//! provided as a cheap lattice for unit tests and quasi-2D validation.
+//! experiments, since KBC requires the full 27-direction lattice).
 //!
 //! The ordering convention used everywhere in this workspace is:
 //! rest direction first, then face neighbors, then edge neighbors, then
@@ -22,11 +21,9 @@ pub const MAX_Q: usize = 27;
 /// All tables are `'static` so that generic kernels compile down to
 /// fully-unrolled straight-line code for each concrete lattice.
 pub trait VelocitySet: Copy + Clone + Default + Send + Sync + 'static {
-    /// Spatial dimension `d` (2 or 3).
-    const D: usize;
     /// Number of discrete directions `q`.
     const Q: usize;
-    /// Lattice directions `e_i` (unit cell offsets). 2D sets store `z = 0`.
+    /// Lattice directions `e_i` (unit cell offsets).
     const C: &'static [[i32; 3]];
     /// Lattice weights `w_i`, summing to 1.
     const W: &'static [f64];
@@ -46,10 +43,6 @@ pub trait VelocitySet: Copy + Clone + Default + Send + Sync + 'static {
     }
 }
 
-/// The D2Q9 lattice (2D, 9 directions), embedded in 3D with `z = 0`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct D2Q9;
-
 /// The D3Q19 lattice (3D, 19 directions): rest + 6 faces + 12 edges.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct D3Q19;
@@ -58,32 +51,7 @@ pub struct D3Q19;
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct D3Q27;
 
-impl VelocitySet for D2Q9 {
-    const D: usize = 2;
-    const Q: usize = 9;
-    const C: &'static [[i32; 3]] = &[
-        [0, 0, 0],
-        [1, 0, 0],
-        [-1, 0, 0],
-        [0, 1, 0],
-        [0, -1, 0],
-        [1, 1, 0],
-        [-1, -1, 0],
-        [1, -1, 0],
-        [-1, 1, 0],
-    ];
-    #[rustfmt::skip]
-    const W: &'static [f64] = &[
-        4.0 / 9.0,
-        1.0 / 9.0, 1.0 / 9.0, 1.0 / 9.0, 1.0 / 9.0,
-        1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0,
-    ];
-    const OPP: &'static [usize] = &[0, 2, 1, 4, 3, 6, 5, 8, 7];
-    const NAME: &'static str = "D2Q9";
-}
-
 impl VelocitySet for D3Q19 {
-    const D: usize = 3;
     const Q: usize = 19;
     const C: &'static [[i32; 3]] = &[
         [0, 0, 0],
@@ -123,7 +91,6 @@ impl VelocitySet for D3Q19 {
 }
 
 impl VelocitySet for D3Q27 {
-    const D: usize = 3;
     const Q: usize = 27;
     const C: &'static [[i32; 3]] = &[
         [0, 0, 0],
@@ -197,10 +164,6 @@ mod tests {
                 assert_eq!(V::C[o][a], -V::C[i][a], "OPP[{i}] not the negation");
             }
         }
-        // 2D sets stay in the z = 0 plane.
-        if V::D == 2 {
-            assert!(V::C.iter().all(|c| c[2] == 0));
-        }
     }
 
     /// Moment conditions required for the Chapman–Enskog expansion to recover
@@ -218,7 +181,7 @@ mod tests {
                 let m2: f64 = (0..q)
                     .map(|i| V::W[i] * (V::C[i][a] * V::C[i][b]) as f64)
                     .sum();
-                let expect = if a == b && (V::D == 3 || a < 2) { cs2 } else { 0.0 };
+                let expect = if a == b { cs2 } else { 0.0 };
                 assert!((m2 - expect).abs() < 1e-14, "second moment [{a}{b}] = {m2}");
                 for c in 0..3 {
                     let m3: f64 = (0..q)
@@ -226,10 +189,6 @@ mod tests {
                         .sum();
                     assert!(m3.abs() < 1e-14, "third moment [{a}{b}{c}] = {m3}");
                     for d in 0..3 {
-                        // Skip components involving z for 2D lattices.
-                        if V::D == 2 && [a, b, c, d].contains(&2) {
-                            continue;
-                        }
                         let m4: f64 = (0..q)
                             .map(|i| {
                                 V::W[i]
@@ -251,10 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn d2q9_basic() {
-        check_basic::<D2Q9>();
-    }
-    #[test]
     fn d3q19_basic() {
         check_basic::<D3Q19>();
     }
@@ -263,10 +218,6 @@ mod tests {
         check_basic::<D3Q27>();
     }
 
-    #[test]
-    fn d2q9_moments() {
-        check_moments::<D2Q9>();
-    }
     #[test]
     fn d3q19_moments() {
         check_moments::<D3Q19>();
@@ -282,12 +233,10 @@ mod tests {
         assert_eq!(D3Q19::index_of([1, 1, 0]), Some(7));
         assert_eq!(D3Q19::index_of([1, 1, 1]), None);
         assert_eq!(D3Q27::index_of([1, 1, 1]), Some(19));
-        assert_eq!(D2Q9::index_of([0, 0, 1]), None);
     }
 
     #[test]
     fn names() {
-        assert_eq!(D2Q9::NAME, "D2Q9");
         assert_eq!(D3Q19::NAME, "D3Q19");
         assert_eq!(D3Q27::NAME, "D3Q27");
     }

@@ -103,21 +103,6 @@ pub fn write_profile_csv(path: impl AsRef<Path>, header: &str, rows: &[(f64, f64
     w.flush()
 }
 
-/// Writes a generic table: one header line, rows of comma-joined values.
-pub fn write_table_csv(
-    path: impl AsRef<Path>,
-    header: &str,
-    rows: &[Vec<f64>],
-) -> IoResult<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "{header}")?;
-    for row in rows {
-        let line: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-        writeln!(w, "{}", line.join(","))?;
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,8 +191,5 @@ mod tests {
         write_profile_csv(&p, "y,u", &[(0.0, 1.0), (0.5, 2.0)]).unwrap();
         let s = std::fs::read_to_string(&p).unwrap();
         assert!(s.starts_with("y,u\n0,1\n0.5,2"));
-        let t = dir.join("table.csv");
-        write_table_csv(&t, "a,b,c", &[vec![1.0, 2.0, 3.0]]).unwrap();
-        assert!(std::fs::read_to_string(&t).unwrap().contains("1,2,3"));
     }
 }

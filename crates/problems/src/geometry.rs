@@ -85,55 +85,9 @@ impl Sdf for Capsule {
     }
 }
 
-/// An axis-aligned ellipsoid.
-#[derive(Copy, Clone, Debug)]
-pub struct Ellipsoid {
-    /// Center (finest units).
-    pub center: [f64; 3],
-    /// Semi-axes (finest units).
-    pub radii: [f64; 3],
-}
-
-impl Sdf for Ellipsoid {
-    fn distance(&self, p: [f64; 3]) -> f64 {
-        // First-order approximation of the ellipsoid SDF: exact on the
-        // axes and near the surface, but it underestimates far-field
-        // distance for high aspect ratios — fine for voxelizing solids,
-        // NOT for refinement bands (use RoundedBox there).
-        let k0: f64 = (0..3)
-            .map(|i| ((p[i] - self.center[i]) / self.radii[i]).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let k1: f64 = (0..3)
-            .map(|i| ((p[i] - self.center[i]) / (self.radii[i] * self.radii[i])).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        if k1 == 0.0 {
-            return -self.radii.iter().cloned().fold(f64::INFINITY, f64::min);
-        }
-        k0 * (k0 - 1.0) / k1
-    }
-
-    fn bounds(&self) -> ([f64; 3], [f64; 3]) {
-        (
-            [
-                self.center[0] - self.radii[0],
-                self.center[1] - self.radii[1],
-                self.center[2] - self.radii[2],
-            ],
-            [
-                self.center[0] + self.radii[0],
-                self.center[1] + self.radii[1],
-                self.center[2] + self.radii[2],
-            ],
-        )
-    }
-}
-
 /// An axis-aligned rounded box: exact Euclidean SDF (Lipschitz-1), the
-/// safe primitive for thin plates like wings — unlike [`Ellipsoid`], whose
-/// approximate SDF badly underestimates distance for high aspect ratios
-/// and must not drive refinement bands.
+/// safe primitive for thin plates like wings, whose refinement bands need
+/// a distance that does not underestimate at high aspect ratios.
 #[derive(Copy, Clone, Debug)]
 pub struct RoundedBox {
     /// Center (finest units).
@@ -269,17 +223,6 @@ mod tests {
         assert!((c.distance([5.0, 3.0, 0.0]) - 1.0).abs() < 1e-12);
         assert!((c.distance([-3.0, 0.0, 0.0]) - 1.0).abs() < 1e-12);
         assert!(c.distance([5.0, 0.0, 0.0]) < 0.0);
-    }
-
-    #[test]
-    fn ellipsoid_on_axis() {
-        let e = Ellipsoid {
-            center: [0.0; 3],
-            radii: [4.0, 2.0, 1.0],
-        };
-        assert!(e.distance([0.0, 0.0, 0.0]) < 0.0);
-        assert!((e.distance([6.0, 0.0, 0.0]) - 2.0).abs() < 0.2);
-        assert!(e.distance([0.0, 3.0, 0.0]) > 0.5);
     }
 
     #[test]

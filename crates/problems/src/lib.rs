@@ -13,14 +13,14 @@
 //!   refinement;
 //! - [`ghia`]: the Ghia et al. (1982) reference tables of Fig. 7;
 //! - [`windtunnel`]: shared inlet/outflow/wall boundary assignment;
-//! - [`diagnostics`]: energy/speed monitors, steady-state driver, CSV.
+//! - [`diagnostics`]: kinetic-energy monitor, steady-state driver,
+//!   profile CSV.
 
 #![warn(missing_docs)]
 
 pub mod airplane;
 pub mod cavity;
 pub mod diagnostics;
-pub mod forces;
 pub mod geometry;
 pub mod ghia;
 pub mod sphere;
@@ -31,8 +31,7 @@ pub mod windtunnel;
 pub use airplane::{airplane_sdf, AirplaneConfig, AirplaneEngine, AirplaneFlow};
 pub use cavity::{Cavity, CavityConfig, CavityEngine};
 pub use diagnostics::SteadyOutcome;
-pub use geometry::{band_refinement, solid_at_finest, Capsule, Ellipsoid, Sdf, Sphere, Union};
-pub use forces::{drag_coefficient, momentum_exchange, schiller_naumann, sphere_drag, Force};
+pub use geometry::{band_refinement, solid_at_finest, Capsule, Sdf, Sphere, Union};
 pub use ghia::ProfileError;
 pub use sphere::{SphereConfig, SphereEngine, SphereFlow};
 pub use tgv::{Tgv, TgvConfig, TgvEngine};

@@ -204,15 +204,8 @@ impl SparseGrid {
     /// target cell inactive.
     #[inline(always)]
     pub fn neighbor(&self, r: CellRef, d: Coord) -> Option<CellRef> {
-        let lc = self.delinear(r.cell) + d;
-        let b = self.block_size as i32;
         // Per-axis block offset in {-1,0,1} and wrapped local coordinate.
-        let bo = Coord::new(
-            lc.x.div_euclid(b),
-            lc.y.div_euclid(b),
-            lc.z.div_euclid(b),
-        );
-        let wrapped = lc.rem_euclid(b);
+        let (bo, wrapped) = self.split(self.delinear(r.cell) + d);
         let cell = self.linear(wrapped);
         let nb = if bo == Coord::ZERO {
             r.block

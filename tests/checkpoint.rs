@@ -220,6 +220,33 @@ fn snapshot_rejects_structural_mismatch() {
         matches!(err, CheckpointError::Mismatch(_)),
         "2-level snapshot into uniform engine: got {err}"
     );
+
+    // Same engine, another value width: `value_bits`, the `u32` after the
+    // magic and the version, rewritten to 32 under a re-sealed trailer, so
+    // the width check alone must refuse it.
+    let mut narrow = blob.clone();
+    assert_eq!(narrow[12..16], 64u32.to_le_bytes(), "value_bits offset");
+    narrow[12..16].copy_from_slice(&32u32.to_le_bytes());
+    reseal(&mut narrow);
+    let mut target = seeded_engine_with::<D3Q19>(9, Variant::FusedAll, EngineOpts::default());
+    target.run(1);
+    let before = target.checkpoint();
+    match target.restore(&narrow).unwrap_err() {
+        CheckpointError::Mismatch(why) => assert!(why.contains("32-bit"), "{why}"),
+        e => panic!("32-bit snapshot into a 64-bit engine: expected Mismatch, got {e:?}"),
+    }
+    assert!(target.checkpoint() == before, "the refused restore wrote");
+}
+
+/// Rewrites a snapshot's FNV-1a trailer over its (edited) body.
+fn reseal(blob: &mut [u8]) {
+    let body = blob.len() - 8;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &blob[..body] {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    blob[body..].copy_from_slice(&h.to_le_bytes());
 }
 
 /// Two 2-level 32³ grids whose refined boxes sit 2 or 4 coarse cells apart
